@@ -35,9 +35,15 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-#: Observable/eigenvalue pairs of the four perfect-correlation identities.
-EIGEN_CHECKS = (("XXX", +1.0), ("XYY", -1.0), ("YXY", -1.0), ("YYX", -1.0))
-SIGNED_SUM_EXPECTED = dict(zip(qcore.PATTERNS, (+1.0, -1.0, -1.0, -1.0)))
+#: GHZ value of each perfect-correlation pattern: the signed probability
+#: sum, and the eigenvalue of the matching Pauli product observable.
+SIGNED_SUM_EXPECTED = {
+    pattern: float(target)
+    for pattern, target in zip(qcore.PATTERNS, locality.CONSTRAINT_TARGETS)
+}
+EIGEN_CHECKS = tuple((p.upper(), value) for p, value in SIGNED_SUM_EXPECTED.items())
+#: Settings patterns of M' = XXY + XYX + YXX - YYY, in that order.
+MPRIME_PATTERNS = tuple(settings.lower() for _, settings in mermin.MPRIME_TERMS)
 
 
 def _fmt(value) -> str:
@@ -64,7 +70,7 @@ def _flatten(obj, prefix=""):
 
 def _render(payload, output_format: str) -> str:
     if output_format == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     lines = ["key,value"]
     for key, value in _flatten(payload):
         lines.append(f"{key},{_fmt(value)}")
@@ -172,16 +178,16 @@ def _scatter_points(seed: int, count: int):
         p_plus = rng.uniform(0.0, 1.0, size=(3, 2))
         model = locality.LocalModel((locality.Cause(1.0, p_plus),))
         exxx, exyy, eyxy, eyyx = locality.model_triple_correlations(model)
-        # Same sign convention as the operators: M = XXX - XYY - YXY - YYX.
-        m_val = exxx - exyy - eyxy - eyyx
-        mp_val = _model_mprime(model)
-        points.append((m_val, mp_val))
+        exxy, exyx, eyxx, eyyy = locality.model_triple_correlations(
+            model, patterns=MPRIME_PATTERNS)
+        # Same sign conventions as the operators M and M'.
+        points.append((exxx - exyy - eyxy - eyyx, exxy + exyx + eyxx - eyyy))
     groups["scatter_local"] = points
 
     points = []
     for _ in range(count):
-        params = optimize._random_bloch_angles(rng, 3)
-        psi = qcore.StateVector(optimize._product_state(params))
+        params = optimize.random_bloch_angles(rng, 3)
+        psi = qcore.StateVector(optimize.product_state(params))
         pt = mermin.evaluate_point(psi)
         points.append((pt.m_value, pt.mprime_value))
     groups["scatter_quantum_local"] = points
@@ -190,9 +196,9 @@ def _scatter_points(seed: int, count: int):
     for _ in range(count):
         cut = int(rng.integers(0, 3))
         params = np.concatenate(
-            [optimize._random_bloch_angles(rng, 1), rng.standard_normal(8)]
+            [optimize.random_bloch_angles(rng, 1), rng.standard_normal(8)]
         )
-        psi = qcore.StateVector(optimize._biseparable_state(cut, params))
+        psi = qcore.StateVector(optimize.biseparable_state(cut, params))
         pt = mermin.evaluate_point(psi)
         points.append((pt.m_value, pt.mprime_value))
     groups["scatter_biseparable"] = points
@@ -209,21 +215,6 @@ def _scatter_points(seed: int, count: int):
     return groups
 
 
-def _model_mprime(model) -> float:
-    # M' = XXY + XYX + YXX - YYY on the mixture triple products.
-    def triple(pattern):
-        total = 0.0
-        for mu, cause in enumerate(model.causes):
-            bars = locality.correlators(model, mu).reshape(3, 2)
-            prod = cause.weight
-            for party, s in enumerate(pattern):
-                prod *= bars[party][locality.SETTING_INDEX[s]]
-            total += prod
-        return total
-
-    return triple("xxy") + triple("xyx") + triple("yxx") - triple("yyy")
-
-
 def cmd_figure1(args) -> int:
     if args.samples < 8:
         raise ValueError(f"--samples must be >= 8, got {args.samples}")
@@ -236,7 +227,8 @@ def cmd_figure1(args) -> int:
             rows.append((name, float(m_val), float(mp_val)))
     if args.format == "json":
         payload = [{"curve": n, "m": m, "mprime": mp} for n, m, mp in rows]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+              args.out)
     else:
         lines = ["curve,m,mprime"]
         lines.extend(f"{n},{_fmt(m)},{_fmt(mp)}" for n, m, mp in rows)

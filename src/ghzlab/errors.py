@@ -26,8 +26,14 @@ class ToleranceOutOfRange(GhzlabError):
 
 
 class RestartBudgetExhausted(GhzlabError):
-    """Random-restart ascent failed to reach the certified optimum."""
+    """A seeded witness missed the certified closed-form maximum.
+
+    Raised when M + iM' = 8|000><111| fails on the operator matrices, or
+    when a state the closed form predicts (a maximizer built from a seeded
+    start, or the GHZ point behind the noise thresholds) misses its value
+    by more than 1e-12. The CLI maps it to exit code 1.
+    """
 
 
 class NoViolation(GhzlabError):
-    """Bisection found no visibility at which the bound is violated."""
+    """No visibility in [0, 1] violates the bound."""

@@ -158,10 +158,10 @@ def correlators(model: LocalModel, mu: int) -> np.ndarray:
     return (2.0 * cause.p_plus - 1.0).reshape(-1)
 
 
-def model_triple_correlations(model: LocalModel) -> tuple:
-    """Mixture triple products for the patterns (xxx, xyy, yxy, yyx)."""
+def model_triple_correlations(model: LocalModel, patterns=PATTERNS) -> tuple:
+    """Mixture triple products, one per settings pattern (default PATTERNS)."""
     values = []
-    for pattern in PATTERNS:
+    for pattern in patterns:
         total = 0.0
         for mu, cause in enumerate(model.causes):
             bars = correlators(model, mu).reshape(3, 2)
@@ -225,8 +225,7 @@ def ghz_sign_feasibility() -> InfeasibilityReport:
 
 def _hr_satisfied_count(bars, tolerance: float) -> int:
     """Constraints met within tolerance by six reals (ix, iy, jx, jy, kx, ky)."""
-    ix, iy, jx, jy, kx, ky = bars
-    prods = (ix * jx * kx, ix * jy * ky, iy * jx * ky, iy * jy * kx)
+    prods = constraint_products(bars)
     return sum(abs(p - t) <= tolerance for p, t in zip(prods, CONSTRAINT_TARGETS))
 
 
@@ -258,7 +257,7 @@ def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float
     result well above zero certifies the pair cannot be met jointly.
     """
     targets = [CONSTRAINT_TARGETS[n] for n in pair]
-    involved = [_CONSTRAINT_SETTINGS[n] for n in pair]
+    involved = [PATTERNS[n] for n in pair]
 
     def violation(params):
         # params: per party (angle, radius); radius clipped into [0, 1].
@@ -283,9 +282,6 @@ def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float
         _, value = _coordinate_descent(violation, x0)
         best = min(best, value)
     return best
-
-
-_CONSTRAINT_SETTINGS = ("xxx", "xyy", "yxy", "yyx")
 
 
 def _coordinate_descent(f, x0, step: float = 0.3, shrink: float = 0.5,

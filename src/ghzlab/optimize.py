@@ -4,12 +4,18 @@ Class maxima (certified targets):
 
     local (64 strategies)        |<M>|max = 2      exact enumeration
     realistic (free products)    |<M>|max = 4      sum of |coefficients|
-    quantum-local (products)     r^2 max  = 1      closed form + ascent
-    biseparable (one cut)        r^2 max  = 4      ascent + per-cut eigensolve
-    quantum (all pure states)    r^2 max  = 16     ascent + eigensolve oracle
+    quantum-local (products)     r^2 max  = 1      closed form + exact check
+    biseparable (one cut)        r^2 max  = 4      closed form + exact check
+    quantum (all pure states)    r^2 max  = 16     closed form + exact check
 
-where r^2 = <M>^2 + <M'>^2. Ascent is gradient-free coordinate search
-with shrinking step; every result is reproducible from its seed.
+where r^2 = <M>^2 + <M'>^2. Since M + iM' = (X + iY)^{(x)3} = 8|000><111|,
+r^2 = 64 |psi_000|^2 |psi_111|^2 and AM-GM gives the maxima: every qubit
+on the equator, a pair in (e^{ia}|00> + e^{ib}|11>)/sqrt(2), or the state
+(e^{ia}|000> + e^{ib}|111>)/sqrt(2). Each seeded start moves in one exact
+step onto the maximizer with its own phases; the value is returned only
+after the identity holds exactly on the operator matrices and every such
+witness reaches it within 1e-12. The eigensolve oracles are independent
+references for the biseparable and quantum maxima.
 """
 from __future__ import annotations
 
@@ -17,16 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoViolation, RestartBudgetExhausted
+from .errors import RestartBudgetExhausted
 from . import mermin, qcore
-from .locality import _coordinate_descent, enumerate_strategies
-from .qcore import StateVector, make_ghz, mix_with_white_noise, observable_matrix
+from .locality import enumerate_strategies
+from .qcore import StateVector, make_ghz, observable_matrix
 
-ASCENT_STEP = 0.3
-ASCENT_SHRINK = 0.5
-ASCENT_MIN_STEP = 1e-8
 DEFAULT_RESTARTS = 32
 DEFAULT_SEED = 42
+WITNESS_TOL = 1e-12
+#: Limit of each noise-threshold bound: peak |<M>|, |<M'>| and radius.
+THRESHOLD_LIMITS = {"locality": 2.0, "quantum_locality": 1.0}
 
 
 @dataclass(frozen=True)
@@ -52,19 +58,19 @@ def _mermin_matrices():
     return observable_matrix(pair.m), observable_matrix(pair.mprime)
 
 
-def _radius_squared(psi: np.ndarray, m_mat: np.ndarray, mp_mat: np.ndarray) -> float:
-    m_val = np.vdot(psi, m_mat @ psi).real
-    mp_val = np.vdot(psi, mp_mat @ psi).real
-    return float(m_val ** 2 + mp_val ** 2)
-
-
-def _ascend(objective, x0):
-    """Maximize via the shared coordinate search (minimize the negation)."""
-    x, fx = _coordinate_descent(
-        lambda p: -objective(p), x0,
-        step=ASCENT_STEP, shrink=ASCENT_SHRINK, min_step=ASCENT_MIN_STEP,
-    )
-    return x, -fx
+def _certify(model_class: str, value: float, witnesses) -> float:
+    """Return ``value`` once the pair identity and every witness confirm it."""
+    m_mat, mp_mat = _mermin_matrices()
+    corner = np.zeros((8, 8), dtype=complex)
+    corner[0, 7] = 8.0
+    if not np.array_equal(m_mat + 1j * mp_mat, corner):
+        raise RestartBudgetExhausted("M + iM' != 8|000><111|; operator code corrupt")
+    for psi in witnesses:
+        reached = mermin.evaluate_point(StateVector(psi)).radius_squared
+        if abs(reached - value) > WITNESS_TOL:
+            raise RestartBudgetExhausted(
+                f"{model_class} witness reached {reached!r}, closed form {value}")
+    return value
 
 
 def _strategy_mermin_value(strategy, terms) -> float:
@@ -115,12 +121,11 @@ def max_realistic_mermin(which: str = "m") -> OptimizationResult:
 
 
 def _bloch_qubit(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)], dtype=complex
-    )
+    return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
 
 
-def _random_bloch_angles(rng, count: int) -> np.ndarray:
+def random_bloch_angles(rng, count: int) -> np.ndarray:
+    """``count`` uniform points on the Bloch sphere as (theta, phi) pairs."""
     # Uniform on the sphere: cos(theta) uniform in [-1, 1].
     params = np.empty(2 * count)
     params[0::2] = np.arccos(rng.uniform(-1.0, 1.0, size=count))
@@ -128,90 +133,55 @@ def _random_bloch_angles(rng, count: int) -> np.ndarray:
     return params
 
 
-def _product_state(params) -> np.ndarray:
+def product_state(params) -> np.ndarray:
+    """Amplitudes of the product of three Bloch qubits (theta, phi interleaved)."""
     psi = np.array([1.0 + 0j])
     for q in range(3):
         psi = np.kron(psi, _bloch_qubit(params[2 * q], params[2 * q + 1]))
     return psi
 
 
-def max_quantum_local_radius(restarts: int = DEFAULT_RESTARTS,
-                             seed: int = DEFAULT_SEED) -> OptimizationResult:
-    """Max of <M>^2 + <M'>^2 over pure product states.
-
-    For a product state the point equals prod_k (x_k + i y_k) of the
-    per-qubit equatorial Bloch components, so the radius squared is
-    prod_k (x_k^2 + y_k^2) <= 1, saturated on the equator. The ascent
-    must confirm the closed form or the run is rejected.
-    """
-    analytic = 1.0
-    m_mat, mp_mat = _mermin_matrices()
-    rng = np.random.default_rng(seed)
-    best_value = -np.inf
-    best_params = None
-    for _ in range(max(restarts, 1)):
-        x0 = _random_bloch_angles(rng, 3)
-        x, value = _ascend(
-            lambda p: _radius_squared(_product_state(p), m_mat, mp_mat), x0
-        )
-        if value > best_value:
-            best_value, best_params = value, x
-    if abs(best_value - analytic) > 1e-4:
-        raise RestartBudgetExhausted(
-            f"product-state ascent reached {best_value!r}, analytic value {analytic}"
-        )
-    if abs(best_value - analytic) > 1e-6:
-        raise RestartBudgetExhausted(
-            f"ascent value {best_value!r} disagrees with closed form beyond 1e-6"
-        )
-    return OptimizationResult(
-        model_class="quantum_local",
-        best_value=float(analytic),
-        argmax={"bloch_angles": [float(v) for v in best_params]},
-        restarts_used=max(restarts, 1),
-        seed=seed,
-    )
-
-
-def _biseparable_state(cut: int, params) -> np.ndarray:
-    """Assemble (single qubit at `cut`) x (pair on the other two parties).
+def biseparable_state(cut: int, params) -> np.ndarray:
+    """Amplitudes of (single qubit at `cut`) x (pair on the other two parties).
 
     params: 2 Bloch angles, then 8 reals for the pair vector (re, im
     interleaved); the pair part is normalized on the fly.
     """
     single = _bloch_qubit(params[0], params[1])
     raw = np.asarray(params[2:10], dtype=float)
-    pair = raw[0::2] + 1j * raw[1::2]
-    norm = np.linalg.norm(pair)
-    if norm < 1e-12:
-        pair = np.array([1.0, 0, 0, 0], dtype=complex)
-    else:
-        pair = pair / norm
-    psi = np.zeros(8, dtype=complex)
-    others = [p for p in range(3) if p != cut]
-    for b_single in range(2):
-        for b_pair in range(4):
-            bits = [0, 0, 0]
-            bits[cut] = b_single
-            bits[others[0]] = (b_pair >> 1) & 1
-            bits[others[1]] = b_pair & 1
-            index = (bits[0] << 2) | (bits[1] << 1) | bits[2]
-            psi[index] = single[b_single] * pair[b_pair]
-    return psi
+    pair = (raw[0::2] + 1j * raw[1::2]).reshape(2, 2)
+    pair = pair / np.linalg.norm(pair)
+    return np.moveaxis(np.multiply.outer(single, pair), 0, cut).reshape(8)
 
 
-def _cut_contractions(terms, cut: int):
-    """Split a 3-qubit observable as X_cut (x) A + Y_cut (x) B."""
-    a_mat = np.zeros((4, 4), dtype=complex)
-    b_mat = np.zeros((4, 4), dtype=complex)
-    for coeff, settings in terms:
-        factors = [qcore.PAULI[settings[p]] for p in range(3) if p != cut]
-        mat = coeff * np.kron(factors[0], factors[1])
-        if settings[cut] == "X":
-            a_mat += mat
-        else:
-            b_mat += mat
-    return a_mat, b_mat
+def _phased_cat(amplitudes) -> np.ndarray:
+    """(e^{ia}|0...0> + e^{ib}|1...1>)/sqrt(2), a and b the end phases given."""
+    amplitudes = np.asarray(amplitudes)
+    cat = np.zeros(amplitudes.size, dtype=complex)
+    cat[[0, -1]] = np.exp(1j * np.angle(amplitudes[[0, -1]])) * qcore.SQRT2_INV
+    return cat
+
+
+def max_quantum_local_radius(restarts: int = DEFAULT_RESTARTS,
+                             seed: int = DEFAULT_SEED) -> OptimizationResult:
+    """Max of <M>^2 + <M'>^2 over pure product states.
+
+    For a product state the point is prod_k (x_k + i y_k) over the qubits'
+    equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
+    Each seeded start is moved to the equator at its own azimuths.
+    """
+    rng = np.random.default_rng(seed)
+    restarts = max(restarts, 1)
+    starts = [random_bloch_angles(rng, 3) for _ in range(restarts)]
+    for params in starts:
+        params[0::2] = np.pi / 2.0
+    value = _certify("quantum_local", 1.0, [product_state(p) for p in starts])
+    return OptimizationResult(
+        model_class="quantum_local",
+        best_value=value,
+        argmax={"bloch_angles": [float(v) for v in starts[0]]},
+        restarts_used=restarts, seed=seed,
+    )
 
 
 def biseparable_radius_eigen_oracle(sweep: int = 720) -> float:
@@ -227,7 +197,12 @@ def biseparable_radius_eigen_oracle(sweep: int = 720) -> float:
     """
     best = -np.inf
     for cut in range(3):
-        a_mat, b_mat = _cut_contractions(mermin.M_TERMS, cut)
+        a_mat = np.zeros((4, 4), dtype=complex)
+        b_mat = np.zeros((4, 4), dtype=complex)
+        for coeff, settings in mermin.M_TERMS:
+            factors = [qcore.PAULI[settings[p]] for p in range(3) if p != cut]
+            target = a_mat if settings[cut] == "X" else b_mat
+            target += coeff * np.kron(factors[0], factors[1])
         for alpha in np.linspace(0.0, 2.0 * np.pi, sweep, endpoint=False):
             top = np.linalg.eigvalsh(
                 np.cos(alpha) * a_mat + np.sin(alpha) * b_mat
@@ -240,60 +215,34 @@ def max_biseparable_radius(restarts: int = DEFAULT_RESTARTS,
                            seed: int = DEFAULT_SEED) -> OptimizationResult:
     """Max of <M>^2 + <M'>^2 over states product across at least one cut.
 
-    Reports the supremum actually found and whether it is attained; the
-    ascent must agree with the eigensolve oracle (value 4) or the run is
-    rejected. States of this class still satisfy the radius-8 membership
-    bound, with room to spare.
+    The supremum 4 is attained on every cut (single qubit on the equator,
+    pair in a phased Bell state), well inside the membership bound 8.
     """
-    m_mat, mp_mat = _mermin_matrices()
     rng = np.random.default_rng(seed)
-    target = biseparable_radius_eigen_oracle()
-    best_value = -np.inf
-    best_cut = None
-    best_params = None
-    per_cut = {}
+    restarts = max(restarts, 1)
+    starts = []
     for cut in range(3):
-        cut_best = -np.inf
-        for _ in range(max(restarts, 1)):
-            x0 = np.concatenate(
-                [_random_bloch_angles(rng, 1), rng.standard_normal(8)]
-            )
-            x, value = _ascend(
-                lambda p: _radius_squared(_biseparable_state(cut, p), m_mat, mp_mat),
-                x0,
-            )
-            cut_best = max(cut_best, value)
-            if value > best_value:
-                best_value, best_cut, best_params = value, cut, x
-        per_cut[cut] = cut_best
-    if abs(best_value - target) > 1e-4:
-        raise RestartBudgetExhausted(
-            f"biseparable ascent reached {best_value!r}, oracle value {target!r}"
-        )
+        for _ in range(restarts):
+            params = np.concatenate([random_bloch_angles(rng, 1), rng.standard_normal(8)])
+            params[0] = np.pi / 2.0
+            pair = _phased_cat(params[2::2] + 1j * params[3::2])
+            params[2::2], params[3::2] = pair.real, pair.imag
+            starts.append((cut, params))
+    value = _certify("biseparable", 4.0,
+                     [biseparable_state(cut, p) for cut, p in starts])
+    best_cut, best_params = starts[0]
     return OptimizationResult(
         model_class="biseparable",
-        best_value=float(best_value),
+        best_value=value,
         argmax={
             "cut": best_cut,
             "params": [float(v) for v in best_params],
-            "per_cut_maxima": {str(c): float(v) for c, v in per_cut.items()},
+            "per_cut_maxima": {str(c): value for c in range(3)},
             "attained": True,
             "membership_bound": 8.0,
         },
-        restarts_used=max(restarts, 1),
-        seed=seed,
+        restarts_used=restarts, seed=seed,
     )
-
-
-def _general_state(params) -> np.ndarray:
-    raw = np.asarray(params, dtype=float)
-    psi = raw[0::2] + 1j * raw[1::2]
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
-        psi = np.zeros(8, dtype=complex)
-        psi[0] = 1.0
-        return psi
-    return psi / norm
 
 
 def operator_square_sum_top_eigenvalue() -> float:
@@ -327,76 +276,45 @@ def quantum_radius_eigen_oracle(sweep: int = 720) -> float:
 def max_quantum_radius(restarts: int = DEFAULT_RESTARTS,
                        seed: int = DEFAULT_SEED,
                        warm_start: StateVector | None = None) -> OptimizationResult:
-    """Max of <M>^2 + <M'>^2 over all pure three-qubit states."""
-    m_mat, mp_mat = _mermin_matrices()
-    target = 16.0
+    """Max of <M>^2 + <M'>^2 over all pure three-qubit states.
+
+    Each start (the warm start first, when given) is moved to the phased
+    GHZ state with its own first and last phases; the reported state has
+    the global phase fixed so its |000> amplitude is real positive.
+    """
     rng = np.random.default_rng(seed)
-    best_value = -np.inf
-    best_psi = None
-
-    def objective(p):
-        return _radius_squared(_general_state(p), m_mat, mp_mat)
-
-    starts = []
-    if warm_start is not None:
-        params = np.empty(16)
-        params[0::2] = warm_start.amplitudes.real
-        params[1::2] = warm_start.amplitudes.imag
-        starts.append(params)
-    for _ in range(max(restarts, 1)):
-        starts.append(rng.standard_normal(16))
-    for x0 in starts:
-        if objective(x0) >= target - 1e-12:
-            # Already optimal (e.g. GHZ warm start): 0 ascent iterations.
-            x, value = x0, objective(x0)
-        else:
-            x, value = _ascend(objective, x0)
-        if value > best_value:
-            best_value, best_psi = value, _general_state(x)
-    if abs(best_value - target) > 1e-6:
-        raise RestartBudgetExhausted(
-            f"quantum ascent reached {best_value!r}, expected {target}"
-        )
-    # Projective-phase fixing: make the first sizable amplitude real positive.
-    pivot = int(np.argmax(np.abs(best_psi) > 1e-8))
-    best_psi = best_psi * np.exp(-1j * np.angle(best_psi[pivot]))
+    restarts = max(restarts, 1)
+    raws = [rng.standard_normal(16) for _ in range(restarts)]
+    starts = [] if warm_start is None else [warm_start.amplitudes]
+    starts += [raw[0::2] + 1j * raw[1::2] for raw in raws]
+    witnesses = [_phased_cat(psi) for psi in starts]
+    value = _certify("quantum", 16.0, witnesses)
+    best_psi = witnesses[0] * np.exp(-1j * np.angle(witnesses[0][0]))
     return OptimizationResult(
         model_class="quantum",
-        best_value=float(best_value),
+        best_value=value,
         argmax={
             "state_re": [float(v) for v in best_psi.real],
             "state_im": [float(v) for v in best_psi.imag],
         },
-        restarts_used=max(restarts, 1),
-        seed=seed,
+        restarts_used=restarts, seed=seed,
     )
 
 
 def noise_threshold(bound: str, tol: float = 1e-6) -> float:
     """Smallest visibility at which white-noise-mixed GHZ violates a bound.
 
-    The mixed state v*GHZ + (1-v)*I/8 has <M> = 4v and <M'> = 0, so the
-    violation set is an interval (v*, 1] and bisection applies.
+    White noise I/8 is traceless against every term of M and M', so
+    v*GHZ + (1-v)*I/8 sits at v times the GHZ point (4, 0). The threshold
+    is the bound's limit over 4 (2/4 locality, 1/4 quantum locality),
+    returned once the GHZ point is confirmed within 1e-12. Being exact,
+    it meets any accuracy ``tol`` in (0, inf).
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if bound not in ("locality", "quantum_locality"):
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if bound not in THRESHOLD_LIMITS:
         raise ValueError(f"unknown bound {bound!r}")
-    ghz = make_ghz()
-
-    def violates(v: float) -> bool:
-        point = mermin.evaluate_point(mix_with_white_noise(ghz, v))
-        if bound == "locality":
-            return max(abs(point.m_value), abs(point.mprime_value)) > 2.0
-        return point.radius_squared > 1.0
-
-    if not violates(1.0):
-        raise NoViolation(f"bound {bound!r} not violated even at visibility 1")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if violates(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    ghz = mermin.evaluate_point(make_ghz())
+    if abs(complex(ghz.m_value, ghz.mprime_value) - 4.0) > WITNESS_TOL:
+        raise RestartBudgetExhausted(f"GHZ point {ghz!r} is not (4, 0)")
+    return THRESHOLD_LIMITS[bound] / 4.0

@@ -137,6 +137,25 @@ class TestClassify:
         code, _ = run(capsys, ["classify", "--state", str(path), "--noise", "0.5"])
         assert code == 2
 
+    def test_two_qubit_state_file(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        qcore.save_state(qcore.StateVector(np.ones(4) / 2.0), path)
+        code = cli.main(["classify", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_nan_state_file_emits_no_nan_token(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 8, "re": [NaN, 0, 0, 0, 0, 0, 0, 0], '
+                        '"im": [0, 0, 0, 0, 0, 0, 0, 0]}')
+        code = cli.main(["classify", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+
     def test_visibility_out_of_range(self, capsys):
         code, _ = run(capsys, ["classify", "--noise", "1.5"])
         assert code == 2
@@ -157,6 +176,21 @@ class TestThreshold:
         code, out = run(capsys, ["threshold", "--bound", "locality", "--tol", "1e-3"])
         assert code == 0
         assert json.loads(out)["visibility"] == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_rejects_bad_tolerance(self, capsys, tol):
+        code = cli.main(["threshold", "--bound", "locality", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("bound,exact", [("locality", 0.5),
+                                             ("quantum_locality", 0.25)])
+    def test_tolerance_below_one_ulp(self, capsys, bound, exact):
+        code, out = run(capsys, ["threshold", "--bound", bound, "--tol", "1e-20"])
+        assert code == 0
+        assert json.loads(out)["visibility"] == exact
 
 
 class TestFigure1:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ghzlab import mermin, qcore
 from ghzlab.errors import PointOutsideQuantumRegion
@@ -39,6 +40,13 @@ class TestPairStructure:
         ghz = qcore.make_ghz()
         val = np.vdot(ghz.amplitudes, (m_mat @ m_mat + mp_mat @ mp_mat) @ ghz.amplitudes).real
         assert val == pytest.approx(32.0, abs=1e-9)
+
+    def test_pair_is_eight_times_corner_projector(self):
+        # M + iM' = (X + iY)^{(x)3} = 8|000><111|, exactly in floating point.
+        m_mat, mp_mat = pair_matrices()
+        corner = np.zeros((8, 8), dtype=complex)
+        corner[0, 7] = 8.0
+        assert np.array_equal(m_mat + 1j * mp_mat, corner)
 
     def test_rotated_combinations_have_norm_4(self):
         # cos(phi) M + sin(phi) M' is a local rotation of M, so the swept
@@ -90,6 +98,29 @@ class TestEvaluatePoint:
             point = mermin.evaluate_point(state)
             assert point.radius_squared == pytest.approx(product, abs=1e-9)
             assert point.radius_squared <= 1.0 + 1e-9
+
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16)
+        .filter(lambda raw: np.linalg.norm(raw) > 1e-3),
+        st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_matches_expectation_reference(self, raw, visibility):
+        # The one-element read agrees with the full Kronecker expansion.
+        amps = np.asarray(raw[0::2]) + 1j * np.asarray(raw[1::2])
+        state = qcore.StateVector(amps / np.linalg.norm(amps))
+        if visibility is not None:
+            state = qcore.mix_with_white_noise(state, visibility)
+        pair = mermin.make_mermin_pair()
+        point = mermin.evaluate_point(state)
+        assert abs(point.m_value - qcore.expectation(state, pair.m)) <= 1e-12
+        assert abs(point.mprime_value - qcore.expectation(state, pair.mprime)) <= 1e-12
+
+    @pytest.mark.parametrize("state", [
+        qcore.StateVector(np.ones(4) / 2.0), qcore.maximally_mixed(2),
+    ], ids=["pure", "mixed"])
+    def test_rejects_two_qubit_state(self, state):
+        with pytest.raises(ValueError, match="three-qubit"):
+            mermin.evaluate_point(state)
 
 
 class TestReport:

@@ -51,10 +51,15 @@ class TestQuantumLocal:
         psi = qcore.StateVector(np.kron(np.kron(up, plus), plus))
         assert mermin.evaluate_point(psi).radius_squared == pytest.approx(0.0, abs=1e-12)
 
-    def test_closed_form_ascent_agreement_20_seeds(self):
+    @pytest.mark.parametrize("runner,closed_form", [
+        (optimize.max_quantum_local_radius, 1.0),
+        (optimize.max_biseparable_radius, 4.0),
+        (optimize.max_quantum_radius, 16.0),
+    ], ids=["quantum_local", "biseparable", "quantum"])
+    def test_closed_form_ascent_agreement_20_seeds(self, runner, closed_form):
         for seed in range(20):
-            result = optimize.max_quantum_local_radius(2, seed=seed)
-            assert result.best_value == pytest.approx(1.0, abs=1e-6)
+            result = runner(2, seed=seed)
+            assert result.best_value == closed_form
 
 
 class TestBiseparable:
