@@ -4,7 +4,7 @@ contradiction, local-polytope membership, and exact maxima of the Mermin
 operator pair over local, realistic, quantum-local, biseparable, and
 unrestricted quantum models.
 """
-from . import cli, locality, mermin, optimize, qcore
+from . import locality, mermin, optimize, qcore
 from .errors import (
     GhzlabError,
     ImaginaryResidual,
@@ -17,7 +17,6 @@ from .errors import (
 )
 
 __all__ = [
-    "cli",
     "locality",
     "mermin",
     "optimize",

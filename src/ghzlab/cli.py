@@ -42,8 +42,14 @@ SIGNED_SUM_EXPECTED = {
     for pattern, target in zip(qcore.PATTERNS, locality.CONSTRAINT_TARGETS)
 }
 EIGEN_CHECKS = tuple((p.upper(), value) for p, value in SIGNED_SUM_EXPECTED.items())
-#: Settings patterns of M' = XXY + XYX + YXX - YYY, in that order.
-MPRIME_PATTERNS = tuple(settings.lower() for _, settings in mermin.MPRIME_TERMS)
+#: Settings patterns of the terms of M and M'.
+WITNESS_PATTERNS = tuple(
+    settings.lower() for _, settings in mermin.M_TERMS + mermin.MPRIME_TERMS)
+#: Upper end of --restarts, --points and --samples; time and memory grow
+#: linearly in each, so a larger count is refused before any work starts.
+MAX_COUNT = 100_000
+#: Lower end of each count flag.
+COUNT_MINIMUMS = {"restarts": 1, "points": 1, "samples": 8}
 
 
 def _fmt(value) -> str:
@@ -94,26 +100,18 @@ def cmd_verify(args) -> int:
     else:
         state = qcore.load_state(args.state)
     checks = []
-    all_pass = True
     for settings, eigenvalue in EIGEN_CHECKS:
         obs = qcore.Observable.single(settings)
-        if isinstance(state, qcore.StateVector):
-            residual = qcore.eigen_residual(state, obs, eigenvalue)
-            ok = residual < 1e-10
-        else:
-            residual = None
-            ok = None
         entry = {
             "name": f"eigen_{settings}",
             "expected": eigenvalue,
             "value": qcore.expectation(state, obs),
             "asserted": asserted,
         }
-        if residual is not None:
-            entry["residual"] = residual
+        if isinstance(state, qcore.StateVector):
+            entry["residual"] = qcore.eigen_residual(state, obs, eigenvalue)
         if asserted:
-            entry["pass"] = bool(ok)
-            all_pass = all_pass and bool(ok)
+            entry["pass"] = entry["residual"] < 1e-10
         checks.append(entry)
     for pattern in qcore.PATTERNS:
         value = qcore.signed_sum_for_state(state, pattern)
@@ -124,13 +122,12 @@ def cmd_verify(args) -> int:
             "asserted": asserted,
         }
         if asserted:
-            ok = abs(value - SIGNED_SUM_EXPECTED[pattern]) < 1e-12
-            entry["pass"] = bool(ok)
-            all_pass = all_pass and bool(ok)
+            entry["pass"] = abs(value - SIGNED_SUM_EXPECTED[pattern]) < 1e-12
         checks.append(entry)
-    payload = {"checks": checks, "all_pass": bool(all_pass) if asserted else None}
+    all_pass = all(entry["pass"] for entry in checks) if asserted else None
+    payload = {"checks": checks, "all_pass": all_pass}
     _emit(_render(payload, args.format), args.out)
-    return EXIT_OK if (not asserted or all_pass) else EXIT_FAIL
+    return EXIT_FAIL if all_pass is False else EXIT_OK
 
 
 def cmd_contradiction(args) -> int:
@@ -168,6 +165,11 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _quantum_point(amplitudes) -> tuple:
+    point = mermin.evaluate_point(qcore.StateVector(amplitudes))
+    return point.m_value, point.mprime_value
+
+
 def _scatter_points(seed: int, count: int):
     """Seeded (m, m') samples for each model class, GHZ appended last."""
     rng = np.random.default_rng(seed)
@@ -177,20 +179,15 @@ def _scatter_points(seed: int, count: int):
     for _ in range(count):
         p_plus = rng.uniform(0.0, 1.0, size=(3, 2))
         model = locality.LocalModel((locality.Cause(1.0, p_plus),))
-        exxx, exyy, eyxy, eyyx = locality.model_triple_correlations(model)
-        exxy, exyx, eyxx, eyyy = locality.model_triple_correlations(
-            model, patterns=MPRIME_PATTERNS)
-        # Same sign conventions as the operators M and M'.
-        points.append((exxx - exyy - eyxy - eyyx, exxy + exyx + eyxx - eyyy))
+        correlations = dict(zip(WITNESS_PATTERNS, locality.model_triple_correlations(
+            model, patterns=WITNESS_PATTERNS)))
+        points.append((mermin.witness_value(mermin.M_TERMS, correlations),
+                       mermin.witness_value(mermin.MPRIME_TERMS, correlations)))
     groups["scatter_local"] = points
 
-    points = []
-    for _ in range(count):
-        params = optimize.random_bloch_angles(rng, 3)
-        psi = qcore.StateVector(optimize.product_state(params))
-        pt = mermin.evaluate_point(psi)
-        points.append((pt.m_value, pt.mprime_value))
-    groups["scatter_quantum_local"] = points
+    groups["scatter_quantum_local"] = [
+        _quantum_point(optimize.product_state(optimize.random_bloch_angles(rng, 3)))
+        for _ in range(count)]
 
     points = []
     for _ in range(count):
@@ -198,26 +195,19 @@ def _scatter_points(seed: int, count: int):
         params = np.concatenate(
             [optimize.random_bloch_angles(rng, 1), rng.standard_normal(8)]
         )
-        psi = qcore.StateVector(optimize.biseparable_state(cut, params))
-        pt = mermin.evaluate_point(psi)
-        points.append((pt.m_value, pt.mprime_value))
+        points.append(_quantum_point(optimize.biseparable_state(cut, params)))
     groups["scatter_biseparable"] = points
 
     points = []
     for _ in range(count):
         raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        psi = qcore.StateVector(raw / np.linalg.norm(raw))
-        pt = mermin.evaluate_point(psi)
-        points.append((pt.m_value, pt.mprime_value))
-    ghz_pt = mermin.evaluate_point(qcore.make_ghz())
-    points.append((ghz_pt.m_value, ghz_pt.mprime_value))
+        points.append(_quantum_point(raw / np.linalg.norm(raw)))
+    points.append(_quantum_point(qcore.make_ghz().amplitudes))
     groups["scatter_quantum"] = points
     return groups
 
 
 def cmd_figure1(args) -> int:
-    if args.samples < 8:
-        raise ValueError(f"--samples must be >= 8, got {args.samples}")
     rows = []
     for name, vertices in mermin.figure1_regions(args.samples):
         for m_val, mp_val in vertices:
@@ -266,6 +256,13 @@ def _default_seed() -> int:
         except ValueError:
             raise ValueError(f"GHZLAB_SEED must be an integer, got {env!r}")
     return DEFAULT_SEED
+
+
+def _check_counts(args) -> None:
+    for flag, minimum in COUNT_MINIMUMS.items():
+        value = getattr(args, flag, None)
+        if value is not None and not minimum <= value <= MAX_COUNT:
+            raise ValueError(f"--{flag} must be in [{minimum}, {MAX_COUNT}], got {value}")
 
 
 def _common_parent(default_format: str = "json") -> argparse.ArgumentParser:
@@ -334,6 +331,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         if args.seed is None:
             args.seed = _default_seed()
         return args.func(args)

@@ -13,6 +13,7 @@ settings patterns (xxx, xyy, yxy, yyx), the triple products
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import MalformedTable, ToleranceOutOfRange
-from . import qcore
+from . import mermin, qcore
 from .qcore import OUTCOMES, PATTERNS
 
 #: Required triple-product values for the patterns in PATTERNS order.
@@ -354,11 +355,7 @@ def model_to_table(model: LocalModel) -> CorrelationTable:
 def ghz_correlation_table() -> CorrelationTable:
     """Outcome probabilities of the GHZ state for the four patterns."""
     ghz = qcore.make_ghz()
-    blocks = {}
-    for pattern in PATTERNS:
-        table = qcore.amplitude_table(ghz, pattern)
-        blocks[pattern] = np.array([abs(table.entries[out]) ** 2 for out in OUTCOMES])
-    return CorrelationTable(blocks)
+    return CorrelationTable({p: qcore.outcome_probabilities(ghz, p) for p in PATTERNS})
 
 
 def table_triple_correlations(table: CorrelationTable) -> tuple:
@@ -369,19 +366,24 @@ def table_triple_correlations(table: CorrelationTable) -> tuple:
 
 
 def table_mermin_value(table: CorrelationTable) -> float:
-    """<M> read off a correlation table (M = XXX - XYY - YXY - YYX)."""
-    exxx, exyy, eyxy, eyyx = table_triple_correlations(table)
-    return exxx - exyy - eyxy - eyyx
+    """<M> read off a correlation table."""
+    correlations = dict(zip(PATTERNS, table_triple_correlations(table)))
+    return mermin.witness_value(mermin.M_TERMS, correlations)
 
 
-def _strategy_table_column(strategy) -> np.ndarray:
-    column = np.zeros(32)
-    for row, pattern in enumerate(PATTERNS):
-        produced = tuple(
-            strategy[party][SETTING_INDEX[s]] for party, s in enumerate(pattern)
-        )
-        column[8 * row + OUTCOMES.index(produced)] = 1.0
-    return column
+def _table_vector(table: CorrelationTable) -> np.ndarray:
+    return np.concatenate([table.blocks[p] for p in PATTERNS])
+
+
+@functools.cache
+def _strategy_matrix() -> np.ndarray:
+    """The 64 strategy tables as columns; built on first use, not at import."""
+    mat = np.column_stack([
+        _table_vector(model_to_table(strategy_to_model(s)))
+        for s in enumerate_strategies()
+    ])
+    mat.setflags(write=False)
+    return mat
 
 
 def polytope_membership(table: CorrelationTable, tol: float = 1e-9) -> Membership:
@@ -390,11 +392,10 @@ def polytope_membership(table: CorrelationTable, tol: float = 1e-9) -> Membershi
     Solves min t subject to |A w - b|_inf <= t, w >= 0, sum w = 1, where
     the columns of A are the 64 strategy tables. Inside iff t <= tol.
     """
-    strategies = enumerate_strategies()
-    a_mat = np.column_stack([_strategy_table_column(s) for s in strategies])
-    b_vec = np.concatenate([table.blocks[p] for p in PATTERNS])
+    a_mat = _strategy_matrix()
+    b_vec = _table_vector(table)
 
-    n = len(strategies)
+    n = a_mat.shape[1]
     # Variables: w (n entries) then the slack t.
     c = np.zeros(n + 1)
     c[-1] = 1.0

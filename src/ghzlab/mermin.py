@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PointOutsideQuantumRegion
-from .qcore import DensityMatrix, Observable, StateVector
+from .qcore import Observable, density_entries
 
 M_TERMS = ((+1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX"))
 MPRIME_TERMS = ((+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY"))
@@ -76,20 +76,22 @@ def make_mermin_pair() -> MerminPair:
     return MerminPair(Observable(M_TERMS), Observable(MPRIME_TERMS))
 
 
+def witness_value(terms, correlations) -> float:
+    """sum_k coeff_k <settings_k> for M_TERMS or MPRIME_TERMS, given the
+    triple correlations keyed by lowercase settings ("xxx", "xyy", ...)."""
+    return sum(coeff * correlations[settings.lower()] for coeff, settings in terms)
+
+
 def evaluate_point(state) -> MerminPoint:
     """(<M>, <M'>) for a pure or mixed three-qubit state.
 
     M + iM' = (X + iY)^{(x)3} = 8|000><111|, so <M> + i<M'> is one matrix
     element: 8 conj(psi_000) psi_111, or 8 rho_{111,000} for a mixed state.
     """
-    if not isinstance(state, (StateVector, DensityMatrix)):
-        raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)}")
+    rho = density_entries(state)
     if state.num_qubits != 3:
         raise ValueError(f"expected a three-qubit state, got {state.num_qubits} qubits")
-    if isinstance(state, StateVector):
-        value = 8.0 * np.conj(state.amplitudes[0]) * state.amplitudes[7]
-    else:
-        value = 8.0 * state.entries[7, 0]
+    value = 8.0 * rho[7, 0]
     return MerminPoint(float(value.real), float(value.imag))
 
 

@@ -53,6 +53,12 @@ class OptimizationResult:
         }
 
 
+def _seeded_rng(restarts: int, seed: int):
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    return np.random.default_rng(seed)
+
+
 def _mermin_matrices():
     pair = mermin.make_mermin_pair()
     return observable_matrix(pair.m), observable_matrix(pair.mprime)
@@ -170,8 +176,7 @@ def max_quantum_local_radius(restarts: int = DEFAULT_RESTARTS,
     equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
     Each seeded start is moved to the equator at its own azimuths.
     """
-    rng = np.random.default_rng(seed)
-    restarts = max(restarts, 1)
+    rng = _seeded_rng(restarts, seed)
     starts = [random_bloch_angles(rng, 3) for _ in range(restarts)]
     for params in starts:
         params[0::2] = np.pi / 2.0
@@ -218,8 +223,7 @@ def max_biseparable_radius(restarts: int = DEFAULT_RESTARTS,
     The supremum 4 is attained on every cut (single qubit on the equator,
     pair in a phased Bell state), well inside the membership bound 8.
     """
-    rng = np.random.default_rng(seed)
-    restarts = max(restarts, 1)
+    rng = _seeded_rng(restarts, seed)
     starts = []
     for cut in range(3):
         for _ in range(restarts):
@@ -282,8 +286,7 @@ def max_quantum_radius(restarts: int = DEFAULT_RESTARTS,
     GHZ state with its own first and last phases; the reported state has
     the global phase fixed so its |000> amplitude is real positive.
     """
-    rng = np.random.default_rng(seed)
-    restarts = max(restarts, 1)
+    rng = _seeded_rng(restarts, seed)
     raws = [rng.standard_normal(16) for _ in range(restarts)]
     starts = [] if warm_start is None else [warm_start.amplitudes]
     starts += [raw[0::2] + 1j * raw[1::2] for raw in raws]

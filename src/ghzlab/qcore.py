@@ -6,11 +6,14 @@ Conventions used everywhere in the package:
   with bit 0 meaning "up" and measurement outcome +1.
 * sigma_y eigenvectors are ``(|up> + 1j*s*|down>)/sqrt(2)`` for outcome
   ``s``; no alternative phase, so amplitude tables are bit-reproducible.
-* Tolerances: 1e-12 for exact algebraic identities, 1e-10 for
-  eigenchecks, 1e-6 for optimizer convergence.
+* Outcome probabilities are ``Re diag(U^H rho U)`` for pure
+  (``rho = |psi><psi|``) and mixed states alike; see ``basis_change``.
+* Tolerances: 1e-12 for exact algebraic identities and normalization,
+  1e-10 for eigenchecks and imaginary residuals.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -28,10 +31,14 @@ PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+#: Eigenvectors of sigma_x and sigma_y as columns, outcome +1 then -1.
+EIGENBASES = {
+    "x": SQRT2_INV * np.array([[1, 1], [1, -1]], dtype=complex),
+    "y": SQRT2_INV * np.array([[1, 1], [1j, -1j]], dtype=complex),
+}
+
 #: The 8 outcome triples in canonical order (+1 before -1, party-1 major).
-OUTCOMES = [
-    (i, j, k) for i in (+1, -1) for j in (+1, -1) for k in (+1, -1)
-]
+OUTCOMES = list(itertools.product((+1, -1), repeat=3))
 
 #: Settings patterns appearing in the four perfect-correlation identities.
 PATTERNS = ("xxx", "xyy", "yxy", "yyx")
@@ -61,9 +68,6 @@ class StateVector:
     @property
     def num_qubits(self) -> int:
         return int(np.log2(self.amplitudes.size))
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -164,15 +168,18 @@ def observable_matrix(obs: Observable) -> np.ndarray:
     return total
 
 
-def expectation(state, obs: Observable) -> float:
-    """<psi|O|psi> or Tr(rho O); the imaginary residual must vanish."""
-    mat = observable_matrix(obs)
+def density_entries(state) -> np.ndarray:
+    """The density matrix of a state: |psi><psi| for a pure one."""
     if isinstance(state, StateVector):
-        value = complex(np.vdot(state.amplitudes, mat @ state.amplitudes))
-    elif isinstance(state, DensityMatrix):
-        value = complex(np.trace(state.entries @ mat))
-    else:
-        raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)}")
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    if isinstance(state, DensityMatrix):
+        return state.entries
+    raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)}")
+
+
+def expectation(state, obs: Observable) -> float:
+    """Tr(rho O); the imaginary residual must vanish."""
+    value = complex(np.trace(density_entries(state) @ observable_matrix(obs)))
     if abs(value.imag) >= 1e-10:
         raise ImaginaryResidual(f"imaginary residual {value.imag!r} in expectation")
     return value.real
@@ -188,32 +195,26 @@ def eigen_residual(state: StateVector, obs: Observable, eigenvalue: float) -> fl
     return float(np.linalg.norm(mat @ state.amplitudes - eigenvalue * state.amplitudes))
 
 
-def basis_eigenvector(setting: str, outcome: int) -> np.ndarray:
-    """Single-qubit eigenvector of sigma_x or sigma_y for outcome +-1."""
-    if setting == "x":
-        return np.array([SQRT2_INV, outcome * SQRT2_INV], dtype=complex)
-    if setting == "y":
-        return np.array([SQRT2_INV, 1j * outcome * SQRT2_INV], dtype=complex)
-    raise ValueError(f"setting must be 'x' or 'y', got {setting!r}")
-
-
-def joint_eigenvector(settings: str, outcomes) -> np.ndarray:
-    vec = np.array([1.0 + 0j])
-    for setting, outcome in zip(settings, outcomes):
-        vec = np.kron(vec, basis_eigenvector(setting, outcome))
-    return vec
+def basis_change(settings: str, dim: int) -> np.ndarray:
+    """U: joint x/y eigenvectors, one setting per qubit, as columns in OUTCOMES order."""
+    settings = settings.lower()
+    if 2 ** len(settings) != dim or not set(settings) <= set(EIGENBASES):
+        raise ValueError(f"one setting per qubit required (x or y): {settings!r}, dim {dim}")
+    return functools.reduce(np.kron, [EIGENBASES[ch] for ch in settings], np.ones((1, 1)))
 
 
 def amplitude_table(state: StateVector, settings: str) -> AmplitudeTable:
-    """Expand a pure state over a per-party x/y eigenbasis."""
-    settings = settings.lower()
-    if len(settings) != state.num_qubits:
-        raise ValueError("one setting per qubit required")
-    entries = {}
-    for outcomes in itertools.product((+1, -1), repeat=len(settings)):
-        vec = joint_eigenvector(settings, outcomes)
-        entries[outcomes] = complex(np.vdot(vec, state.amplitudes))
-    return AmplitudeTable(settings, entries)
+    """Expand a pure state over a per-party x/y eigenbasis: U^H psi."""
+    amps = basis_change(settings, state.amplitudes.size).conj().T @ state.amplitudes
+    outcomes = itertools.product((+1, -1), repeat=len(settings))
+    return AmplitudeTable(settings, dict(zip(outcomes, amps.tolist())))
+
+
+def outcome_probabilities(state, settings: str) -> np.ndarray:
+    """Joint outcome probabilities in OUTCOMES order: Re diag(U^H rho U)."""
+    rho = density_entries(state)
+    u = basis_change(settings, rho.shape[0])
+    return np.sum(u.conj() * (rho @ u), axis=0).real
 
 
 def signed_probability_sum(table: AmplitudeTable) -> float:
@@ -224,24 +225,19 @@ def signed_probability_sum(table: AmplitudeTable) -> float:
 
 
 def signed_sum_for_state(state, settings: str) -> float:
-    """Signed probability sum for either a pure or a mixed state."""
-    if isinstance(state, StateVector):
-        return signed_probability_sum(amplitude_table(state, settings))
-    total = 0.0
-    for outcomes in itertools.product((+1, -1), repeat=state.num_qubits):
-        vec = joint_eigenvector(settings, outcomes)
-        prob = float(np.vdot(vec, state.entries @ vec).real)
-        total += np.prod(outcomes) * prob
-    return total
+    """Sum over outcomes of (product of outcomes) * probability."""
+    probs = outcome_probabilities(state, settings)
+    signs = np.prod(list(itertools.product((+1, -1), repeat=len(settings))), axis=1)
+    return float(signs @ probs)
 
 
-def mix_with_white_noise(state: StateVector, visibility: float) -> DensityMatrix:
-    """v * |psi><psi| + (1 - v) * I/dim."""
+def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
+    """v * rho + (1 - v) * I/dim."""
     if not 0.0 <= visibility <= 1.0:
         raise VisibilityOutOfRange(f"visibility {visibility!r} outside [0, 1]")
-    dim = state.amplitudes.size
-    proj = np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(visibility * proj + (1.0 - visibility) * np.eye(dim) / dim)
+    rho = density_entries(state)
+    dim = rho.shape[0]
+    return DensityMatrix(visibility * rho + (1.0 - visibility) * np.eye(dim) / dim)
 
 
 # --- state file format -----------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghzlab
 from ghzlab import cli, qcore
 
 
@@ -276,6 +281,35 @@ class TestDeterminismAndSeeding:
         monkeypatch.setenv("GHZLAB_SEED", "not-an-int")
         code, _ = run(capsys, ["bounds", "--class", "quantum_local", "--restarts", "2"])
         assert code == 2
+
+
+class TestCountFlags:
+    FLAGS = [
+        ["bounds", "--class", "quantum_local", "--restarts"],
+        ["figure1", "--points"],
+        ["figure1", "--samples"],
+    ]
+
+    @pytest.mark.parametrize("argv", FLAGS, ids=[a[-1] for a in FLAGS])
+    @pytest.mark.parametrize("value", ["-1", "0", str(10 ** 12)])
+    def test_out_of_range_rejected_before_work(self, capsys, argv, value):
+        code = cli.main(argv + [value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+
+def test_module_entry_point_warns_nothing():
+    # python -m ghzlab.cli must not find ghzlab.cli already imported.
+    env = dict(os.environ, PYTHONPATH=str(Path(ghzlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghzlab.cli", "threshold", "--bound", "locality"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["visibility"] == 0.5
 
 
 class TestOutputFile:

@@ -35,6 +35,16 @@ class TestLocalAndRealistic:
         assert abs(value) == 2.0
 
 
+@pytest.mark.parametrize("maximize", [
+    optimize.max_quantum_local_radius, optimize.max_biseparable_radius,
+    optimize.max_quantum_radius,
+], ids=["quantum_local", "biseparable", "quantum"])
+@pytest.mark.parametrize("restarts", [0, -5])
+def test_rejects_restarts_below_one(maximize, restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        maximize(restarts)
+
+
 class TestQuantumLocal:
     def test_analytic_maximum_is_1(self):
         result = optimize.max_quantum_local_radius(FAST_RESTARTS, seed=3)

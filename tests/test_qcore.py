@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ghzlab import qcore
 from ghzlab.errors import VisibilityOutOfRange
@@ -152,6 +153,48 @@ class TestSignedSums:
         for pattern in qcore.PATTERNS:
             value = qcore.signed_sum_for_state(qcore.maximally_mixed(), pattern)
             assert value == pytest.approx(0.0, abs=1e-12)
+
+
+class TestOutcomeProbabilities:
+    SETTINGS = ["".join(s) for s in itertools.product("xy", repeat=3)]
+
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16)
+        .filter(lambda raw: np.linalg.norm(raw) > 1e-3),
+        st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_one_path_for_pure_and_mixed(self, raw, visibility):
+        amps = np.asarray(raw[0::2]) + 1j * np.asarray(raw[1::2])
+        pure = StateVector(amps / np.linalg.norm(amps))
+        state = pure if visibility is None else qcore.mix_with_white_noise(pure, visibility)
+        for settings in self.SETTINGS:
+            probs = qcore.outcome_probabilities(state, settings)
+            assert probs.shape == (8,)
+            assert probs.min() >= -1e-12
+            assert abs(probs.sum() - 1.0) <= 1e-12
+            if visibility is None:
+                table = qcore.amplitude_table(pure, settings)
+                expected = [abs(table.entries[out]) ** 2 for out in qcore.OUTCOMES]
+                assert np.max(np.abs(probs - expected)) <= 1e-12
+            reference = qcore.expectation(state, obs(settings.upper()))
+            assert abs(qcore.signed_sum_for_state(state, settings) - reference) <= 1e-12
+
+    BELL = StateVector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
+
+    @pytest.mark.parametrize("state", [BELL, qcore.mix_with_white_noise(BELL, 1.0)],
+                             ids=["pure", "mixed"])
+    def test_settings_must_match_qubit_count(self, state):
+        with pytest.raises(ValueError, match="one setting per qubit"):
+            qcore.signed_sum_for_state(state, "xxy")
+
+    def test_density_entries(self):
+        ghz = qcore.make_ghz()
+        np.testing.assert_array_equal(
+            qcore.density_entries(ghz), np.outer(ghz.amplitudes, ghz.amplitudes.conj()))
+        rho = qcore.maximally_mixed()
+        assert qcore.density_entries(rho) is rho.entries
+        with pytest.raises(TypeError):
+            qcore.density_entries(ghz.amplitudes)
 
 
 class TestWhiteNoise:
