@@ -42,9 +42,6 @@ SIGNED_SUM_EXPECTED = {
     for pattern, target in zip(qcore.PATTERNS, locality.CONSTRAINT_TARGETS)
 }
 EIGEN_CHECKS = tuple((p.upper(), value) for p, value in SIGNED_SUM_EXPECTED.items())
-#: Settings patterns of the terms of M and M'.
-WITNESS_PATTERNS = tuple(
-    settings.lower() for _, settings in mermin.M_TERMS + mermin.MPRIME_TERMS)
 #: Upper end of --restarts, --points and --samples; time and memory grow
 #: linearly in each, so a larger count is refused before any work starts.
 MAX_COUNT = 100_000
@@ -98,7 +95,7 @@ def cmd_verify(args) -> int:
     if asserted:
         state = qcore.make_ghz()
     else:
-        state = qcore.load_state(args.state)
+        state = qcore.require_three_qubits(qcore.load_state(args.state))
     checks = []
     for settings, eigenvalue in EIGEN_CHECKS:
         obs = qcore.Observable.single(settings)
@@ -175,15 +172,9 @@ def _scatter_points(seed: int, count: int):
     rng = np.random.default_rng(seed)
     groups = {}
 
-    points = []
-    for _ in range(count):
-        p_plus = rng.uniform(0.0, 1.0, size=(3, 2))
-        model = locality.LocalModel((locality.Cause(1.0, p_plus),))
-        correlations = dict(zip(WITNESS_PATTERNS, locality.model_triple_correlations(
-            model, patterns=WITNESS_PATTERNS)))
-        points.append((mermin.witness_value(mermin.M_TERMS, correlations),
-                       mermin.witness_value(mermin.MPRIME_TERMS, correlations)))
-    groups["scatter_local"] = points
+    bars = 2.0 * rng.uniform(0.0, 1.0, size=(count, 3, 2)) - 1.0
+    groups["scatter_local"] = list(zip(locality.mermin_values(bars, mermin.M_TERMS),
+                                       locality.mermin_values(bars, mermin.MPRIME_TERMS)))
 
     groups["scatter_quantum_local"] = [
         _quantum_point(optimize.product_state(optimize.random_bloch_angles(rng, 3)))

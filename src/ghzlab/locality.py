@@ -6,6 +6,12 @@ probability of outcome +1 per setting (x or y). Deterministic strategies
 are the 64 extreme points of this model class, so polytope membership
 reduces to a small linear feasibility problem.
 
+Local values are arrays ``values[..., party, setting]`` (parties 0..2,
+settings x, y) of correlators ``2 p_plus - 1``, probabilities ``p_plus``
+or +-1 signs; ``at_patterns`` reads them at each pattern's settings.
+``SIGNS`` (64, 3, 2) holds the sign assignments, which are also the
+deterministic strategies: party-1 major, x before y, +1 before -1.
+
 The four perfect-correlation constraints checked throughout are, for the
 settings patterns (xxx, xyy, yxy, yyx), the triple products
 
@@ -16,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -28,15 +34,14 @@ from .qcore import OUTCOMES, PATTERNS
 #: Required triple-product values for the patterns in PATTERNS order.
 CONSTRAINT_TARGETS = (+1, -1, -1, -1)
 
-SETTING_INDEX = {"x": 0, "y": 1}
+#: The 64 sign assignments as SIGNS[assignment, party, setting].
+SIGNS = np.array(list(itertools.product((+1, -1), repeat=6))).reshape(64, 3, 2)
+SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class Cause:
-    """One common cause: a weight plus per-party, per-setting P(outcome=+1).
-
-    ``p_plus[party][setting]`` with parties 0..2 and settings (x, y).
-    """
+    """One common cause: a weight plus P(outcome=+1) as ``p_plus[party, setting]``."""
 
     weight: float
     p_plus: np.ndarray
@@ -45,24 +50,30 @@ class Cause:
         arr = np.asarray(self.p_plus, dtype=float)
         if arr.shape != (3, 2):
             raise ValueError(f"p_plus must be 3x2, got shape {arr.shape}")
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
             raise ValueError("response probabilities must lie in [0, 1]")
-        if self.weight < 0:
-            raise ValueError("cause weight must be nonnegative")
+        if not 0 <= self.weight < np.inf:
+            raise ValueError("cause weight must be nonnegative and finite")
         arr.setflags(write=False)
         object.__setattr__(self, "p_plus", arr)
 
 
 @dataclass(frozen=True)
 class LocalModel:
+    """A mixture of causes, also stacked as ``weights`` and ``p_plus[cause]``."""
+
     causes: tuple
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    p_plus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         causes = tuple(self.causes)
         total = sum(c.weight for c in causes)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"cause weights sum to {total!r}, not 1")
         object.__setattr__(self, "causes", causes)
+        object.__setattr__(self, "weights", np.array([c.weight for c in causes], float))
+        object.__setattr__(self, "p_plus", np.array([c.p_plus for c in causes]))
 
 
 @dataclass(frozen=True)
@@ -82,6 +93,8 @@ class CorrelationTable:
             arr = np.asarray(self.blocks[pattern], dtype=float)
             if arr.shape != (8,):
                 raise MalformedTable(f"block {pattern!r} must have 8 entries")
+            if not np.all(np.isfinite(arr)):
+                raise MalformedTable(f"block {pattern!r} has a non-finite entry")
             if np.any(arr < -1e-12):
                 raise MalformedTable(f"block {pattern!r} has a negative entry")
             if abs(arr.sum() - 1.0) > 1e-12:
@@ -138,58 +151,68 @@ class Membership:
     max_residual: float
 
 
-def _outcome_prob(p_plus: float, outcome: int) -> float:
-    return p_plus if outcome == +1 else 1.0 - p_plus
+def at_patterns(values, patterns=PATTERNS) -> np.ndarray:
+    """``values[..., party, setting]`` read at each pattern: (..., len(patterns), 3).
+
+    The one place a setting character (x or y, either case) picks a setting.
+    """
+    index = [["xy".index(ch) for ch in p.lower()] for p in patterns]
+    return np.asarray(values)[..., np.arange(3), index]
+
+
+def triple_products(values, patterns=PATTERNS) -> np.ndarray:
+    """Product of the three parties' values per pattern: (..., len(patterns))."""
+    return at_patterns(values, patterns).prod(axis=-1)
+
+
+def mermin_values(values, terms) -> np.ndarray:
+    """<M> (or <M'>, by ``terms``) of local values: their triple products
+    put through ``mermin.witness_value``; shape ``values.shape[:-2]``."""
+    patterns = [settings.lower() for _, settings in terms]
+    products = np.moveaxis(triple_products(values, patterns), -1, 0)
+    return mermin.witness_value(terms, dict(zip(patterns, products)))
+
+
+def _cause_probabilities(p_plus, patterns=PATTERNS) -> np.ndarray:
+    """Per-cause joint outcome probabilities: (..., len(patterns), 8), OUTCOMES order."""
+    p = at_patterns(p_plus, patterns)
+    q = np.stack([p, 1.0 - p], axis=-1)
+    joint = q[..., 0, :, None, None] * q[..., 1, None, :, None] * q[..., 2, None, None, :]
+    return joint.reshape(*joint.shape[:-3], 8)
 
 
 def model_joint_probability(model: LocalModel, pattern: str, outcomes) -> float:
     """Mixture probability of a joint outcome triple under a pattern."""
-    total = 0.0
-    for cause in model.causes:
-        prod = cause.weight
-        for party, (setting, outcome) in enumerate(zip(pattern, outcomes)):
-            prod *= _outcome_prob(cause.p_plus[party][SETTING_INDEX[setting]], outcome)
-        total += prod
-    return total
+    probs = _cause_probabilities(model.p_plus, (pattern,))[:, 0]
+    return float(model.weights @ probs[:, OUTCOMES.index(tuple(outcomes))])
 
 
 def correlators(model: LocalModel, mu: int) -> np.ndarray:
     """Six per-cause correlators in order (ix, iy, jx, jy, kx, ky)."""
-    cause = model.causes[mu]
-    return (2.0 * cause.p_plus - 1.0).reshape(-1)
+    return (2.0 * model.p_plus[mu] - 1.0).reshape(-1)
 
 
 def model_triple_correlations(model: LocalModel, patterns=PATTERNS) -> tuple:
     """Mixture triple products, one per settings pattern (default PATTERNS)."""
-    values = []
-    for pattern in patterns:
-        total = 0.0
-        for mu, cause in enumerate(model.causes):
-            bars = correlators(model, mu).reshape(3, 2)
-            prod = cause.weight
-            for party, setting in enumerate(pattern):
-                prod *= bars[party][SETTING_INDEX[setting]]
-            total += prod
-        values.append(total)
-    return tuple(values)
+    products = triple_products(2.0 * model.p_plus - 1.0, patterns)
+    return tuple((model.weights @ products).tolist())
 
 
 # --- sign assignments and the contradiction --------------------------------
 
 def all_sign_assignments():
     """All 64 assignments (ix, iy, jx, jy, kx, ky) with each value +-1."""
-    return list(itertools.product((+1, -1), repeat=6))
+    return [tuple(a) for a in SIGNS.reshape(64, 6).tolist()]
 
 
 def constraint_products(assignment) -> tuple:
-    ix, iy, jx, jy, kx, ky = assignment
-    return (ix * jx * kx, ix * jy * ky, iy * jx * ky, iy * jy * kx)
+    return tuple(triple_products(np.reshape(assignment, (3, 2))).tolist())
 
 
 def satisfied_constraints(assignment) -> tuple:
     """Indices of the four constraints an assignment satisfies."""
-    prods = constraint_products(assignment)
-    return tuple(n for n, (p, t) in enumerate(zip(prods, CONSTRAINT_TARGETS)) if p == t)
+    hits = np.equal(constraint_products(assignment), CONSTRAINT_TARGETS)
+    return tuple(np.flatnonzero(hits).tolist())
 
 
 def ghz_sign_feasibility() -> InfeasibilityReport:
@@ -199,26 +222,18 @@ def ghz_sign_feasibility() -> InfeasibilityReport:
     sides is identically +1 (every symbol appears squared) while the
     required right-hand product is -1.
     """
-    satisfying = 0
-    best = 0
-    witness = None
-    for assignment in all_sign_assignments():
-        prods = constraint_products(assignment)
-        if int(np.prod(prods)) != 1:
-            raise AssertionError("parity identity broken; constraint code corrupt")
-        hits = len(satisfied_constraints(assignment))
-        if hits == 4:
-            satisfying += 1
-        if hits > best:
-            best = hits
-            witness = assignment
+    prods = triple_products(SIGNS)
+    if np.any(prods.prod(axis=1) != 1):
+        raise AssertionError("parity identity broken; constraint code corrupt")
+    hits = np.sum(prods == CONSTRAINT_TARGETS, axis=1)
+    best = int(np.argmax(hits))
     return InfeasibilityReport(
-        assignments_checked=64,
-        satisfying=satisfying,
-        max_subset=best,
+        assignments_checked=len(SIGNS),
+        satisfying=int(np.sum(hits == len(PATTERNS))),
+        max_subset=int(hits[best]),
         parity_lhs=1,
         parity_rhs=int(np.prod(CONSTRAINT_TARGETS)),
-        max_subset_witness=witness,
+        max_subset_witness=tuple(SIGNS[best].reshape(6).tolist()),
     )
 
 
@@ -226,8 +241,8 @@ def ghz_sign_feasibility() -> InfeasibilityReport:
 
 def _hr_satisfied_count(bars, tolerance: float) -> int:
     """Constraints met within tolerance by six reals (ix, iy, jx, jy, kx, ky)."""
-    prods = constraint_products(bars)
-    return sum(abs(p - t) <= tolerance for p, t in zip(prods, CONSTRAINT_TARGETS))
+    gaps = np.subtract(constraint_products(bars), CONSTRAINT_TARGETS)
+    return int(np.sum(np.abs(gaps) <= tolerance))
 
 
 def hr_constrained_satisfiability(tolerance: float = 1e-6):
@@ -257,22 +272,14 @@ def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float
     per-party discs via seeded random-restart coordinate descent. A
     result well above zero certifies the pair cannot be met jointly.
     """
-    targets = [CONSTRAINT_TARGETS[n] for n in pair]
-    involved = [PATTERNS[n] for n in pair]
+    targets = np.take(CONSTRAINT_TARGETS, pair)
+    patterns = [PATTERNS[n] for n in pair]
 
     def violation(params):
         # params: per party (angle, radius); radius clipped into [0, 1].
-        bars = np.empty((3, 2))
-        for party in range(3):
-            angle, radius = params[2 * party], np.clip(params[2 * party + 1], 0.0, 1.0)
-            bars[party] = radius * np.cos(angle), radius * np.sin(angle)
-        total = 0.0
-        for settings, target in zip(involved, targets):
-            prod = 1.0
-            for party, s in enumerate(settings):
-                prod *= bars[party][SETTING_INDEX[s]]
-            total += (prod - target) ** 2
-        return total
+        angle, radius = params[0::2], np.clip(params[1::2], 0.0, 1.0)
+        bars = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        return float(np.sum((triple_products(bars, patterns) - targets) ** 2))
 
     rng = np.random.default_rng(seed)
     best = np.inf
@@ -326,30 +333,17 @@ def epr_contrast(c1: int = -1, c2: int = -1) -> tuple:
 # --- deterministic strategies and polytope membership ----------------------
 
 def enumerate_strategies() -> list:
-    """All 64 deterministic strategies ((s1x, s1y), (s2x, s2y), (s3x, s3y)).
-
-    Order is party-1 major, x before y, +1 before -1; the first strategy
-    is all +1.
-    """
-    signs = list(itertools.product((+1, -1), repeat=6))
-    return [((a, b), (c, d), (e, f)) for a, b, c, d, e, f in signs]
+    """All 64 strategies ((s1x, s1y), (s2x, s2y), (s3x, s3y)) in SIGNS order."""
+    return [tuple(map(tuple, s)) for s in SIGNS.tolist()]
 
 
 def strategy_to_model(strategy) -> LocalModel:
-    p_plus = np.array(
-        [[1.0 if s == +1 else 0.0 for s in party] for party in strategy]
-    )
-    return LocalModel((Cause(1.0, p_plus),))
+    return LocalModel((Cause(1.0, np.equal(strategy, +1).astype(float)),))
 
 
 def model_to_table(model: LocalModel) -> CorrelationTable:
-    blocks = {
-        pattern: np.array(
-            [model_joint_probability(model, pattern, out) for out in OUTCOMES]
-        )
-        for pattern in PATTERNS
-    }
-    return CorrelationTable(blocks)
+    blocks = np.tensordot(model.weights, _cause_probabilities(model.p_plus), axes=1)
+    return CorrelationTable(dict(zip(PATTERNS, blocks)))
 
 
 def ghz_correlation_table() -> CorrelationTable:
@@ -359,10 +353,8 @@ def ghz_correlation_table() -> CorrelationTable:
 
 
 def table_triple_correlations(table: CorrelationTable) -> tuple:
-    return tuple(
-        float(sum(np.prod(out) * p for out, p in zip(OUTCOMES, table.blocks[pattern])))
-        for pattern in PATTERNS
-    )
+    blocks = _table_vector(table).reshape(len(PATTERNS), len(OUTCOMES))
+    return tuple((blocks @ qcore.outcome_signs()).tolist())
 
 
 def table_mermin_value(table: CorrelationTable) -> float:
@@ -378,10 +370,8 @@ def _table_vector(table: CorrelationTable) -> np.ndarray:
 @functools.cache
 def _strategy_matrix() -> np.ndarray:
     """The 64 strategy tables as columns; built on first use, not at import."""
-    mat = np.column_stack([
-        _table_vector(model_to_table(strategy_to_model(s)))
-        for s in enumerate_strategies()
-    ])
+    p_plus = np.equal(SIGNS, +1).astype(float)
+    mat = _cause_probabilities(p_plus).reshape(len(SIGNS), -1).T
     mat.setflags(write=False)
     return mat
 

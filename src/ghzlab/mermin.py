@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PointOutsideQuantumRegion
-from .qcore import Observable, density_entries
+from .qcore import Observable, density_entries, require_three_qubits
 
 M_TERMS = ((+1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX"))
 MPRIME_TERMS = ((+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY"))
@@ -89,8 +89,7 @@ def evaluate_point(state) -> MerminPoint:
     element: 8 conj(psi_000) psi_111, or 8 rho_{111,000} for a mixed state.
     """
     rho = density_entries(state)
-    if state.num_qubits != 3:
-        raise ValueError(f"expected a three-qubit state, got {state.num_qubits} qubits")
+    require_three_qubits(state)
     value = 8.0 * rho[7, 0]
     return MerminPoint(float(value.real), float(value.imag))
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RestartBudgetExhausted
-from . import mermin, qcore
-from .locality import enumerate_strategies
+from . import locality, mermin, qcore
 from .qcore import StateVector, make_ghz, observable_matrix
 
 DEFAULT_RESTARTS = 32
@@ -79,30 +78,15 @@ def _certify(model_class: str, value: float, witnesses) -> float:
     return value
 
 
-def _strategy_mermin_value(strategy, terms) -> float:
-    value = 0.0
-    for coeff, settings in terms:
-        prod = coeff
-        for party, ch in enumerate(settings):
-            prod *= strategy[party][0 if ch == "X" else 1]
-        value += prod
-    return value
-
-
 def max_local_mermin(which: str = "m") -> OptimizationResult:
     """Exact max of |<M>| (or |<M'>|) over the 64 deterministic strategies."""
     terms = mermin.M_TERMS if which == "m" else mermin.MPRIME_TERMS
-    best_value = -np.inf
-    best_strategy = None
-    for strategy in enumerate_strategies():
-        value = abs(_strategy_mermin_value(strategy, terms))
-        if value > best_value:
-            best_value = value
-            best_strategy = strategy
+    values = np.abs(locality.mermin_values(locality.SIGNS, terms))
+    best = int(np.argmax(values))
     return OptimizationResult(
         model_class="local",
-        best_value=float(best_value),
-        argmax={"which": which, "strategy": [list(p) for p in best_strategy]},
+        best_value=float(values[best]),
+        argmax={"which": which, "strategy": locality.SIGNS[best].tolist()},
         restarts_used=0,
         seed=0,
     )

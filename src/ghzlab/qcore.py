@@ -61,6 +61,8 @@ class StateVector:
         dim = self.amplitudes.size
         if dim not in (4, 8):
             raise ValueError(f"expected 4 or 8 amplitudes, got {dim}")
+        if not np.all(np.isfinite(self.amplitudes)):
+            raise ValueError("state has a non-finite amplitude")
         norm2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
@@ -80,6 +82,8 @@ class DensityMatrix:
         mat = np.asarray(self.entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] not in (4, 8):
             raise ValueError(f"expected a 4x4 or 8x8 matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("density matrix has a non-finite entry")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
             raise ValueError("density matrix not Hermitian within 1e-12")
         tr = complex(np.trace(mat))
@@ -128,7 +132,7 @@ class AmplitudeTable:
     """Amplitudes of a pure state in a per-party sigma_x/sigma_y eigenbasis.
 
     ``entries[(i, j, k)]`` is the amplitude of the joint eigenvector with
-    outcomes ``i, j, k`` in {+1, -1}.
+    outcomes ``i, j, k`` in {+1, -1}, keyed in OUTCOMES order.
     """
 
     settings: str
@@ -139,7 +143,7 @@ class AmplitudeTable:
             raise ValueError(f"settings must be over {{x, y}}, got {self.settings!r}")
         object.__setattr__(self, "settings", self.settings.lower())
         total = sum(abs(a) ** 2 for a in self.entries.values())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"amplitude table not normalized: {total!r}")
 
 
@@ -166,6 +170,13 @@ def observable_matrix(obs: Observable) -> np.ndarray:
             term = np.kron(term, PAULI[ch])
         total += coeff * term
     return total
+
+
+def require_three_qubits(state):
+    """The state itself, refused with a one-line message unless it has three qubits."""
+    if state.num_qubits != 3:
+        raise ValueError(f"expected a three-qubit state, got {state.num_qubits} qubits")
+    return state
 
 
 def density_entries(state) -> np.ndarray:
@@ -217,18 +228,20 @@ def outcome_probabilities(state, settings: str) -> np.ndarray:
     return np.sum(u.conj() * (rho @ u), axis=0).real
 
 
+def outcome_signs(parties: int = 3) -> np.ndarray:
+    """Product of the outcomes of each joint outcome, in OUTCOMES order."""
+    return np.prod(list(itertools.product((+1, -1), repeat=parties)), axis=1)
+
+
 def signed_probability_sum(table: AmplitudeTable) -> float:
     """Sum over outcomes of (product of outcomes) * |amplitude|^2."""
-    return float(
-        sum(np.prod(out) * abs(amp) ** 2 for out, amp in table.entries.items())
-    )
+    probs = np.abs(np.fromiter(table.entries.values(), dtype=complex)) ** 2
+    return float(outcome_signs(len(table.settings)) @ probs)
 
 
 def signed_sum_for_state(state, settings: str) -> float:
     """Sum over outcomes of (product of outcomes) * probability."""
-    probs = outcome_probabilities(state, settings)
-    signs = np.prod(list(itertools.product((+1, -1), repeat=len(settings))), axis=1)
-    return float(signs @ probs)
+    return float(outcome_signs(len(settings)) @ outcome_probabilities(state, settings))
 
 
 def mix_with_white_noise(state, visibility: float) -> DensityMatrix:

@@ -45,6 +45,15 @@ class TestVerify:
         code, _ = run(capsys, ["verify", "--state", str(tmp_path / "nope.json")])
         assert code == 2
 
+    def test_two_qubit_state_file(self, capsys, tmp_path):
+        path = tmp_path / "pair.json"
+        qcore.save_state(qcore.StateVector(np.ones(4) / 2.0), path)
+        code = cli.main(["verify", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: expected a three-qubit state, got 2 qubits\n"
+
 
 class TestContradiction:
     def test_default_report(self, capsys):
@@ -164,6 +173,25 @@ class TestClassify:
     def test_visibility_out_of_range(self, capsys):
         code, _ = run(capsys, ["classify", "--noise", "1.5"])
         assert code == 2
+
+
+NAN_PURE = '{"dim": 8, "re": [NaN, 0, 0, 0, 0, 0, 0, 0], "im": [0, 0, 0, 0, 0, 0, 0, 0]}'
+NAN_MIXED = json.dumps({"dim": 8, "re": (np.eye(8) / 8.0).tolist(),
+                        "im": np.zeros((8, 8)).tolist()}).replace("0.125", "NaN", 1)
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("doc", [NAN_PURE, NAN_MIXED], ids=["pure", "mixed"])
+def test_non_finite_state_file_is_refused(capsys, tmp_path, command, fmt, doc):
+    path = tmp_path / "nan.json"
+    path.write_text(doc)
+    code = cli.main([command, "--state", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "non-finite" in captured.err
 
 
 class TestThreshold:

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from ghzlab import locality, qcore
+from ghzlab import locality, mermin, optimize, qcore
 from ghzlab.errors import MalformedTable, ToleranceOutOfRange
 from ghzlab.locality import (
     Cause,
@@ -56,6 +57,38 @@ class TestLocalModel:
             Cause(0.5, np.zeros((3, 2))),
         ))
         assert model_joint_probability(model, "xxx", (1, 1, 1)) == pytest.approx(0.5)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_cause_weight(self, bad):
+        with pytest.raises(ValueError):
+            Cause(bad, np.full((3, 2), 0.5))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_cause_p_plus(self, bad):
+        p_plus = np.full((3, 2), 0.5)
+        p_plus[1, 1] = bad
+        with pytest.raises(ValueError):
+            Cause(1.0, p_plus)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_local_model_weight_sum(self, bad):
+        # A cause whose weight changed after its own check cannot enter a model.
+        cause = Cause(1.0, np.full((3, 2), 0.5))
+        object.__setattr__(cause, "weight", bad)
+        with pytest.raises(ValueError, match="sum to"):
+            LocalModel((cause,))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_correlation_table(self, bad):
+        blocks = {p: np.full(8, 0.125) for p in qcore.PATTERNS}
+        blocks["xyy"][2] = bad
+        with pytest.raises(MalformedTable, match="non-finite"):
+            CorrelationTable(blocks)
 
 
 class TestCorrelators:
@@ -285,3 +318,89 @@ class TestPolytopeMembership:
         if locality.table_mermin_value(table) > 2.0:
             assert not result.inside
         assert result.inside == inside
+
+
+# --- property tests of the one correlator path ------------------------------
+
+@st.composite
+def local_models(draw):
+    count = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count))
+    causes = []
+    for weight in np.asarray(raw) / sum(raw):
+        p_plus = draw(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+        causes.append(Cause(weight, np.reshape(p_plus, (3, 2))))
+    return LocalModel(tuple(causes))
+
+
+def brute_force_table(model):
+    """sum_mu w_mu prod_k p(outcome_k), one cause, party and outcome at a time."""
+    blocks = {}
+    for pattern in qcore.PATTERNS:
+        block = []
+        for outcome in qcore.OUTCOMES:
+            total = 0.0
+            for cause in model.causes:
+                prod = cause.weight
+                for party, (setting, sign) in enumerate(zip(pattern, outcome)):
+                    p = cause.p_plus[party]["xy".index(setting)]
+                    prod *= p if sign == +1 else 1.0 - p
+                total += prod
+            block.append(total)
+        blocks[pattern] = block
+    return blocks
+
+
+class TestOneCorrelatorPath:
+    @given(local_models())
+    def test_model_table_matches_brute_force(self, model):
+        table = model_to_table(model)
+        reference = brute_force_table(model)
+        for pattern in qcore.PATTERNS:
+            assert np.max(np.abs(table.blocks[pattern] - reference[pattern])) <= 1e-15
+            for outcome, p in zip(qcore.OUTCOMES, reference[pattern]):
+                assert abs(model_joint_probability(model, pattern, outcome) - p) <= 1e-15
+
+    @given(local_models())
+    def test_table_triple_correlations_match_the_outcome_loop(self, model):
+        table = model_to_table(model)
+        for pattern, value in zip(qcore.PATTERNS, locality.table_triple_correlations(table)):
+            reference = sum(np.prod(out) * p for out, p in zip(qcore.OUTCOMES, table.blocks[pattern]))
+            assert abs(value - reference) <= 8 * np.finfo(float).eps
+
+    @given(local_models())
+    def test_probability_and_correlator_routes_agree(self, model):
+        via_table = locality.table_triple_correlations(model_to_table(model))
+        direct = locality.model_triple_correlations(model)
+        assert np.max(np.abs(np.subtract(via_table, direct))) <= 1e-12
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=48)
+           .map(lambda raw: np.reshape(raw[:len(raw) // 6 * 6], (-1, 3, 2))),
+           st.lists(st.sampled_from(["".join(s) for s in itertools.product("xy", repeat=3)]),
+                    min_size=1, max_size=8))
+    def test_batch_triple_products_equal_the_loop(self, batch, patterns):
+        products = locality.triple_products(batch, patterns)
+        assert products.shape == (len(batch), len(patterns))
+        for values, row in zip(batch, products):
+            np.testing.assert_array_equal(row, locality.triple_products(values, patterns))
+            for pattern, product in zip(patterns, row):
+                ix, jx, kx = ("xy".index(ch) for ch in pattern)
+                assert product == values[0][ix] * values[1][jx] * values[2][kx]
+
+    @pytest.mark.parametrize("which,terms", [("m", mermin.M_TERMS),
+                                             ("mprime", mermin.MPRIME_TERMS)])
+    def test_local_maximum_is_its_argmax_strategy_value(self, which, terms):
+        # <M> from the strategy's probability table; <M'> (whose patterns are
+        # not in the table) from the strategy model's triple correlations.
+        def value(strategy):
+            model = strategy_to_model(strategy)
+            if which == "m":
+                return abs(locality.table_mermin_value(model_to_table(model)))
+            patterns = [settings.lower() for _, settings in terms]
+            correlations = locality.model_triple_correlations(model, patterns)
+            return abs(mermin.witness_value(terms, dict(zip(patterns, correlations))))
+
+        result = optimize.max_local_mermin(which)
+        strategy = tuple(map(tuple, result.argmax["strategy"]))
+        assert result.best_value == value(strategy)
+        assert result.best_value == max(value(s) for s in enumerate_strategies())

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ghzlab import mermin, optimize, qcore
+from ghzlab import locality, mermin, optimize, qcore
 
 # Small restart budgets keep the suite fast; the landscapes here are
 # benign enough that even a handful of restarts hits the optimum.
@@ -18,8 +18,7 @@ class TestLocalAndRealistic:
 
     def test_all_plus_strategy_value(self):
         # |<M>| = 2 for the all-plus strategy: one aligned term, three not.
-        value = optimize._strategy_mermin_value(
-            ((1, 1), (1, 1), (1, 1)), mermin.M_TERMS)
+        value = locality.mermin_values(((1, 1), (1, 1), (1, 1)), mermin.M_TERMS)
         assert abs(value) == 2.0
 
     @pytest.mark.parametrize("which", ["m", "mprime"])

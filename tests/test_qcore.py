@@ -99,6 +99,24 @@ class TestEigencheck:
         assert qcore.eigen_residual(ghz, obs("XXX"), -1.0) == pytest.approx(2.0, abs=1e-12)
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_state_vector(self, bad, imaginary):
+        amps = qcore.make_ghz().amplitudes.copy()
+        amps[3] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector(amps)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [(0, 0), (2, 5)])
+    def test_density_matrix(self, bad, index):
+        rho = qcore.maximally_mixed().entries.copy()
+        rho[index] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(rho)
+
+
 class TestAmplitudeTable:
     def test_ghz_xxx_closed_form(self):
         table = qcore.amplitude_table(qcore.make_ghz(), "xxx")
@@ -148,6 +166,14 @@ class TestSignedSums:
         for pattern, value in zip(qcore.PATTERNS, expected):
             table = qcore.amplitude_table(ghz, pattern)
             assert qcore.signed_probability_sum(table) == pytest.approx(value, abs=1e-12)
+
+    def test_signed_probability_sum_matches_the_outcome_loop(self, rng):
+        for _ in range(50):
+            state = random_pure_state(rng)
+            for settings in ("xxx", "xyy", "yyy"):
+                table = qcore.amplitude_table(state, settings)
+                reference = sum(np.prod(out) * abs(amp) ** 2 for out, amp in table.entries.items())
+                assert abs(qcore.signed_probability_sum(table) - reference) <= 8 * np.finfo(float).eps
 
     def test_maximally_mixed_cancels(self):
         for pattern in qcore.PATTERNS:
