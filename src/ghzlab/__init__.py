@@ -9,9 +9,8 @@ from .errors import (
     GhzlabError,
     ImaginaryResidual,
     MalformedTable,
-    NoViolation,
     PointOutsideQuantumRegion,
-    RestartBudgetExhausted,
+    SelfCheckFailed,
     ToleranceOutOfRange,
     VisibilityOutOfRange,
 )
@@ -24,9 +23,8 @@ __all__ = [
     "GhzlabError",
     "ImaginaryResidual",
     "MalformedTable",
-    "NoViolation",
     "PointOutsideQuantumRegion",
-    "RestartBudgetExhausted",
+    "SelfCheckFailed",
     "ToleranceOutOfRange",
     "VisibilityOutOfRange",
 ]

@@ -3,8 +3,8 @@
 Subcommands: verify, contradiction, bounds, figure1, classify, threshold.
 Global flags: --seed, --restarts, --tol, --format json|csv, --out path.
 The environment variable GHZLAB_SEED overrides the default seed only when
---seed is absent. Exit codes: 0 success, 1 assertion/optimizer failure,
-2 input/IO error.
+--seed is absent. Exit codes: 0 success, 1 a failed check (an identity
+verify asserts, or an internal self-check), 2 input/IO error.
 
 Output is deterministic: identical flags and seed produce byte-identical
 bytes. CSV uses '.' decimals and 12 significant digits.
@@ -18,17 +18,9 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    GhzlabError,
-    MalformedTable,
-    NoViolation,
-    RestartBudgetExhausted,
-    VisibilityOutOfRange,
-)
+from .errors import GhzlabError
 from . import locality, mermin, optimize, qcore
 
-DEFAULT_SEED = 42
-DEFAULT_RESTARTS = 32
 DEFAULT_TOL = 1e-6
 
 EXIT_OK = 0
@@ -95,7 +87,7 @@ def cmd_verify(args) -> int:
     if asserted:
         state = qcore.make_ghz()
     else:
-        state = qcore.require_three_qubits(qcore.load_state(args.state))
+        state = qcore.load_state(args.state)
     checks = []
     for settings, eigenvalue in EIGEN_CHECKS:
         obs = qcore.Observable.single(settings)
@@ -162,9 +154,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _quantum_point(amplitudes) -> tuple:
-    point = mermin.evaluate_point(qcore.StateVector(amplitudes))
-    return point.m_value, point.mprime_value
+def _pure_points(amplitudes) -> list:
+    """(m, m') of each row of a (count, 8) batch of pure-state amplitudes."""
+    values = mermin.pure_mermin_values(np.array(amplitudes))
+    return list(zip(values.real, values.imag))
 
 
 def _scatter_points(seed: int, count: int):
@@ -176,25 +169,25 @@ def _scatter_points(seed: int, count: int):
     groups["scatter_local"] = list(zip(locality.mermin_values(bars, mermin.M_TERMS),
                                        locality.mermin_values(bars, mermin.MPRIME_TERMS)))
 
-    groups["scatter_quantum_local"] = [
-        _quantum_point(optimize.product_state(optimize.random_bloch_angles(rng, 3)))
-        for _ in range(count)]
+    groups["scatter_quantum_local"] = _pure_points(
+        [optimize.product_state(optimize.random_bloch_angles(rng, 3))
+         for _ in range(count)])
 
-    points = []
+    states = []
     for _ in range(count):
         cut = int(rng.integers(0, 3))
         params = np.concatenate(
             [optimize.random_bloch_angles(rng, 1), rng.standard_normal(8)]
         )
-        points.append(_quantum_point(optimize.biseparable_state(cut, params)))
-    groups["scatter_biseparable"] = points
+        states.append(optimize.biseparable_state(cut, params))
+    groups["scatter_biseparable"] = _pure_points(states)
 
-    points = []
+    states = []
     for _ in range(count):
         raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        points.append(_quantum_point(raw / np.linalg.norm(raw)))
-    points.append(_quantum_point(qcore.make_ghz().amplitudes))
-    groups["scatter_quantum"] = points
+        states.append(raw / np.linalg.norm(raw))
+    states.append(qcore.make_ghz().amplitudes)
+    groups["scatter_quantum"] = _pure_points(states)
     return groups
 
 
@@ -246,7 +239,7 @@ def _default_seed() -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"GHZLAB_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
+    return optimize.DEFAULT_SEED
 
 
 def _check_counts(args) -> None:
@@ -261,9 +254,10 @@ def _common_parent(default_format: str = "json") -> argparse.ArgumentParser:
     # so a per-subcommand default would otherwise leak across commands.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default 42; GHZLAB_SEED overrides)")
-    common.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                        help="optimizer restarts (default 32)")
+                        help=f"RNG seed (default {optimize.DEFAULT_SEED}; "
+                             "GHZLAB_SEED overrides)")
+    common.add_argument("--restarts", type=int, default=optimize.DEFAULT_RESTARTS,
+                        help=f"optimizer restarts (default {optimize.DEFAULT_RESTARTS})")
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="numeric tolerance (default 1e-6)")
     common.add_argument("--format", choices=("json", "csv"), default=default_format,
@@ -326,13 +320,10 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except (RestartBudgetExhausted, NoViolation) as exc:
+    except GhzlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (VisibilityOutOfRange, MalformedTable, GhzlabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        return exc.exit_code
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

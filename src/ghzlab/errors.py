@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class carries the exit code the CLI returns for it: 2 (bad input)
+unless a class says otherwise.
+"""
 
 
 class GhzlabError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class ImaginaryResidual(GhzlabError):
@@ -25,15 +31,15 @@ class ToleranceOutOfRange(GhzlabError):
     """Tolerance must be a positive number below 1."""
 
 
-class RestartBudgetExhausted(GhzlabError):
-    """A seeded witness missed the certified closed-form maximum.
+class SelfCheckFailed(GhzlabError):
+    """An internal self-check failed: the code, not the input, is wrong.
 
-    Raised when M + iM' = 8|000><111| fails on the operator matrices, or
-    when a state the closed form predicts (a maximizer built from a seeded
-    start, or the GHZ point behind the noise thresholds) misses its value
-    by more than 1e-12. The CLI maps it to exit code 1.
+    Raised when M + iM' = 8|000><111| fails on the operator matrices, when
+    a state the closed form predicts (a maximizer built from a seeded start,
+    or the GHZ point behind the noise thresholds) misses its value by more
+    than 1e-12, when the parity identity or an analytic witness of
+    ``locality`` fails its own check, or when the membership LP does not
+    solve. The CLI exits with code 1.
     """
 
-
-class NoViolation(GhzlabError):
-    """No visibility in [0, 1] violates the bound."""
+    exit_code = 1

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import MalformedTable, ToleranceOutOfRange
+from .errors import MalformedTable, SelfCheckFailed, ToleranceOutOfRange
 from . import mermin, qcore
 from .qcore import OUTCOMES, PATTERNS
 
@@ -102,27 +101,6 @@ class CorrelationTable:
             arr.setflags(write=False)
             clean[pattern] = arr
         object.__setattr__(self, "blocks", clean)
-
-    def to_json_dict(self) -> dict:
-        return {"blocks": {p: self.blocks[p].tolist() for p in PATTERNS}}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CorrelationTable":
-        try:
-            blocks = doc["blocks"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedTable(f"malformed table document: {exc}") from exc
-        return cls(dict(blocks))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "CorrelationTable":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -224,7 +202,7 @@ def ghz_sign_feasibility() -> InfeasibilityReport:
     """
     prods = triple_products(SIGNS)
     if np.any(prods.prod(axis=1) != 1):
-        raise AssertionError("parity identity broken; constraint code corrupt")
+        raise SelfCheckFailed("parity identity broken; constraint code corrupt")
     hits = np.sum(prods == CONSTRAINT_TARGETS, axis=1)
     best = int(np.argmax(hits))
     return InfeasibilityReport(
@@ -261,7 +239,7 @@ def hr_constrained_satisfiability(tolerance: float = 1e-6):
         raise ToleranceOutOfRange(f"tolerance {tolerance!r} outside (0, 1)")
     witness = (1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
     if _hr_satisfied_count(witness, tolerance) != 1:
-        raise AssertionError("analytic witness failed its own check")
+        raise SelfCheckFailed("analytic witness failed its own check")
     return 1, witness
 
 
@@ -326,7 +304,7 @@ def epr_contrast(c1: int = -1, c2: int = -1) -> tuple:
     assignment = (1, 1, c1, c2)
     ix, iy, jx, jy = assignment
     if ix * jx != c1 or iy * jy != c2:
-        raise AssertionError("EPR witness failed its own check")
+        raise SelfCheckFailed("EPR witness failed its own check")
     return assignment
 
 
@@ -354,7 +332,7 @@ def ghz_correlation_table() -> CorrelationTable:
 
 def table_triple_correlations(table: CorrelationTable) -> tuple:
     blocks = _table_vector(table).reshape(len(PATTERNS), len(OUTCOMES))
-    return tuple((blocks @ qcore.outcome_signs()).tolist())
+    return tuple((blocks @ qcore.OUTCOME_SIGNS).tolist())
 
 
 def table_mermin_value(table: CorrelationTable) -> float:
@@ -398,7 +376,7 @@ def polytope_membership(table: CorrelationTable, tol: float = 1e-9) -> Membershi
         bounds=[(0, None)] * (n + 1), method="highs",
     )
     if not result.success:
-        raise RuntimeError(f"LP solver failed: {result.message}")
+        raise SelfCheckFailed(f"LP solver failed: {result.message}")
     residual = float(result.x[-1])
     if residual <= tol:
         return Membership(True, result.x[:n].copy(), residual)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PointOutsideQuantumRegion
-from .qcore import Observable, density_entries, require_three_qubits
+from .qcore import Observable, density_entries
 
 M_TERMS = ((+1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX"))
 MPRIME_TERMS = ((+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY"))
@@ -88,10 +88,15 @@ def evaluate_point(state) -> MerminPoint:
     M + iM' = (X + iY)^{(x)3} = 8|000><111|, so <M> + i<M'> is one matrix
     element: 8 conj(psi_000) psi_111, or 8 rho_{111,000} for a mixed state.
     """
-    rho = density_entries(state)
-    require_three_qubits(state)
-    value = 8.0 * rho[7, 0]
+    value = 8.0 * density_entries(state)[7, 0]
     return MerminPoint(float(value.real), float(value.imag))
+
+
+def pure_mermin_values(amplitudes) -> np.ndarray:
+    """<M> + i<M'> = 8 conj(psi_000) psi_111 for a batch of pure states,
+    ``amplitudes`` an array of shape (..., 8); the same product as
+    ``evaluate_point``."""
+    return 8.0 * (amplitudes[..., 7] * amplitudes[..., 0].conj())
 
 
 def report(point: MerminPoint) -> InequalityReport:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RestartBudgetExhausted
+from .errors import SelfCheckFailed
 from . import locality, mermin, qcore
 from .qcore import StateVector, make_ghz, observable_matrix
 
@@ -69,11 +69,11 @@ def _certify(model_class: str, value: float, witnesses) -> float:
     corner = np.zeros((8, 8), dtype=complex)
     corner[0, 7] = 8.0
     if not np.array_equal(m_mat + 1j * mp_mat, corner):
-        raise RestartBudgetExhausted("M + iM' != 8|000><111|; operator code corrupt")
+        raise SelfCheckFailed("M + iM' != 8|000><111|; operator code corrupt")
     for psi in witnesses:
         reached = mermin.evaluate_point(StateVector(psi)).radius_squared
         if abs(reached - value) > WITNESS_TOL:
-            raise RestartBudgetExhausted(
+            raise SelfCheckFailed(
                 f"{model_class} witness reached {reached!r}, closed form {value}")
     return value
 
@@ -262,18 +262,16 @@ def quantum_radius_eigen_oracle(sweep: int = 720) -> float:
 
 
 def max_quantum_radius(restarts: int = DEFAULT_RESTARTS,
-                       seed: int = DEFAULT_SEED,
-                       warm_start: StateVector | None = None) -> OptimizationResult:
+                       seed: int = DEFAULT_SEED) -> OptimizationResult:
     """Max of <M>^2 + <M'>^2 over all pure three-qubit states.
 
-    Each start (the warm start first, when given) is moved to the phased
-    GHZ state with its own first and last phases; the reported state has
-    the global phase fixed so its |000> amplitude is real positive.
+    Each start is moved to the phased GHZ state with its own first and
+    last phases; the reported state has the global phase fixed so its
+    |000> amplitude is real positive.
     """
     rng = _seeded_rng(restarts, seed)
     raws = [rng.standard_normal(16) for _ in range(restarts)]
-    starts = [] if warm_start is None else [warm_start.amplitudes]
-    starts += [raw[0::2] + 1j * raw[1::2] for raw in raws]
+    starts = [raw[0::2] + 1j * raw[1::2] for raw in raws]
     witnesses = [_phased_cat(psi) for psi in starts]
     value = _certify("quantum", 16.0, witnesses)
     best_psi = witnesses[0] * np.exp(-1j * np.angle(witnesses[0][0]))
@@ -303,5 +301,5 @@ def noise_threshold(bound: str, tol: float = 1e-6) -> float:
         raise ValueError(f"unknown bound {bound!r}")
     ghz = mermin.evaluate_point(make_ghz())
     if abs(complex(ghz.m_value, ghz.mprime_value) - 4.0) > WITNESS_TOL:
-        raise RestartBudgetExhausted(f"GHZ point {ghz!r} is not (4, 0)")
+        raise SelfCheckFailed(f"GHZ point {ghz!r} is not (4, 0)")
     return THRESHOLD_LIMITS[bound] / 4.0

@@ -40,48 +40,44 @@ EIGENBASES = {
 #: The 8 outcome triples in canonical order (+1 before -1, party-1 major).
 OUTCOMES = list(itertools.product((+1, -1), repeat=3))
 
+#: Product of the three outcomes of each triple, in OUTCOMES order.
+OUTCOME_SIGNS = np.prod(OUTCOMES, axis=1)
+OUTCOME_SIGNS.setflags(write=False)
+
 #: Settings patterns appearing in the four perfect-correlation identities.
 PATTERNS = ("xxx", "xyy", "yxy", "yyx")
 
 
-def _as_complex_vector(amplitudes) -> np.ndarray:
-    arr = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state of three qubits (or two, for the EPR contrast)."""
+    """Pure state of three qubits: 8 amplitudes."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
-        dim = self.amplitudes.size
-        if dim not in (4, 8):
-            raise ValueError(f"expected 4 or 8 amplitudes, got {dim}")
-        if not np.all(np.isfinite(self.amplitudes)):
+        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        if amps.size != 8:
+            raise ValueError(f"expected a three-qubit state (8 amplitudes), got {amps.size}")
+        if not np.all(np.isfinite(amps)):
             raise ValueError("state has a non-finite amplitude")
-        norm2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
+        norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
-
-    @property
-    def num_qubits(self) -> int:
-        return int(np.log2(self.amplitudes.size))
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state of three qubits as an 8x8 (or 4x4) matrix."""
+    """Mixed state of three qubits as an 8x8 matrix."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] not in (4, 8):
-            raise ValueError(f"expected a 4x4 or 8x8 matrix, got shape {mat.shape}")
+        if mat.shape != (8, 8):
+            raise ValueError("expected a three-qubit state (an 8x8 matrix), "
+                             f"got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix has a non-finite entry")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
@@ -94,10 +90,6 @@ class DensityMatrix:
             raise ValueError("density matrix has a negative eigenvalue")
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
-
-    @property
-    def num_qubits(self) -> int:
-        return int(np.log2(self.entries.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -127,26 +119,6 @@ class Observable:
         return cls(((coeff, settings),))
 
 
-@dataclass(frozen=True)
-class AmplitudeTable:
-    """Amplitudes of a pure state in a per-party sigma_x/sigma_y eigenbasis.
-
-    ``entries[(i, j, k)]`` is the amplitude of the joint eigenvector with
-    outcomes ``i, j, k`` in {+1, -1}, keyed in OUTCOMES order.
-    """
-
-    settings: str
-    entries: dict
-
-    def __post_init__(self):
-        if any(ch not in "xy" for ch in self.settings.lower()):
-            raise ValueError(f"settings must be over {{x, y}}, got {self.settings!r}")
-        object.__setattr__(self, "settings", self.settings.lower())
-        total = sum(abs(a) ** 2 for a in self.entries.values())
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"amplitude table not normalized: {total!r}")
-
-
 def make_ghz() -> StateVector:
     """The three-qubit state (|up,up,up> + |down,down,down>)/sqrt(2)."""
     amps = np.zeros(8, dtype=complex)
@@ -155,9 +127,8 @@ def make_ghz() -> StateVector:
     return StateVector(amps)
 
 
-def maximally_mixed(num_qubits: int = 3) -> DensityMatrix:
-    dim = 2 ** num_qubits
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
+def maximally_mixed() -> DensityMatrix:
+    return DensityMatrix(np.eye(8, dtype=complex) / 8)
 
 
 def observable_matrix(obs: Observable) -> np.ndarray:
@@ -170,13 +141,6 @@ def observable_matrix(obs: Observable) -> np.ndarray:
             term = np.kron(term, PAULI[ch])
         total += coeff * term
     return total
-
-
-def require_three_qubits(state):
-    """The state itself, refused with a one-line message unless it has three qubits."""
-    if state.num_qubits != 3:
-        raise ValueError(f"expected a three-qubit state, got {state.num_qubits} qubits")
-    return state
 
 
 def density_entries(state) -> np.ndarray:
@@ -206,51 +170,43 @@ def eigen_residual(state: StateVector, obs: Observable, eigenvalue: float) -> fl
     return float(np.linalg.norm(mat @ state.amplitudes - eigenvalue * state.amplitudes))
 
 
-def basis_change(settings: str, dim: int) -> np.ndarray:
+def basis_change(settings: str) -> np.ndarray:
     """U: joint x/y eigenvectors, one setting per qubit, as columns in OUTCOMES order."""
     settings = settings.lower()
-    if 2 ** len(settings) != dim or not set(settings) <= set(EIGENBASES):
-        raise ValueError(f"one setting per qubit required (x or y): {settings!r}, dim {dim}")
+    if len(settings) != 3 or not set(settings) <= set(EIGENBASES):
+        raise ValueError(f"one setting per qubit required (x or y): {settings!r}")
     return functools.reduce(np.kron, [EIGENBASES[ch] for ch in settings], np.ones((1, 1)))
 
 
-def amplitude_table(state: StateVector, settings: str) -> AmplitudeTable:
-    """Expand a pure state over a per-party x/y eigenbasis: U^H psi."""
-    amps = basis_change(settings, state.amplitudes.size).conj().T @ state.amplitudes
-    outcomes = itertools.product((+1, -1), repeat=len(settings))
-    return AmplitudeTable(settings, dict(zip(outcomes, amps.tolist())))
+def amplitude_table(state: StateVector, settings: str) -> np.ndarray:
+    """Amplitudes of a pure state in a per-party x/y eigenbasis, U^H psi, in
+    OUTCOMES order."""
+    return basis_change(settings).conj().T @ state.amplitudes
 
 
 def outcome_probabilities(state, settings: str) -> np.ndarray:
     """Joint outcome probabilities in OUTCOMES order: Re diag(U^H rho U)."""
-    rho = density_entries(state)
-    u = basis_change(settings, rho.shape[0])
-    return np.sum(u.conj() * (rho @ u), axis=0).real
+    u = basis_change(settings)
+    return np.sum(u.conj() * (density_entries(state) @ u), axis=0).real
 
 
-def outcome_signs(parties: int = 3) -> np.ndarray:
-    """Product of the outcomes of each joint outcome, in OUTCOMES order."""
-    return np.prod(list(itertools.product((+1, -1), repeat=parties)), axis=1)
-
-
-def signed_probability_sum(table: AmplitudeTable) -> float:
-    """Sum over outcomes of (product of outcomes) * |amplitude|^2."""
-    probs = np.abs(np.fromiter(table.entries.values(), dtype=complex)) ** 2
-    return float(outcome_signs(len(table.settings)) @ probs)
+def signed_probability_sum(amplitudes) -> float:
+    """Sum over outcomes of (product of outcomes) * |amplitude|^2, for the
+    amplitudes of ``amplitude_table``."""
+    return float(OUTCOME_SIGNS @ np.abs(amplitudes) ** 2)
 
 
 def signed_sum_for_state(state, settings: str) -> float:
     """Sum over outcomes of (product of outcomes) * probability."""
-    return float(outcome_signs(len(settings)) @ outcome_probabilities(state, settings))
+    return float(OUTCOME_SIGNS @ outcome_probabilities(state, settings))
 
 
 def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
-    """v * rho + (1 - v) * I/dim."""
+    """v * rho + (1 - v) * I/8."""
     if not 0.0 <= visibility <= 1.0:
         raise VisibilityOutOfRange(f"visibility {visibility!r} outside [0, 1]")
     rho = density_entries(state)
-    dim = rho.shape[0]
-    return DensityMatrix(visibility * rho + (1.0 - visibility) * np.eye(dim) / dim)
+    return DensityMatrix(visibility * rho + (1.0 - visibility) * np.eye(8) / 8)
 
 
 # --- state file format -----------------------------------------------------
@@ -275,7 +231,9 @@ def state_from_json_dict(doc: dict):
         im = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
-    data = re + 1j * im
+    # A non-finite part makes 1j * im warn; the constructors refuse it below.
+    with np.errstate(invalid="ignore"):
+        data = re + 1j * im
     if data.shape == (dim,):
         return StateVector(data)
     if data.shape == (dim, dim):

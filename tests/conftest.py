@@ -4,9 +4,8 @@ import pytest
 from ghzlab import qcore
 
 
-def random_pure_state(rng, num_qubits=3) -> qcore.StateVector:
-    dim = 2 ** num_qubits
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+def random_pure_state(rng) -> qcore.StateVector:
+    raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     return qcore.StateVector(raw / np.linalg.norm(raw))
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 import ghzlab
-from ghzlab import cli, qcore
+from ghzlab import cli, errors, locality, qcore
+
+#: A two-qubit state file; the package reads three-qubit states only.
+PAIR_STATE = json.dumps({"dim": 4, "re": [0.5] * 4, "im": [0.0] * 4})
 
 
 def run(capsys, argv):
@@ -47,12 +51,12 @@ class TestVerify:
 
     def test_two_qubit_state_file(self, capsys, tmp_path):
         path = tmp_path / "pair.json"
-        qcore.save_state(qcore.StateVector(np.ones(4) / 2.0), path)
+        path.write_text(PAIR_STATE)
         code = cli.main(["verify", "--state", str(path)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: expected a three-qubit state, got 2 qubits\n"
+        assert captured.err == "error: expected a three-qubit state (8 amplitudes), got 4\n"
 
 
 class TestContradiction:
@@ -153,7 +157,7 @@ class TestClassify:
 
     def test_two_qubit_state_file(self, capsys, tmp_path):
         path = tmp_path / "pair.json"
-        qcore.save_state(qcore.StateVector(np.ones(4) / 2.0), path)
+        path.write_text(PAIR_STATE)
         code = cli.main(["classify", "--state", str(path)])
         captured = capsys.readouterr()
         assert code == 2
@@ -180,9 +184,24 @@ NAN_MIXED = json.dumps({"dim": 8, "re": (np.eye(8) / 8.0).tolist(),
                         "im": np.zeros((8, 8)).tolist()}).replace("0.125", "NaN", 1)
 
 
+def _infinite_state_doc(mixed: bool, part: str, value: float) -> str:
+    """A maximally mixed (or GHZ) state file with ``value`` as the first entry
+    of ``part``; json writes it as the token Infinity or -Infinity."""
+    arrays = {"re": np.eye(8) / 8.0 if mixed else qcore.make_ghz().amplitudes.real.copy()}
+    arrays["im"] = np.zeros_like(arrays["re"])
+    arrays[part].flat[0] = value
+    return json.dumps({"dim": 8, **{k: v.tolist() for k, v in arrays.items()}})
+
+
+# Warnings are errors in the suite, so numpy warning on 1j * inf fails these.
+NON_FINITE_DOCS = {"pure": NAN_PURE, "mixed": NAN_MIXED, **{
+    f"{kind}-{part}-{sign}inf": _infinite_state_doc(kind == "mixed", part, float(f"{sign}inf"))
+    for kind in ("pure", "mixed") for part in ("re", "im") for sign in ("", "-")}}
+
+
 @pytest.mark.parametrize("command", ["verify", "classify"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("doc", [NAN_PURE, NAN_MIXED], ids=["pure", "mixed"])
+@pytest.mark.parametrize("doc", list(NON_FINITE_DOCS.values()), ids=list(NON_FINITE_DOCS))
 def test_non_finite_state_file_is_refused(capsys, tmp_path, command, fmt, doc):
     path = tmp_path / "nan.json"
     path.write_text(doc)
@@ -192,6 +211,34 @@ def test_non_finite_state_file_is_refused(capsys, tmp_path, command, fmt, doc):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "non-finite" in captured.err
+
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(cls, errors.GhzlabError)]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_each_error_class_exits_with_its_code(self, capsys, monkeypatch, cls):
+        def fail(args):
+            raise cls("something went wrong")
+
+        monkeypatch.setattr(cli, "cmd_threshold", fail)
+        code = cli.main(["threshold", "--bound", "locality"])
+        captured = capsys.readouterr()
+        assert code == (1 if cls is errors.SelfCheckFailed else 2)
+        assert code == cls.exit_code
+        assert captured.out == ""
+        assert captured.err == "error: something went wrong\n"
+
+    def test_failed_self_check_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(locality, "_hr_satisfied_count", lambda bars, tol: 0)
+        code = cli.main(["contradiction"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
 
 class TestThreshold:

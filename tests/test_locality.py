@@ -256,20 +256,6 @@ class TestCorrelationTable:
     def test_mermin_value_of_ghz(self):
         assert locality.table_mermin_value(ghz_correlation_table()) == pytest.approx(4.0, abs=1e-12)
 
-    def test_json_roundtrip(self, tmp_path):
-        table = ghz_correlation_table()
-        path = tmp_path / "table.json"
-        table.save(path)
-        loaded = CorrelationTable.load(path)
-        for pattern in qcore.PATTERNS:
-            np.testing.assert_allclose(loaded.blocks[pattern], table.blocks[pattern], atol=1e-15)
-
-    def test_json_outcome_order(self, tmp_path):
-        doc = ghz_correlation_table().to_json_dict()
-        # (+++, ++-, +-+, +--, -++, -+-, --+, ---)
-        assert doc["blocks"]["xxx"][0] == pytest.approx(0.25)
-        assert doc["blocks"]["xxx"][1] == pytest.approx(0.0)
-
     def test_malformed_blocks(self):
         with pytest.raises(MalformedTable):
             CorrelationTable({p: np.full(8, 0.25) for p in qcore.PATTERNS})

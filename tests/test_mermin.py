@@ -115,12 +115,13 @@ class TestEvaluatePoint:
         assert abs(point.m_value - qcore.expectation(state, pair.m)) <= 1e-12
         assert abs(point.mprime_value - qcore.expectation(state, pair.mprime)) <= 1e-12
 
-    @pytest.mark.parametrize("state", [
-        qcore.StateVector(np.ones(4) / 2.0), qcore.maximally_mixed(2),
+    @pytest.mark.parametrize("build,entries", [
+        (qcore.StateVector, np.ones(4) / 2.0), (qcore.DensityMatrix, np.eye(4) / 4.0),
     ], ids=["pure", "mixed"])
-    def test_rejects_two_qubit_state(self, state):
-        with pytest.raises(ValueError, match="three-qubit"):
-            mermin.evaluate_point(state)
+    def test_rejects_two_qubit_state(self, build, entries):
+        # A two-qubit state cannot reach evaluate_point: the constructors refuse it.
+        with pytest.raises(ValueError, match="^expected a three-qubit state"):
+            build(entries)
 
 
 class TestReport:

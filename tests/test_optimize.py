@@ -98,11 +98,6 @@ class TestQuantum:
         result = optimize.max_quantum_radius(FAST_RESTARTS, seed=11)
         assert result.best_value == pytest.approx(16.0, abs=1e-6)
 
-    def test_ghz_warm_start_is_already_optimal(self):
-        result = optimize.max_quantum_radius(restarts=1, seed=11,
-                                             warm_start=qcore.make_ghz())
-        assert result.best_value == pytest.approx(16.0, abs=1e-9)
-
     def test_eigensolve_oracle_certifies_16(self):
         assert optimize.quantum_radius_eigen_oracle() == pytest.approx(16.0, abs=1e-9)
 
