@@ -200,13 +200,12 @@ def cmd_figure1(args) -> int:
         for m_val, mp_val in points:
             rows.append((name, float(m_val), float(mp_val)))
     if args.format == "json":
-        payload = [{"curve": n, "m": m, "mprime": mp} for n, m, mp in rows]
-        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-              args.out)
+        text = _render([{"curve": n, "m": m, "mprime": mp} for n, m, mp in rows], "json")
     else:
         lines = ["curve,m,mprime"]
         lines.extend(f"{n},{_fmt(m)},{_fmt(mp)}" for n, m, mp in rows)
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -35,11 +35,12 @@ class SelfCheckFailed(GhzlabError):
     """An internal self-check failed: the code, not the input, is wrong.
 
     Raised when M + iM' = 8|000><111| fails on the operator matrices, when
-    a state the closed form predicts (a maximizer built from a seeded start,
-    or the GHZ point behind the noise thresholds) misses its value by more
-    than 1e-12, when the parity identity or an analytic witness of
-    ``locality`` fails its own check, or when the membership LP does not
-    solve. The CLI exits with code 1.
+    a quarter turn of one qubit does not map M -> M' -> -M (or a cut's pair
+    operators A -> -B -> -A) exactly, when a state the closed form predicts
+    (a maximizer built from a seeded start, or the GHZ point behind the
+    noise thresholds) misses its value by more than 1e-12, when the parity
+    identity or an analytic witness of ``locality`` fails its own check, or
+    when the membership LP does not solve. The CLI exits with code 1.
     """
 
     exit_code = 1

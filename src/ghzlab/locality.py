@@ -37,6 +37,9 @@ CONSTRAINT_TARGETS = (+1, -1, -1, -1)
 SIGNS = np.array(list(itertools.product((+1, -1), repeat=6))).reshape(64, 3, 2)
 SIGNS.setflags(write=False)
 
+#: Largest LP slack max |A w - b| at which a table counts as inside.
+MEMBERSHIP_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Cause:
@@ -244,11 +247,13 @@ def hr_constrained_satisfiability(tolerance: float = 1e-6):
 
 
 def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float:
-    """Numeric cross-check: best-effort joint violation of two constraints.
+    """Numeric cross-check: least joint violation of two constraints.
 
-    Minimizes the summed squared violation of the two constraints over
-    per-party discs via seeded random-restart coordinate descent. A
-    result well above zero certifies the pair cannot be met jointly.
+    Minimizes the summed squared violation over per-party discs by
+    seeded random-restart coordinate descent. The exact minimum is 1/2:
+    one party reads the same setting in both patterns and the other two
+    opposite ones, so Cauchy-Schwarz gives |T1| + |T2| <= 1 for the triple
+    products, nearest to the targets (t1, t2) in {+-1}^2 at (t1, t2)/2.
     """
     targets = np.take(CONSTRAINT_TARGETS, pair)
     patterns = [PATTERNS[n] for n in pair]
@@ -354,11 +359,11 @@ def _strategy_matrix() -> np.ndarray:
     return mat
 
 
-def polytope_membership(table: CorrelationTable, tol: float = 1e-9) -> Membership:
+def polytope_membership(table: CorrelationTable) -> Membership:
     """Decide whether a table is a mixture of deterministic strategies.
 
-    Solves min t subject to |A w - b|_inf <= t, w >= 0, sum w = 1, where
-    the columns of A are the 64 strategy tables. Inside iff t <= tol.
+    Solves min t subject to |A w - b|_inf <= t, w >= 0, sum w = 1, with
+    the 64 strategy tables as the columns of A. Inside iff t <= MEMBERSHIP_TOL.
     """
     a_mat = _strategy_matrix()
     b_vec = _table_vector(table)
@@ -378,6 +383,6 @@ def polytope_membership(table: CorrelationTable, tol: float = 1e-9) -> Membershi
     if not result.success:
         raise SelfCheckFailed(f"LP solver failed: {result.message}")
     residual = float(result.x[-1])
-    if residual <= tol:
+    if residual <= MEMBERSHIP_TOL:
         return Membership(True, result.x[:n].copy(), residual)
     return Membership(False, None, residual)

@@ -15,7 +15,7 @@ on the equator, a pair in (e^{ia}|00> + e^{ib}|11>)/sqrt(2), or the state
 step onto the maximizer with its own phases; the value is returned only
 after the identity holds exactly on the operator matrices and every such
 witness reaches it within 1e-12. The eigensolve oracles are independent
-references for the biseparable and quantum maxima.
+references: an exact quarter-turn check, then one eigensolve (one per cut).
 """
 from __future__ import annotations
 
@@ -30,6 +30,9 @@ from .qcore import StateVector, make_ghz, observable_matrix
 DEFAULT_RESTARTS = 32
 DEFAULT_SEED = 42
 WITNESS_TOL = 1e-12
+#: diag(1, i) on qubit 3 of three, and on the first qubit of a pair.
+QUBIT3_TURN = np.tile([1, 1j], 4)
+PAIR_TURN = np.repeat([1, 1j], 2)
 #: Limit of each noise-threshold bound: peak |<M>|, |<M'>| and radius.
 THRESHOLD_LIMITS = {"locality": 2.0, "quantum_locality": 1.0}
 
@@ -61,6 +64,22 @@ def _seeded_rng(restarts: int, seed: int):
 def _mermin_matrices():
     pair = mermin.make_mermin_pair()
     return observable_matrix(pair.m), observable_matrix(pair.mprime)
+
+
+def _check_quarter_turn(first, second, phases) -> None:
+    """Check that conjugating by diag(phases) maps first -> second -> -first.
+
+    U_a = diag(1, e^{ia}) on one qubit multiplies the qubit's off-diagonal
+    blocks by e^{+-ia}. The first step (a = pi/2) says ``second`` is
+    ``first`` with those blocks times +-i; the second rules out any block of
+    ``first`` diagonal on the qubit. So cos(a) first + sin(a) second =
+    U_a first U_a^H for every a. Entries are 0, +-1 and +-i: exact.
+    """
+    turn = np.outer(phases, np.conj(phases))
+    if not (np.array_equal(first * turn, second)
+            and np.array_equal(second * turn, -first)):
+        raise SelfCheckFailed("quarter turn does not rotate the operator pair; "
+                              "operator code corrupt")
 
 
 def _certify(model_class: str, value: float, witnesses) -> float:
@@ -173,17 +192,18 @@ def max_quantum_local_radius(restarts: int = DEFAULT_RESTARTS,
     )
 
 
-def biseparable_radius_eigen_oracle(sweep: int = 720) -> float:
+def biseparable_radius_eigen_oracle() -> float:
     """Exact biseparable maximum of <M>^2 + <M'>^2 by eigensolve.
 
-    Because cos(phi) M + sin(phi) M' is a qubit-3 local rotation of M,
-    the biseparable radius maximum is the square of the biseparable
-    maximum of <M> itself. For a cut that maximum is
-    max over alpha of lambda_max(cos(alpha) A + sin(alpha) B) with
-    M = X_cut (x) A + Y_cut (x) B, swept over a fine angle grid. All
-    three cuts give 2, so the certified radius maximum is 4 -- strictly
-    below the class-membership bound 8, which is therefore not tight.
+    The qubit-3 quarter turn makes cos(phi) M + sin(phi) M' a local
+    rotation of M, so the radius maximum is the square of the biseparable
+    maximum of <M>: for a cut, with M = X_cut (x) A + Y_cut (x) B, the
+    largest lambda_max(cos(a) A + sin(a) B). The quarter turn A -> -B -> -A
+    on the pair's first qubit makes each a rotation of A. All three cuts
+    give lambda_max(A) = 2, so the radius maximum is 4 -- strictly below
+    the class-membership bound 8, which is therefore not tight.
     """
+    _check_quarter_turn(*_mermin_matrices(), QUBIT3_TURN)
     best = -np.inf
     for cut in range(3):
         a_mat = np.zeros((4, 4), dtype=complex)
@@ -192,11 +212,8 @@ def biseparable_radius_eigen_oracle(sweep: int = 720) -> float:
             factors = [qcore.PAULI[settings[p]] for p in range(3) if p != cut]
             target = a_mat if settings[cut] == "X" else b_mat
             target += coeff * np.kron(factors[0], factors[1])
-        for alpha in np.linspace(0.0, 2.0 * np.pi, sweep, endpoint=False):
-            top = np.linalg.eigvalsh(
-                np.cos(alpha) * a_mat + np.sin(alpha) * b_mat
-            )[-1]
-            best = max(best, float(top) ** 2)
+        _check_quarter_turn(a_mat, -b_mat, PAIR_TURN)
+        best = max(best, float(np.linalg.eigvalsh(a_mat)[-1]) ** 2)
     return best
 
 
@@ -244,21 +261,18 @@ def operator_square_sum_top_eigenvalue() -> float:
     return float(np.linalg.eigvalsh(m_mat @ m_mat + mp_mat @ mp_mat)[-1])
 
 
-def quantum_radius_eigen_oracle(sweep: int = 720) -> float:
+def quantum_radius_eigen_oracle() -> float:
     """Independent eigensolve certificate of the quantum radius maximum.
 
     By duality, max over states of <M>^2 + <M'>^2 equals the max over
-    phi of lambda_max(cos(phi) M + sin(phi) M')^2. Rotating the qubit-3
-    Pauli frame shows every such combination is unitarily equivalent to
-    M itself, so the swept top eigenvalue is constant at 4 and the
-    certified radius maximum is 16.
+    phi of lambda_max(cos(phi) M + sin(phi) M')^2. The qubit-3 quarter
+    turn M -> M' -> -M, checked exactly, makes every such combination a
+    rotation of M itself, so one eigensolve gives the maximum:
+    lambda_max(M)^2 = 16.
     """
     m_mat, mp_mat = _mermin_matrices()
-    best = -np.inf
-    for phi in np.linspace(0.0, 2.0 * np.pi, sweep, endpoint=False):
-        top = np.linalg.eigvalsh(np.cos(phi) * m_mat + np.sin(phi) * mp_mat)[-1]
-        best = max(best, float(top) ** 2)
-    return best
+    _check_quarter_turn(m_mat, mp_mat, QUBIT3_TURN)
+    return float(np.linalg.eigvalsh(m_mat)[-1]) ** 2
 
 
 def max_quantum_radius(restarts: int = DEFAULT_RESTARTS,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,30 +216,28 @@ def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
 # Mixed state:   {"dim": 8, "re": [[...]], "im": [[...]]}
 
 def state_to_json_dict(state) -> dict:
-    if isinstance(state, StateVector):
-        arr = state.amplitudes
-        return {"dim": arr.size, "re": arr.real.tolist(), "im": arr.imag.tolist()}
-    if isinstance(state, DensityMatrix):
-        mat = state.entries
-        return {"dim": mat.shape[0], "re": mat.real.tolist(), "im": mat.imag.tolist()}
-    raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)}")
+    arr = state.amplitudes if isinstance(state, StateVector) else density_entries(state)
+    return {"dim": arr.shape[0], "re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
 def state_from_json_dict(doc: dict):
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
+    if re.shape != im.shape:
+        raise ValueError(f"state arrays re and im differ in shape: {re.shape} and {im.shape}")
+    # A JSON number only: no string, no boolean, and no rounding of 8.7.
+    is_number = isinstance(dim, numbers.Real) and not isinstance(dim, bool)
+    if not is_number or re.shape not in ((dim,), (dim, dim)):
+        raise ValueError(f"state arrays have shape {re.shape}, "
+                         f"expected ({dim!r},) or ({dim!r}, {dim!r})")
     # A non-finite part makes 1j * im warn; the constructors refuse it below.
     with np.errstate(invalid="ignore"):
         data = re + 1j * im
-    if data.shape == (dim,):
-        return StateVector(data)
-    if data.shape == (dim, dim):
-        return DensityMatrix(data)
-    raise ValueError(f"state arrays have shape {data.shape}, expected ({dim},) or ({dim}, {dim})")
+    return StateVector(data) if data.ndim == 1 else DensityMatrix(data)
 
 
 def save_state(state, path) -> None:

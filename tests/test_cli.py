@@ -1,4 +1,8 @@
+import contextlib
+import csv
+import datetime
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -7,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ghzlab
 from ghzlab import cli, errors, locality, qcore
@@ -213,6 +218,47 @@ def test_non_finite_state_file_is_refused(capsys, tmp_path, command, fmt, doc):
     assert captured.err.startswith("error: ") and "non-finite" in captured.err
 
 
+_GHZ_RE = qcore.make_ghz().amplitudes.real.tolist()
+#: State files whose arrays or dim do not describe one state: numpy would
+#: broadcast re against im, and int() would round or parse dim.
+MISSHAPED_DOCS = {
+    "im-8x8": json.dumps({"dim": 8, "re": [0.125] * 8, "im": np.zeros((8, 8)).tolist()}),
+    "im-scalar": json.dumps({"dim": 8, "re": _GHZ_RE, "im": 0}),
+    "dim-8.7": json.dumps({"dim": 8.7, "re": _GHZ_RE, "im": [0.0] * 8}),
+    "dim-string": json.dumps({"dim": "8", "re": _GHZ_RE, "im": [0.0] * 8}),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("doc", list(MISSHAPED_DOCS.values()), ids=list(MISSHAPED_DOCS))
+def test_misshaped_state_file_is_refused(capsys, tmp_path, command, fmt, doc):
+    path = tmp_path / "state.json"
+    path.write_text(doc)
+    code = cli.main([command, "--state", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: state arrays ")
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("state", [qcore.make_ghz(), qcore.maximally_mixed()],
+                         ids=["pure", "mixed"])
+def test_negative_zero_imaginary_parts_read_as_zero(tmp_path, command, state):
+    doc = qcore.state_to_json_dict(state)
+    outputs = []
+    for sign in (1.0, -1.0):
+        doc["im"] = (sign * np.zeros(np.shape(doc["re"]))).tolist()
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, "--state", str(path), "--out", str(tmp_path / "o")]) == 0
+        outputs.append((tmp_path / "o").read_bytes())
+    assert "-0.0" in path.read_text()
+    assert outputs[0] == outputs[1]
+
+
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                  if issubclass(cls, errors.GhzlabError)]
 
@@ -400,3 +446,116 @@ class TestOutputFile:
         value = line.split(",")[1]
         assert "," not in value
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+# --- bounded fuzz of the whole command line ---------------------------------
+
+FUZZ_COMMON_FLAGS = ("--seed", "--restarts", "--tol", "--format", "--out")
+FUZZ_COMMAND_FLAGS = {
+    "verify": ("--state",),
+    "contradiction": ("--mode",),
+    "bounds": ("--class",),
+    "figure1": ("--samples", "--points"),
+    "classify": ("--state", "--noise"),
+    "threshold": ("--bound",),
+}
+FUZZ_UNKNOWN_FLAGS = ("--bogus", "--trace", "-x")
+#: A valid start per command, so that many drawn lines get past argparse.
+FUZZ_BASES = {
+    "verify": [], "contradiction": [], "bounds": ["--class", "quantum"],
+    "figure1": ["--samples", "8", "--points", "2"], "classify": ["--noise", "0.5"],
+    "threshold": ["--bound", "locality"],
+}
+FUZZ_VALUES = ("nan", "inf", "-inf", "-0", "1e308", str(2 ** 63), str(-2 ** 63), "", "abc")
+#: Values each flag accepts (count flags: at most 100).
+FUZZ_GOOD_VALUES = {
+    "--seed": ("0", "7", "-0"), "--restarts": ("1", "3", "100"),
+    "--samples": ("8", "16", "100"), "--points": ("1", "5", "100"),
+    "--format": ("json", "csv"), "--mode": ("ghz", "epr"),
+    "--class": tuple(cli._BOUND_RUNNERS), "--bound": ("locality", "quantum_locality"),
+    "--noise": ("0", "0.3", "1", "-0"), "--tol": ("1e-6", "0.5", "1e-20"),
+    "--out": ("replaced by the test",),
+}
+#: State files for --state: valid ones and each kind the reader must refuse.
+FUZZ_STATE_DOCS = {
+    "ghz": json.dumps(qcore.state_to_json_dict(qcore.make_ghz())),
+    "mixed": json.dumps(qcore.state_to_json_dict(qcore.maximally_mixed())),
+    "negative-zero": json.dumps({"dim": 8, "re": _GHZ_RE, "im": [-0.0] * 8}),
+    "two-qubit": PAIR_STATE,
+    "not-json": "{not json",
+    **MISSHAPED_DOCS,
+    **{f"non-finite-{name}": doc for name, doc in NON_FINITE_DOCS.items()},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command line. The test reads the value after --state as a name in
+    FUZZ_STATE_DOCS (or "missing") and replaces the value after --out with a
+    path in its temporary directory."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMAND_FLAGS)))
+    argv = [command] + (FUZZ_BASES[command] if draw(st.integers(0, 3)) else [])
+    flags = FUZZ_COMMAND_FLAGS[command] + FUZZ_COMMON_FLAGS
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        if flag == "--state":
+            argv += [flag, draw(st.sampled_from(sorted(FUZZ_STATE_DOCS) + ["missing"]))]
+            continue
+        kind = draw(st.sampled_from(("good", "good", "int", "adversarial")))
+        argv += [flag, draw(st.sampled_from(FUZZ_GOOD_VALUES[flag]) if kind == "good"
+                            else st.integers(-2, 100).map(str) if kind == "int"
+                            else st.sampled_from(FUZZ_VALUES))]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(FUZZ_UNKNOWN_FLAGS)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, doc in FUZZ_STATE_DOCS.items():
+        (root / f"{name}.json").write_text(doc)
+    return root
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-finite token {token} in JSON output")
+
+
+@settings(derandomize=True, database=None, max_examples=200,
+          deadline=datetime.timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=fuzz_argv())
+def test_fuzzed_command_line_ends_cleanly(fuzz_dir, argv):
+    out_path = fuzz_dir / "out.txt"
+    out_path.unlink(missing_ok=True)
+    argv = [str(fuzz_dir / f"{v}.json") if prev == "--state" else
+            str(out_path) if prev == "--out" else v
+            for prev, v in zip([None] + argv, argv)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+            usage_error = False
+        except SystemExit as exc:  # argparse: usage line(s), then the error
+            code, usage_error = exc.code, True
+    assert code in (0, 1, 2)
+    err_lines = stderr.getvalue().splitlines()
+    if code != 0:
+        assert stdout.getvalue() == ""
+        if usage_error:
+            assert sum("error:" in line for line in err_lines) == 1
+            assert "error:" in err_lines[-1]
+        else:
+            assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+        return
+    assert err_lines == []
+    if out_path.exists():
+        assert stdout.getvalue() == ""
+    text = out_path.read_text() if out_path.exists() else stdout.getvalue()
+    assert text.endswith("\n")
+    if text.startswith(("{", "[")):
+        json.loads(text, parse_constant=_refuse_constant)
+    else:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] in (["key", "value"], ["curve", "m", "mprime"])
+        assert all(len(row) == len(rows[0]) for row in rows)

@@ -195,8 +195,10 @@ class TestHrConstrained:
 
     @pytest.mark.parametrize("pair", list(itertools.combinations(range(4), 2)))
     def test_numeric_cross_check_no_pair_is_jointly_satisfiable(self, pair):
+        # Exact minimum 1/2: |T1| + |T2| <= 1 by Cauchy-Schwarz, nearest
+        # point (t1, t2)/2 (see hr_pair_violation_minimum).
         gap = locality.hr_pair_violation_minimum(pair, restarts=8, seed=7)
-        assert gap > 0.1
+        assert gap == pytest.approx(0.5, abs=1e-9)
 
 
 class TestEprContrast:

@@ -33,7 +33,7 @@ class TestPairStructure:
 
     def test_square_sum_top_eigenvalue_is_32(self):
         # The naive operator bound <M^2 + M'^2> reaches 32 on GHZ; the
-        # radius maximum 16 needs the rotation-sweep argument instead.
+        # radius maximum 16 needs the quarter-turn rotation argument instead.
         m_mat, mp_mat = pair_matrices()
         top = np.linalg.eigvalsh(m_mat @ m_mat + mp_mat @ mp_mat)[-1]
         assert top == pytest.approx(32.0, abs=1e-9)

@@ -1,9 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from ghzlab import locality, mermin, optimize, qcore
+from ghzlab import errors, locality, mermin, optimize, qcore
 
 # Small restart budgets keep the suite fast; the landscapes here are
 # benign enough that even a handful of restarts hits the optimum.
@@ -109,6 +110,88 @@ class TestQuantum:
         psi = qcore.StateVector(
             np.asarray(result.argmax["state_re"]) + 1j * np.asarray(result.argmax["state_im"]))
         assert mermin.evaluate_point(psi).radius_squared == pytest.approx(16.0, abs=1e-6)
+
+
+def qubit_turn(qubit: int) -> np.ndarray:
+    """diag(1, i) on ``qubit`` (0-based, qubit 1 most significant) of three."""
+    factors = [[1, 1j] if q == qubit else [1, 1] for q in range(3)]
+    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+
+def cut_operators(cut: int):
+    """(A, B) with M = X_cut (x) A + Y_cut (x) B, as half partial traces of M
+    against X and Y on qubit ``cut``."""
+    m_mat = optimize._mermin_matrices()[0].reshape((2,) * 6)
+    m_mat = np.moveaxis(m_mat, (cut, 3 + cut), (0, 1))
+    return [np.einsum("ij,ji...->...", qcore.PAULI[p], m_mat).reshape(4, 4) / 2.0
+            for p in "XY"]
+
+
+def conjugate(mat, phases):
+    """U mat U^H for U = diag(phases)."""
+    u = np.diag(phases)
+    return u @ mat @ u.conj().T
+
+
+class TestQuarterTurnCertificates:
+    @pytest.mark.parametrize("qubit", range(3))
+    def test_quarter_turn_maps_pair_on_every_qubit(self, qubit):
+        # M is symmetric under qubit permutations, so any qubit turns M into M'.
+        m_mat, mp_mat = optimize._mermin_matrices()
+        phases = qubit_turn(qubit)
+        assert np.array_equal(conjugate(m_mat, phases), mp_mat)
+        assert np.array_equal(conjugate(mp_mat, phases), -m_mat)
+        optimize._check_quarter_turn(m_mat, mp_mat, phases)
+
+    @pytest.mark.parametrize("cut", range(3))
+    def test_quarter_turn_maps_cut_operators(self, cut):
+        a_mat, b_mat = cut_operators(cut)
+        phases = np.repeat([1, 1j], 2)
+        assert np.array_equal(conjugate(a_mat, phases), -b_mat)
+        assert np.array_equal(conjugate(-b_mat, phases), -a_mat)
+        optimize._check_quarter_turn(a_mat, -b_mat, phases)
+
+    def test_rotation_identity_at_sampled_angles(self):
+        m_mat, mp_mat = optimize._mermin_matrices()
+        for a in np.linspace(0.0, 2.0 * np.pi, 13):
+            rotated = conjugate(m_mat, np.tile([1, np.exp(1j * a)], 4))
+            np.testing.assert_allclose(rotated, np.cos(a) * m_mat + np.sin(a) * mp_mat,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("oracle", [optimize.quantum_radius_eigen_oracle,
+                                        optimize.biseparable_radius_eigen_oracle])
+    def test_part_diagonal_on_qubit3_is_refused(self, monkeypatch, oracle):
+        # I(x)I(x)Z is unchanged by the qubit-3 turn, so M + IIZ -> M' + IIZ
+        # passes the first step; only the second (M' -> -M) catches it.
+        m_mat, mp_mat = optimize._mermin_matrices()
+        iiz = np.diag(np.tile([1.0, -1.0], 4)).astype(complex)
+        assert np.array_equal(conjugate(m_mat + iiz, qubit_turn(2)), mp_mat + iiz)
+        monkeypatch.setattr(optimize, "_mermin_matrices",
+                            lambda: (m_mat + iiz, mp_mat + iiz))
+        with pytest.raises(errors.SelfCheckFailed, match="quarter turn"):
+            oracle()
+
+    def test_wrong_second_operator_is_refused(self):
+        m_mat, mp_mat = optimize._mermin_matrices()
+        with pytest.raises(errors.SelfCheckFailed):
+            optimize._check_quarter_turn(m_mat, -mp_mat, qubit_turn(2))
+
+    @pytest.mark.parametrize("oracle,value,eigensolves", [
+        (optimize.quantum_radius_eigen_oracle, 16.0, 1),
+        (optimize.biseparable_radius_eigen_oracle, 4.0, 3),
+    ], ids=["quantum", "biseparable"])
+    def test_oracle_value_and_work(self, monkeypatch, oracle, value, eigensolves):
+        assert inspect.signature(oracle).parameters == {}
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return eigvalsh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert oracle() == pytest.approx(value, abs=1e-12)
+        assert len(calls) == eigensolves
 
 
 class TestNesting:

@@ -298,3 +298,22 @@ class TestStateFiles:
         path.write_text('{"dim": 8, "re": [1, 2]}')
         with pytest.raises(ValueError):
             qcore.load_state(path)
+
+    @pytest.mark.parametrize("dim", [8.7, "8", True, None, float("nan")])
+    def test_dim_must_be_the_number_of_amplitudes(self, dim):
+        doc = qcore.state_to_json_dict(qcore.make_ghz())
+        doc["dim"] = dim
+        with pytest.raises(ValueError, match="state arrays have shape"):
+            qcore.state_from_json_dict(doc)
+
+    def test_integral_float_dim_is_accepted(self):
+        doc = qcore.state_to_json_dict(qcore.make_ghz())
+        doc["dim"] = 8.0
+        assert isinstance(qcore.state_from_json_dict(doc), StateVector)
+
+    @pytest.mark.parametrize("im", [0.0, np.zeros((8, 8)).tolist(), [0.0] * 7])
+    def test_re_and_im_must_share_a_shape(self, im):
+        doc = qcore.state_to_json_dict(qcore.make_ghz())
+        doc["im"] = im
+        with pytest.raises(ValueError, match="differ in shape"):
+            qcore.state_from_json_dict(doc)
