@@ -40,7 +40,7 @@ class SelfCheckFailed(GhzlabError):
     (a maximizer built from a seeded start, or the GHZ point behind the
     noise thresholds) misses its value by more than 1e-12, when the parity
     identity or an analytic witness of ``locality`` fails its own check, or
-    when the membership LP does not solve. The CLI exits with code 1.
+    when the membership search runs out of pivots. The CLI exits with code 1.
     """
 
     exit_code = 1

@@ -248,4 +248,7 @@ def save_state(state, path) -> None:
 
 def load_state(path):
     with open(path) as fh:
-        return state_from_json_dict(json.load(fh))
+        try:
+            return state_from_json_dict(json.load(fh))
+        except RecursionError as exc:  # arrays nested deeper than the parser goes
+            raise ValueError(f"malformed state document: {exc}") from exc

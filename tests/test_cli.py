@@ -243,6 +243,28 @@ def test_misshaped_state_file_is_refused(capsys, tmp_path, command, fmt, doc):
     assert captured.err.startswith("error: state arrays ")
 
 
+#: State files nested deeper than the JSON parser recurses.
+DEEP_DOCS = {
+    "deep-array": "[" * 100_000 + "]" * 100_000,
+    "deep-re": json.dumps({"dim": 8, "re": None, "im": [0.0] * 8}).replace(
+        "null", "[" * 3_000 + "]" * 3_000),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("doc", list(DEEP_DOCS.values()), ids=list(DEEP_DOCS))
+def test_deeply_nested_state_file_is_refused(capsys, tmp_path, command, fmt, doc):
+    path = tmp_path / "state.json"
+    path.write_text(doc)
+    code = cli.main([command, "--state", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: malformed state document")
+
+
 @pytest.mark.parametrize("command", ["verify", "classify"])
 @pytest.mark.parametrize("state", [qcore.make_ghz(), qcore.maximally_mixed()],
                          ids=["pure", "mixed"])
@@ -433,6 +455,22 @@ def test_module_entry_point_warns_nothing():
     assert json.loads(proc.stdout)["visibility"] == 0.5
 
 
+def test_scipy_is_never_imported():
+    # Membership is plain numpy; a stray scipy import costs every process.
+    code = ("import contextlib, io, json, sys\n"
+            "import ghzlab.cli\n"
+            "def scipy(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "after_import = scipy()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ghzlab.cli.main(['verify'])\n"
+            "print(json.dumps([code, after_import, scipy()]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ghzlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0, [], []]
+
+
 class TestOutputFile:
     def test_out_flag_writes_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -484,6 +522,7 @@ FUZZ_STATE_DOCS = {
     "two-qubit": PAIR_STATE,
     "not-json": "{not json",
     **MISSHAPED_DOCS,
+    **DEEP_DOCS,
     **{f"non-finite-{name}": doc for name, doc in NON_FINITE_DOCS.items()},
 }
 

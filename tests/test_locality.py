@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ghzlab import locality, mermin, optimize, qcore
-from ghzlab.errors import MalformedTable, ToleranceOutOfRange
+from ghzlab.errors import MalformedTable, SelfCheckFailed, ToleranceOutOfRange
 from ghzlab.locality import (
     Cause,
     CorrelationTable,
@@ -18,6 +18,8 @@ from ghzlab.locality import (
     polytope_membership,
     strategy_to_model,
 )
+
+from conftest import random_pure_state
 
 
 def uniform_model():
@@ -392,3 +394,86 @@ class TestOneCorrelatorPath:
         strategy = tuple(map(tuple, result.argmax["strategy"]))
         assert result.best_value == value(strategy)
         assert result.best_value == max(value(s) for s in enumerate_strategies())
+
+
+# --- the nearest-point membership search ------------------------------------
+
+def noisy_ghz_table(visibility):
+    """v GHZ + (1 - v) white noise; <M> = 4v against the local bound 2."""
+    blocks = ghz_correlation_table().blocks
+    return CorrelationTable({p: visibility * b + (1.0 - visibility) / 8.0
+                             for p, b in blocks.items()})
+
+
+def haar_table(rng):
+    state = random_pure_state(rng)
+    return CorrelationTable({p: qcore.outcome_probabilities(state, p) for p in qcore.PATTERNS})
+
+
+def assert_inside_certified(table, result):
+    """The returned weights are a local model within MEMBERSHIP_TOL of the table."""
+    b_vec = locality._table_vector(table)
+    assert result.inside
+    assert np.all(result.weights >= 0)
+    assert result.max_residual == np.max(np.abs(locality._strategy_matrix() @ result.weights - b_vec))
+    assert result.max_residual <= locality.MEMBERSHIP_TOL
+
+
+def assert_outside_certified(table, result):
+    """r = b - A w at the nearest point separates the table from all 64 strategies:
+    A_j^T r <= 0 on every strategy column, b^T r > 0 on the table."""
+    a_mat, b_vec = locality._strategy_matrix(), locality._table_vector(table)
+    w, r = locality._nearest_point(b_vec)
+    assert not result.inside and result.weights is None
+    assert np.all(w >= 0)
+    np.testing.assert_array_equal(r, b_vec - a_mat @ w)
+    assert result.max_residual == np.max(np.abs(r)) > 1e-4
+    assert np.max(a_mat.T @ r) <= 1e-12 < b_vec @ r
+
+
+class TestNearestPoint:
+    @pytest.mark.parametrize("excess", [1e-7, 1e-6])
+    def test_just_above_the_mermin_bound_is_outside(self, excess):
+        table = noisy_ghz_table(0.5 + excess)
+        assert locality.table_mermin_value(table) > 2.0
+        result = polytope_membership(table)
+        assert not result.inside
+        assert result.weights is None and result.max_residual > locality.MEMBERSHIP_TOL
+
+    @given(local_models())
+    def test_local_models_are_inside_with_their_weights(self, model):
+        table = model_to_table(model)
+        assert_inside_certified(table, polytope_membership(table))
+
+    def test_noisy_ghz_grid_is_certified_either_way(self):
+        for visibility in [*np.linspace(0.0, 1.0, 101), 0.5 - 1e-6]:
+            table = noisy_ghz_table(visibility)
+            result = polytope_membership(table)
+            assert result.inside == (visibility <= 0.5)
+            if result.inside:
+                assert_inside_certified(table, result)
+            elif visibility >= 0.55:  # 0.55, 0.56, ..., 1.0 (GHZ)
+                assert_outside_certified(table, result)
+
+    def test_ghz_residual_is_the_nearest_point_distance(self):
+        result = polytope_membership(ghz_correlation_table())
+        assert result.max_residual == pytest.approx(0.075, abs=1e-12)
+
+    def test_haar_tables_are_certified_either_way(self, rng):
+        answers = []
+        for _ in range(100):
+            table = haar_table(rng)
+            result = polytope_membership(table)
+            if result.inside:
+                assert_inside_certified(table, result)
+            elif result.max_residual > 1e-4:
+                assert_outside_certified(table, result)
+            answers.append(result.inside)
+        assert 0 < sum(answers) < len(answers)
+
+    def test_exhausted_pivot_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(locality, "MEMBERSHIP_PIVOTS", 1)
+        causes = tuple(Cause(0.25, np.full((3, 2), p)) for p in (0.1, 0.4, 0.6, 0.9))
+        with pytest.raises(SelfCheckFailed) as info:
+            polytope_membership(model_to_table(LocalModel(causes)))
+        assert "\n" not in str(info.value)
