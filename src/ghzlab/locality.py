@@ -29,8 +29,8 @@ from .errors import MalformedTable, SelfCheckFailed, ToleranceOutOfRange
 from . import mermin, qcore
 from .qcore import OUTCOMES, PATTERNS
 
-#: Required triple-product values for the patterns in PATTERNS order.
-CONSTRAINT_TARGETS = (+1, -1, -1, -1)
+#: Required triple-product values in PATTERNS order: the signs of M_TERMS.
+CONSTRAINT_TARGETS = tuple(int(sign) for sign, _ in mermin.M_TERMS)
 
 #: The 64 sign assignments as SIGNS[assignment, party, setting].
 SIGNS = np.array(list(itertools.product((+1, -1), repeat=6))).reshape(64, 3, 2)
@@ -162,17 +162,6 @@ def _cause_probabilities(p_plus, patterns=PATTERNS) -> np.ndarray:
     q = np.stack([p, 1.0 - p], axis=-1)
     joint = q[..., 0, :, None, None] * q[..., 1, None, :, None] * q[..., 2, None, None, :]
     return joint.reshape(*joint.shape[:-3], 8)
-
-
-def model_joint_probability(model: LocalModel, pattern: str, outcomes) -> float:
-    """Mixture probability of a joint outcome triple under a pattern."""
-    probs = _cause_probabilities(model.p_plus, (pattern,))[:, 0]
-    return float(model.weights @ probs[:, OUTCOMES.index(tuple(outcomes))])
-
-
-def correlators(model: LocalModel, mu: int) -> np.ndarray:
-    """Six per-cause correlators in order (ix, iy, jx, jy, kx, ky)."""
-    return (2.0 * model.p_plus[mu] - 1.0).reshape(-1)
 
 
 def model_triple_correlations(model: LocalModel, patterns=PATTERNS) -> tuple:
@@ -316,11 +305,6 @@ def epr_contrast(c1: int = -1, c2: int = -1) -> tuple:
 
 
 # --- deterministic strategies and polytope membership ----------------------
-
-def enumerate_strategies() -> list:
-    """All 64 strategies ((s1x, s1y), (s2x, s2y), (s3x, s3y)) in SIGNS order."""
-    return [tuple(map(tuple, s)) for s in SIGNS.tolist()]
-
 
 def strategy_to_model(strategy) -> LocalModel:
     return LocalModel((Cause(1.0, np.equal(strategy, +1).astype(float)),))

@@ -23,20 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PointOutsideQuantumRegion
-from .qcore import Observable, density_entries
+from .qcore import PATTERNS, density_entries
 
-M_TERMS = ((+1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX"))
+#: Each pattern of PATTERNS weighed by GHZ's perfect correlation on it, the
+#: one place these four signs are written.
+M_TERMS = tuple((sign, pattern.upper())
+                for sign, pattern in zip((+1.0, -1.0, -1.0, -1.0), PATTERNS))
 MPRIME_TERMS = ((+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY"))
 
 CLASS_SEPARABLE = "separable-compatible"
 CLASS_TWO_ENTANGLED = "two-entangled-compatible"
 CLASS_THREE_ENTANGLED = "three-entangled"
-
-
-@dataclass(frozen=True)
-class MerminPair:
-    m: Observable
-    mprime: Observable
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,6 @@ class InequalityReport:
             },
             "class": self.entanglement_class,
         }
-
-
-def make_mermin_pair() -> MerminPair:
-    return MerminPair(Observable(M_TERMS), Observable(MPRIME_TERMS))
 
 
 def witness_value(terms, correlations) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SelfCheckFailed
 from . import locality, mermin, qcore
-from .qcore import StateVector, make_ghz, observable_matrix
+from .qcore import Observable, StateVector, make_ghz, observable_matrix
 
 DEFAULT_RESTARTS = 32
 DEFAULT_SEED = 42
@@ -62,8 +62,14 @@ def _seeded_rng(restarts: int, seed: int):
 
 
 def _mermin_matrices():
-    pair = mermin.make_mermin_pair()
-    return observable_matrix(pair.m), observable_matrix(pair.mprime)
+    return tuple(observable_matrix(Observable(terms))
+                 for terms in (mermin.M_TERMS, mermin.MPRIME_TERMS))
+
+
+def _mermin_terms(which: str) -> tuple:
+    if which not in ("m", "mprime"):
+        raise ValueError(f"which must be 'm' or 'mprime', got {which!r}")
+    return mermin.M_TERMS if which == "m" else mermin.MPRIME_TERMS
 
 
 def _check_quarter_turn(first, second, phases) -> None:
@@ -99,7 +105,7 @@ def _certify(model_class: str, value: float, witnesses) -> float:
 
 def max_local_mermin(which: str = "m") -> OptimizationResult:
     """Exact max of |<M>| (or |<M'>|) over the 64 deterministic strategies."""
-    terms = mermin.M_TERMS if which == "m" else mermin.MPRIME_TERMS
+    terms = _mermin_terms(which)
     values = np.abs(locality.mermin_values(locality.SIGNS, terms))
     best = int(np.argmax(values))
     return OptimizationResult(
@@ -117,7 +123,7 @@ def max_realistic_mermin(which: str = "m") -> OptimizationResult:
     Attained by matching each product's sign to its coefficient, so the
     value is the sum of |coefficients| = 4.
     """
-    terms = mermin.M_TERMS if which == "m" else mermin.MPRIME_TERMS
+    terms = _mermin_terms(which)
     products = {settings.lower(): float(np.sign(coeff)) for coeff, settings in terms}
     value = sum(abs(coeff) for coeff, _ in terms)
     return OptimizationResult(

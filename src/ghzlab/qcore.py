@@ -16,8 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,24 +94,25 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Observable:
-    """Real linear combination of tensor products of per-qubit Paulis.
+    """Real linear combination of three-qubit Pauli products.
 
-    Each term is ``(coefficient, settings)`` with settings a string over
-    {X, Y, Z, I}, qubit-1 leftmost. Real coefficients on Hermitian
-    factors keep the whole observable Hermitian by construction.
+    Each term is ``(coefficient, settings)`` with settings three characters
+    over {X, Y, Z, I}, qubit-1 leftmost; there is at least one term. Real
+    coefficients on Hermitian factors keep the whole observable Hermitian
+    by construction.
     """
 
-    terms: tuple = field(default_factory=tuple)
+    terms: tuple
 
     def __post_init__(self):
+        if not self.terms:
+            raise ValueError("an observable needs at least one term")
         norm = []
         for coeff, settings in self.terms:
             settings = settings.upper()
-            if any(ch not in PAULI for ch in settings):
-                raise ValueError(f"bad Pauli settings {settings!r}")
+            if len(settings) != 3 or any(ch not in PAULI for ch in settings):
+                raise ValueError(f"expected three Pauli settings, got {settings!r}")
             norm.append((float(coeff), settings))
-        if len({len(s) for _, s in norm}) > 1:
-            raise ValueError("all terms must act on the same number of qubits")
         object.__setattr__(self, "terms", tuple(norm))
 
     @classmethod
@@ -128,14 +128,9 @@ def make_ghz() -> StateVector:
     return StateVector(amps)
 
 
-def maximally_mixed() -> DensityMatrix:
-    return DensityMatrix(np.eye(8, dtype=complex) / 8)
-
-
 def observable_matrix(obs: Observable) -> np.ndarray:
     """Kronecker-product expansion with qubit-1 as the leftmost factor."""
-    dim = 2 ** len(obs.terms[0][1])
-    total = np.zeros((dim, dim), dtype=complex)
+    total = np.zeros((8, 8), dtype=complex)
     for coeff, settings in obs.terms:
         term = np.array([[1.0 + 0j]])
         for ch in settings:
@@ -225,15 +220,17 @@ def state_from_json_dict(doc: dict):
         dim = doc["dim"]
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
     if re.shape != im.shape:
         raise ValueError(f"state arrays re and im differ in shape: {re.shape} and {im.shape}")
-    # A JSON number only: no string, no boolean, and no rounding of 8.7.
-    is_number = isinstance(dim, numbers.Real) and not isinstance(dim, bool)
-    if not is_number or re.shape not in ((dim,), (dim, dim)):
+    # JSON numbers only: no string, no boolean, and no rounding of 8.7.
+    if type(dim) not in (int, float) or re.shape not in ((dim,), (dim, dim)):
         raise ValueError(f"state arrays have shape {re.shape}, "
                          f"expected ({dim!r},) or ({dim!r}, {dim!r})")
+    for entry in np.asarray([doc["re"], doc["im"]], dtype=object).flat:
+        if type(entry) not in (int, float):
+            raise ValueError(f"state entry {entry!r} is not a JSON number")
     # A non-finite part makes 1j * im warn; the constructors refuse it below.
     with np.errstate(invalid="ignore"):
         data = re + 1j * im

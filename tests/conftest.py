@@ -3,6 +3,9 @@ import pytest
 
 from ghzlab import qcore
 
+#: The maximally mixed state I/8: GHZ at visibility 0.
+WHITE_NOISE = qcore.mix_with_white_noise(qcore.make_ghz(), 0.0)
+
 
 def random_pure_state(rng) -> qcore.StateVector:
     raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)

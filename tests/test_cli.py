@@ -16,6 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ghzlab
 from ghzlab import cli, errors, locality, qcore
 
+from conftest import WHITE_NOISE
+
+#: A JSON integer beyond float range: numpy raises OverflowError on reading it.
+HUGE_INT_STATE = json.dumps({"dim": 8, "re": [10 ** 400] + [0] * 7, "im": [0] * 8})
 #: A two-qubit state file; the package reads three-qubit states only.
 PAIR_STATE = json.dumps({"dim": 4, "re": [0.5] * 4, "im": [0.0] * 4})
 
@@ -36,7 +40,7 @@ class TestVerify:
 
     def test_maximally_mixed_state_reports_without_asserting(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"
-        qcore.save_state(qcore.maximally_mixed(), path)
+        qcore.save_state(WHITE_NOISE, path)
         code, out = run(capsys, ["verify", "--state", str(path)])
         assert code == 0
         doc = json.loads(out)
@@ -49,6 +53,16 @@ class TestVerify:
         path.write_text("{not json")
         code, _ = run(capsys, ["verify", "--state", str(path)])
         assert code == 2
+
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(HUGE_INT_STATE)
+        code = cli.main(["verify", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: malformed state document: "
+                                "int too large to convert to float\n")
 
     def test_missing_state_file(self, capsys, tmp_path):
         code, _ = run(capsys, ["verify", "--state", str(tmp_path / "nope.json")])
@@ -243,6 +257,37 @@ def test_misshaped_state_file_is_refused(capsys, tmp_path, command, fmt, doc):
     assert captured.err.startswith("error: state arrays ")
 
 
+def _mixed_doc_with_string():
+    doc = qcore.state_to_json_dict(WHITE_NOISE)
+    doc["re"][3][3] = "0.125"
+    return json.dumps(doc)
+
+
+#: State files with a string or a boolean where a number belongs: numpy
+#: would read "0.125" as 0.125 and false as 0.
+NON_NUMBER_DOCS = {
+    "string-in-re": json.dumps({"dim": 8, "re": [str(_GHZ_RE[0])] + _GHZ_RE[1:],
+                                "im": [0.0] * 8}),
+    "boolean-in-im": json.dumps({"dim": 8, "re": _GHZ_RE, "im": [False] + [0.0] * 7}),
+    "string-in-mixed-row": _mixed_doc_with_string(),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("doc", list(NON_NUMBER_DOCS.values()), ids=list(NON_NUMBER_DOCS))
+def test_non_number_state_entry_is_refused(capsys, tmp_path, command, fmt, doc):
+    path = tmp_path / "state.json"
+    path.write_text(doc)
+    code = cli.main([command, "--state", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: state entry ")
+    assert captured.err.rstrip().endswith(" is not a JSON number")
+
+
 #: State files nested deeper than the JSON parser recurses.
 DEEP_DOCS = {
     "deep-array": "[" * 100_000 + "]" * 100_000,
@@ -266,7 +311,7 @@ def test_deeply_nested_state_file_is_refused(capsys, tmp_path, command, fmt, doc
 
 
 @pytest.mark.parametrize("command", ["verify", "classify"])
-@pytest.mark.parametrize("state", [qcore.make_ghz(), qcore.maximally_mixed()],
+@pytest.mark.parametrize("state", [qcore.make_ghz(), WHITE_NOISE],
                          ids=["pure", "mixed"])
 def test_negative_zero_imaginary_parts_read_as_zero(tmp_path, command, state):
     doc = qcore.state_to_json_dict(state)
@@ -517,11 +562,13 @@ FUZZ_GOOD_VALUES = {
 #: State files for --state: valid ones and each kind the reader must refuse.
 FUZZ_STATE_DOCS = {
     "ghz": json.dumps(qcore.state_to_json_dict(qcore.make_ghz())),
-    "mixed": json.dumps(qcore.state_to_json_dict(qcore.maximally_mixed())),
+    "mixed": json.dumps(qcore.state_to_json_dict(WHITE_NOISE)),
     "negative-zero": json.dumps({"dim": 8, "re": _GHZ_RE, "im": [-0.0] * 8}),
     "two-qubit": PAIR_STATE,
+    "huge-int": HUGE_INT_STATE,
     "not-json": "{not json",
     **MISSHAPED_DOCS,
+    **NON_NUMBER_DOCS,
     **DEEP_DOCS,
     **{f"non-finite-{name}": doc for name, doc in NON_FINITE_DOCS.items()},
 }

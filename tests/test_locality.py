@@ -10,10 +10,9 @@ from ghzlab.locality import (
     Cause,
     CorrelationTable,
     LocalModel,
-    enumerate_strategies,
+    SIGNS,
     ghz_correlation_table,
     ghz_sign_feasibility,
-    model_joint_probability,
     model_to_table,
     polytope_membership,
     strategy_to_model,
@@ -28,6 +27,10 @@ def uniform_model():
 
 def all_plus_model():
     return strategy_to_model(((1, 1), (1, 1), (1, 1)))
+
+
+def joint_probability(model, pattern, outcomes):
+    return model_to_table(model).blocks[pattern][qcore.OUTCOMES.index(outcomes)]
 
 
 def random_model(rng, max_causes=4):
@@ -47,18 +50,18 @@ class TestLocalModel:
             Cause(1.0, np.full((3, 2), 1.5))
 
     def test_uniform_joint_probability(self):
-        assert model_joint_probability(uniform_model(), "xxx", (1, 1, 1)) == pytest.approx(0.125)
+        assert joint_probability(uniform_model(), "xxx", (1, 1, 1)) == pytest.approx(0.125)
 
     def test_deterministic_point_mass(self):
-        assert model_joint_probability(all_plus_model(), "xxx", (1, 1, 1)) == pytest.approx(1.0)
-        assert model_joint_probability(all_plus_model(), "xxx", (1, 1, -1)) == pytest.approx(0.0)
+        assert joint_probability(all_plus_model(), "xxx", (1, 1, 1)) == pytest.approx(1.0)
+        assert joint_probability(all_plus_model(), "xxx", (1, 1, -1)) == pytest.approx(0.0)
 
     def test_two_cause_mixture(self):
         model = LocalModel((
             Cause(0.5, np.ones((3, 2))),
             Cause(0.5, np.zeros((3, 2))),
         ))
-        assert model_joint_probability(model, "xxx", (1, 1, 1)) == pytest.approx(0.5)
+        assert joint_probability(model, "xxx", (1, 1, 1)) == pytest.approx(0.5)
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -91,28 +94,6 @@ class TestNonFiniteRejected:
         blocks["xyy"][2] = bad
         with pytest.raises(MalformedTable, match="non-finite"):
             CorrelationTable(blocks)
-
-
-class TestCorrelators:
-    def test_uniform_vanishes(self):
-        np.testing.assert_allclose(locality.correlators(uniform_model(), 0), np.zeros(6), atol=1e-15)
-
-    def test_deterministic_all_plus(self):
-        np.testing.assert_allclose(locality.correlators(all_plus_model(), 0), np.ones(6), atol=1e-15)
-
-    def test_affine_map(self):
-        p_plus = np.full((3, 2), 0.5)
-        p_plus[0, 0] = 0.75
-        model = LocalModel((Cause(1.0, p_plus),))
-        bars = locality.correlators(model, 0)
-        assert bars[0] == pytest.approx(0.5)
-
-    def test_range_random_models(self, rng):
-        for _ in range(50):
-            model = random_model(rng)
-            for mu in range(len(model.causes)):
-                bars = locality.correlators(model, mu)
-                assert np.all(bars >= -1.0 - 1e-12) and np.all(bars <= 1.0 + 1e-12)
 
 
 class TestTripleCorrelations:
@@ -230,13 +211,12 @@ class TestEprContrast:
 
 class TestStrategies:
     def test_count_and_order(self):
-        strategies = enumerate_strategies()
-        assert len(strategies) == 64
-        assert len(set(strategies)) == 64
-        assert strategies[0] == ((1, 1), (1, 1), (1, 1))
+        assert SIGNS.shape == (64, 3, 2)
+        assert len(np.unique(SIGNS.reshape(64, 6), axis=0)) == 64
+        assert SIGNS[0].tolist() == [[1, 1], [1, 1], [1, 1]]
 
     def test_strategy_tables_are_deterministic(self):
-        for strategy in enumerate_strategies()[:8]:
+        for strategy in SIGNS[:8]:
             table = model_to_table(strategy_to_model(strategy))
             for pattern in qcore.PATTERNS:
                 block = table.blocks[pattern]
@@ -280,9 +260,8 @@ class TestPolytopeMembership:
         assert result.max_residual > 1e-3
 
     def test_deterministic_strategy_recovered(self):
-        strategies = enumerate_strategies()
         index = 23
-        table = model_to_table(strategy_to_model(strategies[index]))
+        table = model_to_table(strategy_to_model(SIGNS[index]))
         result = polytope_membership(table)
         assert result.inside
         assert result.weights[index] == pytest.approx(1.0, abs=1e-8)
@@ -348,8 +327,6 @@ class TestOneCorrelatorPath:
         reference = brute_force_table(model)
         for pattern in qcore.PATTERNS:
             assert np.max(np.abs(table.blocks[pattern] - reference[pattern])) <= 1e-15
-            for outcome, p in zip(qcore.OUTCOMES, reference[pattern]):
-                assert abs(model_joint_probability(model, pattern, outcome) - p) <= 1e-15
 
     @given(local_models())
     def test_table_triple_correlations_match_the_outcome_loop(self, model):
@@ -393,7 +370,7 @@ class TestOneCorrelatorPath:
         result = optimize.max_local_mermin(which)
         strategy = tuple(map(tuple, result.argmax["strategy"]))
         assert result.best_value == value(strategy)
-        assert result.best_value == max(value(s) for s in enumerate_strategies())
+        assert result.best_value == max(value(s) for s in SIGNS)
 
 
 # --- the nearest-point membership search ------------------------------------

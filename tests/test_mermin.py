@@ -2,24 +2,36 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ghzlab import mermin, qcore
+from ghzlab import locality, mermin, qcore
 from ghzlab.errors import PointOutsideQuantumRegion
 from ghzlab.mermin import MerminPoint
 
-from conftest import random_product_state, random_pure_state
+from conftest import WHITE_NOISE, random_product_state, random_pure_state
+
+
+M = qcore.Observable(mermin.M_TERMS)
+MPRIME = qcore.Observable(mermin.MPRIME_TERMS)
 
 
 def pair_matrices():
-    pair = mermin.make_mermin_pair()
-    return qcore.observable_matrix(pair.m), qcore.observable_matrix(pair.mprime)
+    return qcore.observable_matrix(M), qcore.observable_matrix(MPRIME)
 
 
 class TestPairStructure:
+    def test_m_terms_are_the_ghz_perfect_correlations(self):
+        # M weighs each pattern by GHZ's eigenvalue of that pattern's operator,
+        # and the locality constraints demand the same signs, as ints.
+        assert mermin.M_TERMS == ((1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX"))
+        ghz = qcore.make_ghz()
+        for coeff, settings in mermin.M_TERMS:
+            assert qcore.eigen_residual(ghz, qcore.Observable.single(settings), coeff) <= 1e-12
+        assert locality.CONSTRAINT_TARGETS == (1, -1, -1, -1)
+        assert all(type(target) is int for target in locality.CONSTRAINT_TARGETS)
+
     def test_term_sets(self):
-        pair = mermin.make_mermin_pair()
-        assert set(pair.m.terms) == {
+        assert set(M.terms) == {
             (+1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX")}
-        assert set(pair.mprime.terms) == {
+        assert set(MPRIME.terms) == {
             (+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY")}
 
     def test_hermitian_operator_norm_4(self):
@@ -29,7 +41,7 @@ class TestPairStructure:
 
     def test_ghz_is_plus4_eigenstate_of_m(self):
         ghz = qcore.make_ghz()
-        assert qcore.eigencheck(ghz, mermin.make_mermin_pair().m, 4.0)
+        assert qcore.eigencheck(ghz, M, 4.0)
 
     def test_square_sum_top_eigenvalue_is_32(self):
         # The naive operator bound <M^2 + M'^2> reaches 32 on GHZ; the
@@ -64,7 +76,7 @@ class TestEvaluatePoint:
         assert point.mprime_value == pytest.approx(0.0, abs=1e-10)
 
     def test_maximally_mixed(self):
-        point = mermin.evaluate_point(qcore.maximally_mixed())
+        point = mermin.evaluate_point(WHITE_NOISE)
         assert point.m_value == pytest.approx(0.0, abs=1e-12)
         assert point.mprime_value == pytest.approx(0.0, abs=1e-12)
 
@@ -110,10 +122,9 @@ class TestEvaluatePoint:
         state = qcore.StateVector(amps / np.linalg.norm(amps))
         if visibility is not None:
             state = qcore.mix_with_white_noise(state, visibility)
-        pair = mermin.make_mermin_pair()
         point = mermin.evaluate_point(state)
-        assert abs(point.m_value - qcore.expectation(state, pair.m)) <= 1e-12
-        assert abs(point.mprime_value - qcore.expectation(state, pair.mprime)) <= 1e-12
+        assert abs(point.m_value - qcore.expectation(state, M)) <= 1e-12
+        assert abs(point.mprime_value - qcore.expectation(state, MPRIME)) <= 1e-12
 
     @pytest.mark.parametrize("build,entries", [
         (qcore.StateVector, np.ones(4) / 2.0), (qcore.DensityMatrix, np.eye(4) / 4.0),

@@ -30,6 +30,13 @@ class TestLocalAndRealistic:
         assert sorted(signs.values()) == [-1.0, 1.0, 1.0, 1.0] or \
                sorted(signs.values()) == [-1.0, -1.0, -1.0, 1.0]
 
+    @pytest.mark.parametrize("maximize", [optimize.max_local_mermin,
+                                          optimize.max_realistic_mermin])
+    @pytest.mark.parametrize("which", ["M", "foo", ""])
+    def test_unknown_which_rejected(self, maximize, which):
+        with pytest.raises(ValueError, match=f"^which must be 'm' or 'mprime', got {which!r}$"):
+            maximize(which)
+
     def test_all_products_plus_one_is_not_maximal(self):
         value = sum(coeff * 1.0 for coeff, _ in mermin.M_TERMS)
         assert abs(value) == 2.0

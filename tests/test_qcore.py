@@ -9,7 +9,7 @@ from ghzlab import qcore
 from ghzlab.errors import VisibilityOutOfRange
 from ghzlab.qcore import Observable, StateVector, DensityMatrix
 
-from conftest import random_pure_state
+from conftest import WHITE_NOISE, random_pure_state
 
 
 def obs(settings, coeff=1.0):
@@ -62,7 +62,7 @@ class TestExpectation:
         assert qcore.expectation(qcore.make_ghz(), obs(settings)) == pytest.approx(value, abs=1e-12)
 
     def test_maximally_mixed_traceless(self):
-        assert qcore.expectation(qcore.maximally_mixed(), obs("XXX")) == pytest.approx(0.0, abs=1e-12)
+        assert qcore.expectation(WHITE_NOISE, obs("XXX")) == pytest.approx(0.0, abs=1e-12)
 
     def test_linearity_in_coefficients(self, rng):
         state = random_pure_state(rng)
@@ -80,8 +80,16 @@ class TestExpectation:
             assert qcore.expectation(mixed, observable) == pytest.approx(v * pure, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^expected three Pauli settings, got 'XX'$"):
             qcore.expectation(qcore.make_ghz(), obs("XX"))
+
+    def test_four_settings_rejected(self):
+        with pytest.raises(ValueError, match="^expected three Pauli settings, got 'XXXX'$"):
+            Observable(((1.0, "XXX"), (1.0, "XXXX")))
+
+    def test_empty_observable_rejected(self):
+        with pytest.raises(ValueError, match="^an observable needs at least one term$"):
+            Observable(())
 
 
 class TestEigencheck:
@@ -111,7 +119,7 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("index", [(0, 0), (2, 5)])
     def test_density_matrix(self, bad, index):
-        rho = qcore.maximally_mixed().entries.copy()
+        rho = WHITE_NOISE.entries.copy()
         rho[index] = bad
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(rho)
@@ -179,7 +187,7 @@ class TestSignedSums:
 
     def test_maximally_mixed_cancels(self):
         for pattern in qcore.PATTERNS:
-            value = qcore.signed_sum_for_state(qcore.maximally_mixed(), pattern)
+            value = qcore.signed_sum_for_state(WHITE_NOISE, pattern)
             assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -207,7 +215,7 @@ class TestOutcomeProbabilities:
             reference = qcore.expectation(state, obs(settings.upper()))
             assert abs(qcore.signed_sum_for_state(state, settings) - reference) <= 1e-12
 
-    @pytest.mark.parametrize("state", [qcore.make_ghz(), qcore.maximally_mixed()],
+    @pytest.mark.parametrize("state", [qcore.make_ghz(), WHITE_NOISE],
                              ids=["pure", "mixed"])
     def test_settings_must_match_qubit_count(self, state):
         for settings in ("xy", "xyxy"):
@@ -218,7 +226,7 @@ class TestOutcomeProbabilities:
         ghz = qcore.make_ghz()
         np.testing.assert_array_equal(
             qcore.density_entries(ghz), np.outer(ghz.amplitudes, ghz.amplitudes.conj()))
-        rho = qcore.maximally_mixed()
+        rho = WHITE_NOISE
         assert qcore.density_entries(rho) is rho.entries
         with pytest.raises(TypeError):
             qcore.density_entries(ghz.amplitudes)
@@ -233,12 +241,13 @@ class TestWhiteNoise:
 
     def test_noise_limit(self):
         rho = qcore.mix_with_white_noise(qcore.make_ghz(), 0.0)
-        np.testing.assert_allclose(rho.entries, np.eye(8) / 8.0, atol=1e-15)
+        assert np.array_equal(rho.entries, np.eye(8) / 8.0)
 
     def test_half_visibility_mermin_value(self):
         from ghzlab import mermin
         rho = qcore.mix_with_white_noise(qcore.make_ghz(), 0.5)
-        assert qcore.expectation(rho, mermin.make_mermin_pair().m) == pytest.approx(2.0, abs=1e-12)
+        m = Observable(mermin.M_TERMS)
+        assert qcore.expectation(rho, m) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("v", [-0.1, 1.1, 2.0])
     def test_visibility_range(self, v):
