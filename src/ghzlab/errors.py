@@ -37,10 +37,12 @@ class SelfCheckFailed(GhzlabError):
     Raised when M + iM' = 8|000><111| fails on the operator matrices, when
     a quarter turn of one qubit does not map M -> M' -> -M (or a cut's pair
     operators A -> -B -> -A) exactly, when a state the closed form predicts
-    (a maximizer built from a seeded start, or the GHZ point behind the
-    noise thresholds) misses its value by more than 1e-12, when the parity
-    identity or an analytic witness of ``locality`` fails its own check, or
-    when the membership search runs out of pivots. The CLI exits with code 1.
+    (a maximizer built from a seeded start, the GHZ point behind the noise
+    thresholds, or the HR pair witness at 1/2) misses its value by more than
+    1e-12, when a seeded point of the discs violates an HR pair by less than
+    1/2, when the parity identity or an analytic witness of ``locality``
+    fails its own check, or when the membership search runs out of pivots.
+    The CLI exits with code 1.
     """
 
     exit_code = 1

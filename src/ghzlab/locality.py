@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -43,44 +43,40 @@ MEMBERSHIP_TOL = 1e-9
 MEMBERSHIP_PIVOTS = 3 * len(SIGNS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cause:
     """One common cause: a weight plus P(outcome=+1) as ``p_plus[party, setting]``."""
 
     weight: float
     p_plus: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.p_plus, dtype=float)
-        if arr.shape != (3, 2):
-            raise ValueError(f"p_plus must be 3x2, got shape {arr.shape}")
-        if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
-            raise ValueError("response probabilities must lie in [0, 1]")
-        if not 0 <= self.weight < np.inf:
-            raise ValueError("cause weight must be nonnegative and finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "p_plus", arr)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalModel:
-    """A mixture of causes, also stacked as ``weights`` and ``p_plus[cause]``."""
+    """A mixture of causes, held once as the arrays ``weights`` and ``p_plus[cause]``."""
 
-    causes: tuple
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    p_plus: np.ndarray = field(init=False, repr=False, compare=False)
+    causes: InitVar[tuple]
+    weights: np.ndarray = field(init=False)
+    p_plus: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        causes = tuple(self.causes)
-        total = sum(c.weight for c in causes)
+    def __post_init__(self, causes):
+        weights = np.array([c.weight for c in causes], dtype=float)
+        p_plus = np.array([c.p_plus for c in causes], dtype=float)
+        total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"cause weights sum to {total!r}, not 1")
-        object.__setattr__(self, "causes", causes)
-        object.__setattr__(self, "weights", np.array([c.weight for c in causes], float))
-        object.__setattr__(self, "p_plus", np.array([c.p_plus for c in causes]))
+        if not np.all((weights >= 0) & (weights < np.inf)):
+            raise ValueError("cause weight must be nonnegative and finite")
+        if p_plus.shape[1:] != (3, 2):
+            raise ValueError(f"p_plus must be 3x2, got shape {p_plus.shape[1:]}")
+        if not np.all((p_plus >= -1e-12) & (p_plus <= 1.0 + 1e-12)):
+            raise ValueError("response probabilities must lie in [0, 1]")
+        for name, arr in (("weights", weights), ("p_plus", p_plus)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationTable:
     """Joint outcome probabilities for the four settings patterns.
 
@@ -127,7 +123,7 @@ class InfeasibilityReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Membership:
     inside: bool
     weights: np.ndarray | None
@@ -237,53 +233,46 @@ def hr_constrained_satisfiability(tolerance: float = 1e-6):
     return 1, witness
 
 
-def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float:
-    """Numeric cross-check: least joint violation of two constraints.
+def seeded_rng(restarts: int, seed: int):
+    """The generator of ``restarts`` seeded witnesses; ``restarts`` must be >= 1."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    return np.random.default_rng(seed)
 
-    Minimizes the summed squared violation over per-party discs by
-    seeded random-restart coordinate descent. The exact minimum is 1/2:
-    one party reads the same setting in both patterns and the other two
+
+def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float:
+    """Least joint violation of two constraints under per-party discs: 1/2.
+
+    One party reads the same setting in both patterns and the other two
     opposite ones, so Cauchy-Schwarz gives |T1| + |T2| <= 1 for the triple
-    products, nearest to the targets (t1, t2) in {+-1}^2 at (t1, t2)/2.
+    products, nearest to the targets (t1, t2) in {+-1}^2 at (t1, t2)/2. A
+    witness there must reach 1/2 within 1e-12, and ``restarts`` seeded
+    points of the discs must violate by at least 1/2 - 1e-12.
     """
+    rng = seeded_rng(restarts, seed)
+    if len(set(pair)) != 2 or not set(pair) <= set(range(len(PATTERNS))):
+        raise ValueError(f"pair must be two distinct indices in 0..3, got {pair!r}")
     targets = np.take(CONSTRAINT_TARGETS, pair)
     patterns = [PATTERNS[n] for n in pair]
 
-    def violation(params):
-        # params: per party (angle, radius); radius clipped into [0, 1].
-        angle, radius = params[0::2], np.clip(params[1::2], 0.0, 1.0)
-        bars = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-        return float(np.sum((triple_products(bars, patterns) - targets) ** 2))
+    def violation(bars):
+        return np.sum((triple_products(bars, patterns) - targets) ** 2, axis=-1)
 
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(restarts):
-        x0 = np.empty(6)
-        x0[0::2] = rng.uniform(0.0, 2.0 * np.pi, size=3)
-        x0[1::2] = rng.uniform(0.0, 1.0, size=3)
-        _, value = _coordinate_descent(violation, x0)
-        best = min(best, value)
-    return best
-
-
-def _coordinate_descent(f, x0, step: float = 0.3, shrink: float = 0.5,
-                        min_step: float = 1e-8):
-    """Derivative-free minimization by per-coordinate probing."""
-    x = np.array(x0, dtype=float)
-    fx = f(x)
-    while step >= min_step:
-        improved = False
-        for i in range(x.size):
-            for delta in (step, -step):
-                trial = x.copy()
-                trial[i] += delta
-                ft = f(trial)
-                if ft < fx:
-                    x, fx = trial, ft
-                    improved = True
-        if not improved:
-            step *= shrink
-    return x, fx
+    # Party k reads settings[n, k] in pattern n. Witness: 1, (1, 1)/sqrt(2), (t1, t2)/sqrt(2).
+    settings = np.array([["xy".index(ch) for ch in p] for p in patterns])
+    others = np.flatnonzero(settings[0] != settings[1])
+    witness = np.zeros((3, 2))
+    witness[np.arange(3), settings] = 1.0
+    witness[others] *= qcore.SQRT2_INV
+    witness[others[1], settings[:, others[1]]] *= targets
+    if abs(violation(witness) - 0.5) > 1e-12:
+        raise SelfCheckFailed(f"HR witness reached {float(violation(witness))!r}, not 0.5")
+    draws = rng.uniform(0.0, [[2.0 * np.pi], [1.0]], size=(restarts, 2, 3))
+    angle, radius = draws[:, 0], draws[:, 1]
+    points = radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    if np.any(violation(points) < 0.5 - 1e-12):
+        raise SelfCheckFailed("a point of the discs violates an HR pair by less than 0.5")
+    return 0.5
 
 
 # --- the EPR two-party contrast --------------------------------------------

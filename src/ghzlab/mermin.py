@@ -93,7 +93,9 @@ def pure_mermin_values(amplitudes) -> np.ndarray:
 
 
 def report(point: MerminPoint) -> InequalityReport:
-    """Check the four bounds and classify the point by its radius."""
+    """Check the four bounds and classify the point by its radius. The locality
+    bound is Mermin's max(|m|, |m'|) <= 2: necessary for a local model, not
+    sufficient; ``locality.polytope_membership`` is the full test of a table."""
     r2 = point.radius_squared
     if r2 > 16.0 + 1e-9:
         raise PointOutsideQuantumRegion(

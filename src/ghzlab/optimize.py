@@ -55,12 +55,6 @@ class OptimizationResult:
         }
 
 
-def _seeded_rng(restarts: int, seed: int):
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    return np.random.default_rng(seed)
-
-
 def _mermin_matrices():
     return tuple(observable_matrix(Observable(terms))
                  for terms in (mermin.M_TERMS, mermin.MPRIME_TERMS))
@@ -185,7 +179,7 @@ def max_quantum_local_radius(restarts: int = DEFAULT_RESTARTS,
     equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
     Each seeded start is moved to the equator at its own azimuths.
     """
-    rng = _seeded_rng(restarts, seed)
+    rng = locality.seeded_rng(restarts, seed)
     starts = [random_bloch_angles(rng, 3) for _ in range(restarts)]
     for params in starts:
         params[0::2] = np.pi / 2.0
@@ -209,15 +203,14 @@ def biseparable_radius_eigen_oracle() -> float:
     give lambda_max(A) = 2, so the radius maximum is 4 -- strictly below
     the class-membership bound 8, which is therefore not tight.
     """
-    _check_quarter_turn(*_mermin_matrices(), QUBIT3_TURN)
+    m_mat, mp_mat = _mermin_matrices()
+    _check_quarter_turn(m_mat, mp_mat, QUBIT3_TURN)
     best = -np.inf
     for cut in range(3):
-        a_mat = np.zeros((4, 4), dtype=complex)
-        b_mat = np.zeros((4, 4), dtype=complex)
-        for coeff, settings in mermin.M_TERMS:
-            factors = [qcore.PAULI[settings[p]] for p in range(3) if p != cut]
-            target = a_mat if settings[cut] == "X" else b_mat
-            target += coeff * np.kron(factors[0], factors[1])
+        # Cut qubit first: <1|M|0> = A + iB and <0|M|1> = A - iB.
+        m_cut = np.moveaxis(m_mat.reshape((2,) * 6), (cut, 3 + cut), (0, 3)).reshape(8, 8)
+        lower, upper = m_cut[4:, :4], m_cut[:4, 4:]
+        a_mat, b_mat = (lower + upper) / 2.0, (lower - upper) / 2j
         _check_quarter_turn(a_mat, -b_mat, PAIR_TURN)
         best = max(best, float(np.linalg.eigvalsh(a_mat)[-1]) ** 2)
     return best
@@ -230,7 +223,7 @@ def max_biseparable_radius(restarts: int = DEFAULT_RESTARTS,
     The supremum 4 is attained on every cut (single qubit on the equator,
     pair in a phased Bell state), well inside the membership bound 8.
     """
-    rng = _seeded_rng(restarts, seed)
+    rng = locality.seeded_rng(restarts, seed)
     starts = []
     for cut in range(3):
         for _ in range(restarts):
@@ -289,7 +282,7 @@ def max_quantum_radius(restarts: int = DEFAULT_RESTARTS,
     last phases; the reported state has the global phase fixed so its
     |000> amplitude is real positive.
     """
-    rng = _seeded_rng(restarts, seed)
+    rng = locality.seeded_rng(restarts, seed)
     raws = [rng.standard_normal(16) for _ in range(restarts)]
     starts = [raw[0::2] + 1j * raw[1::2] for raw in raws]
     witnesses = [_phased_cat(psi) for psi in starts]

@@ -48,7 +48,7 @@ OUTCOME_SIGNS.setflags(write=False)
 PATTERNS = ("xxx", "xyy", "yxy", "yyx")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of three qubits: 8 amplitudes."""
 
@@ -67,7 +67,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Mixed state of three qubits as an 8x8 matrix."""
 

@@ -1,0 +1,39 @@
+"""The benchmark's call surface: what perfbench/ imports and calls of the package.
+
+perfbench/child.py builds its inputs with ``locality.Cause`` and
+``locality.LocalModel`` and checks every result, and perfbench/commands.py
+lists and checks the CLI calls. Running both here, on small inputs, makes a
+package change that breaks them fail the suite instead of the benchmark run.
+Nothing under perfbench/ is modified.
+"""
+import contextlib
+import io
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import child  # noqa: E402
+import commands  # noqa: E402
+
+from ghzlab import cli  # noqa: E402
+
+ITEMS = 40
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed", "tables"])
+def test_library_operations_pass_their_checks(kind):
+    run, check, inputs = child.Library().operations(kind, 0)
+    for _, (inp, want) in zip(range(ITEMS), inputs):
+        assert check(inp, want, run(inp)) is None
+
+
+def test_cli_light_pass_passes_its_checks():
+    for name, argv in commands.cli_pass("cli_light", random.Random(0)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert commands.check(name, argv, code, out.getvalue()) is None, name

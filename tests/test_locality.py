@@ -40,14 +40,77 @@ def random_model(rng, max_causes=4):
     return LocalModel(causes)
 
 
+PAIRS = list(itertools.combinations(range(4), 2))
+
+
+def _coordinate_descent(f, x0, step: float = 0.3, shrink: float = 0.5,
+                        min_step: float = 1e-8):
+    """Derivative-free minimization by per-coordinate probing."""
+    x = np.array(x0, dtype=float)
+    fx = f(x)
+    while step >= min_step:
+        improved = False
+        for i in range(x.size):
+            for delta in (step, -step):
+                trial = x.copy()
+                trial[i] += delta
+                ft = f(trial)
+                if ft < fx:
+                    x, fx = trial, ft
+                    improved = True
+        if not improved:
+            step *= shrink
+    return x, fx
+
+
+def numeric_pair_minimum(pair, restarts, seed):
+    """Least summed squared violation of two constraints over per-party discs,
+    by seeded random-restart coordinate descent; independent of the closed form."""
+    targets = np.take(locality.CONSTRAINT_TARGETS, pair)
+    patterns = [qcore.PATTERNS[n] for n in pair]
+
+    def violation(params):
+        # params: per party (angle, radius); radius clipped into [0, 1].
+        angle, radius = params[0::2], np.clip(params[1::2], 0.0, 1.0)
+        bars = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        return float(np.sum((locality.triple_products(bars, patterns) - targets) ** 2))
+
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(restarts):
+        x0 = np.empty(6)
+        x0[0::2] = rng.uniform(0.0, 2.0 * np.pi, size=3)
+        x0[1::2] = rng.uniform(0.0, 1.0, size=3)
+        best = min(best, _coordinate_descent(violation, x0)[1])
+    return best
+
+
 class TestLocalModel:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             LocalModel((Cause(0.5, np.full((3, 2), 0.5)),))
 
     def test_probabilities_in_range(self):
-        with pytest.raises(ValueError):
-            Cause(1.0, np.full((3, 2), 1.5))
+        with pytest.raises(ValueError, match=r"^response probabilities must lie in \[0, 1\]$"):
+            LocalModel((Cause(1.0, np.full((3, 2), 1.5)),))
+
+    @pytest.mark.parametrize("p_plus", [np.full((2, 3), 0.5), np.full(6, 0.5)])
+    def test_misshaped_p_plus(self, p_plus):
+        with pytest.raises(ValueError, match="^p_plus must be 3x2"):
+            LocalModel((Cause(1.0, p_plus),))
+
+    def test_negative_weight(self):
+        causes = (Cause(1.5, np.full((3, 2), 0.5)), Cause(-0.5, np.full((3, 2), 0.5)))
+        with pytest.raises(ValueError, match="^cause weight must be nonnegative and finite$"):
+            LocalModel(causes)
+
+    def test_causes_are_held_once_as_read_only_arrays(self):
+        model = random_model(np.random.default_rng(3))
+        assert not hasattr(model, "causes")
+        assert model.p_plus.shape == (len(model.weights), 3, 2)
+        for arr in (model.weights, model.p_plus):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
 
     def test_uniform_joint_probability(self):
         assert joint_probability(uniform_model(), "xxx", (1, 1, 1)) == pytest.approx(0.125)
@@ -71,22 +134,19 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_cause_weight(self, bad):
         with pytest.raises(ValueError):
-            Cause(bad, np.full((3, 2), 0.5))
+            LocalModel((Cause(bad, np.full((3, 2), 0.5)),))
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_cause_p_plus(self, bad):
         p_plus = np.full((3, 2), 0.5)
         p_plus[1, 1] = bad
         with pytest.raises(ValueError):
-            Cause(1.0, p_plus)
+            LocalModel((Cause(1.0, p_plus),))
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_local_model_weight_sum(self, bad):
-        # A cause whose weight changed after its own check cannot enter a model.
-        cause = Cause(1.0, np.full((3, 2), 0.5))
-        object.__setattr__(cause, "weight", bad)
         with pytest.raises(ValueError, match="sum to"):
-            LocalModel((cause,))
+            LocalModel((Cause(bad, np.full((3, 2), 0.5)),))
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_correlation_table(self, bad):
@@ -176,12 +236,41 @@ class TestHrConstrained:
         )
         assert best == 3
 
-    @pytest.mark.parametrize("pair", list(itertools.combinations(range(4), 2)))
+    @pytest.mark.parametrize("pair", PAIRS)
     def test_numeric_cross_check_no_pair_is_jointly_satisfiable(self, pair):
         # Exact minimum 1/2: |T1| + |T2| <= 1 by Cauchy-Schwarz, nearest
         # point (t1, t2)/2 (see hr_pair_violation_minimum).
-        gap = locality.hr_pair_violation_minimum(pair, restarts=8, seed=7)
+        gap = numeric_pair_minimum(pair, restarts=8, seed=7)
         assert gap == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_pair_minimum_is_exactly_one_half(self, pair):
+        assert locality.hr_pair_violation_minimum(pair) == 0.5
+        assert locality.hr_pair_violation_minimum(pair, restarts=6, seed=4) == 0.5
+        assert locality.hr_pair_violation_minimum(pair[::-1], restarts=1, seed=0) == 0.5
+
+    @pytest.mark.parametrize("pair,restarts,message", [
+        ((0, 1), 0, "^restarts must be >= 1, got 0$"),
+        ((0, 1), -3, "^restarts must be >= 1, got -3$"),
+        ((2, 2), 32, r"^pair must be two distinct indices in 0..3, got \(2, 2\)$"),
+        ((0, 7), 32, r"^pair must be two distinct indices in 0..3, got \(0, 7\)$"),
+    ], ids=["restarts-0", "restarts-negative", "pair-repeated", "pair-out-of-range"])
+    def test_pair_minimum_refuses_meaningless_input(self, pair, restarts, message):
+        with pytest.raises(ValueError, match=message):
+            locality.hr_pair_violation_minimum(pair, restarts=restarts)
+
+    def test_witness_off_one_half_is_refused(self, monkeypatch):
+        monkeypatch.setattr(qcore, "SQRT2_INV", 0.7)
+        with pytest.raises(SelfCheckFailed, match="^HR witness reached 0.52"):
+            locality.hr_pair_violation_minimum((0, 1))
+
+    def test_disc_point_below_one_half_is_refused(self, monkeypatch):
+        # The seeded points (a batch) are made to meet both targets exactly.
+        exact = locality.triple_products
+        monkeypatch.setattr(locality, "triple_products", lambda bars, patterns: (
+            exact(bars, patterns) if np.ndim(bars) == 2 else np.array([1.0, -1.0])))
+        with pytest.raises(SelfCheckFailed, match="^a point of the discs violates"):
+            locality.hr_pair_violation_minimum((0, 1))
 
 
 class TestEprContrast:
@@ -289,6 +378,24 @@ class TestPolytopeMembership:
         assert result.inside == inside
 
 
+# --- identity equality of the array-holding records --------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: qcore.make_ghz(),
+    lambda: qcore.mix_with_white_noise(qcore.make_ghz(), 0.5),
+    lambda: ghz_correlation_table(),
+    lambda: Cause(1.0, np.full((3, 2), 0.5)),
+    lambda: uniform_model(),
+    lambda: polytope_membership(model_to_table(uniform_model())),
+], ids=["StateVector", "DensityMatrix", "CorrelationTable", "Cause", "LocalModel",
+        "Membership"])
+def test_equality_is_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True
+    assert a == a and a in [b, a] and a not in [b]
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 # --- property tests of the one correlator path ------------------------------
 
 @st.composite
@@ -309,10 +416,10 @@ def brute_force_table(model):
         block = []
         for outcome in qcore.OUTCOMES:
             total = 0.0
-            for cause in model.causes:
-                prod = cause.weight
+            for weight, p_plus in zip(model.weights, model.p_plus):
+                prod = weight
                 for party, (setting, sign) in enumerate(zip(pattern, outcome)):
-                    p = cause.p_plus[party]["xy".index(setting)]
+                    p = p_plus[party]["xy".index(setting)]
                     prod *= p if sign == +1 else 1.0 - p
                 total += prod
             block.append(total)

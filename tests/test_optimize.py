@@ -126,12 +126,24 @@ def qubit_turn(qubit: int) -> np.ndarray:
 
 
 def cut_operators(cut: int):
-    """(A, B) with M = X_cut (x) A + Y_cut (x) B, as half partial traces of M
-    against X and Y on qubit ``cut``."""
-    m_mat = optimize._mermin_matrices()[0].reshape((2,) * 6)
-    m_mat = np.moveaxis(m_mat, (cut, 3 + cut), (0, 1))
-    return [np.einsum("ij,ji...->...", qcore.PAULI[p], m_mat).reshape(4, 4) / 2.0
-            for p in "XY"]
+    """(A, B) with M = X_cut (x) A + Y_cut (x) B, from the terms of M: each
+    term's pair factors go to A or B by its setting on qubit ``cut``."""
+    a_mat, b_mat = np.zeros((4, 4), dtype=complex), np.zeros((4, 4), dtype=complex)
+    for coeff, settings in mermin.M_TERMS:
+        first, second = (qcore.PAULI[settings[p]] for p in range(3) if p != cut)
+        target = a_mat if settings[cut] == "X" else b_mat
+        target += coeff * np.kron(first, second)
+    return a_mat, b_mat
+
+
+class TestCutOperators:
+    @pytest.mark.parametrize("cut", range(3))
+    def test_terms_rebuild_m(self, cut):
+        # X_cut (x) A + Y_cut (x) B, with the cut qubit moved back into place.
+        a_mat, b_mat = cut_operators(cut)
+        first = np.kron(qcore.PAULI["X"], a_mat) + np.kron(qcore.PAULI["Y"], b_mat)
+        rebuilt = np.moveaxis(first.reshape((2,) * 6), (0, 3), (cut, 3 + cut)).reshape(8, 8)
+        assert np.array_equal(rebuilt, optimize._mermin_matrices()[0])
 
 
 def conjugate(mat, phases):
