@@ -5,28 +5,14 @@ operator pair over local, realistic, quantum-local, biseparable, and
 unrestricted quantum models.
 """
 from . import locality, mermin, optimize, qcore
-from .errors import (
-    GhzlabError,
-    ImaginaryResidual,
-    MalformedTable,
-    PointOutsideQuantumRegion,
-    SelfCheckFailed,
-    ToleranceOutOfRange,
-    VisibilityOutOfRange,
-)
+from .errors import SelfCheckFailed
 
 __all__ = [
     "locality",
     "mermin",
     "optimize",
     "qcore",
-    "GhzlabError",
-    "ImaginaryResidual",
-    "MalformedTable",
-    "PointOutsideQuantumRegion",
     "SelfCheckFailed",
-    "ToleranceOutOfRange",
-    "VisibilityOutOfRange",
 ]
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import GhzlabError
+from .errors import SelfCheckFailed
 from . import locality, mermin, optimize, qcore
 
 DEFAULT_TOL = 1e-6
@@ -38,7 +38,7 @@ EIGEN_CHECKS = tuple((p.upper(), value) for p, value in SIGNED_SUM_EXPECTED.item
 #: linearly in each, so a larger count is refused before any work starts.
 MAX_COUNT = 100_000
 #: Lower end of each count flag.
-COUNT_MINIMUMS = {"restarts": 1, "points": 1, "samples": 8}
+COUNT_MINIMUMS = {"restarts": 1, "points": 1, "samples": mermin.MIN_SAMPLES}
 
 
 def _fmt(value) -> str:
@@ -319,12 +319,9 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _default_seed()
         return args.func(args)
-    except GhzlabError as exc:
+    except (SelfCheckFailed, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_FAIL if isinstance(exc, SelfCheckFailed) else EXIT_INPUT
 
 
 def entry() -> None:

@@ -25,7 +25,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import MalformedTable, SelfCheckFailed, ToleranceOutOfRange
+from .errors import SelfCheckFailed
 from . import mermin, qcore
 from .qcore import OUTCOMES, PATTERNS
 
@@ -61,14 +61,16 @@ class LocalModel:
 
     def __post_init__(self, causes):
         weights = np.array([c.weight for c in causes], dtype=float)
-        p_plus = np.array([c.p_plus for c in causes], dtype=float)
         total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"cause weights sum to {total!r}, not 1")
         if not np.all((weights >= 0) & (weights < np.inf)):
             raise ValueError("cause weight must be nonnegative and finite")
-        if p_plus.shape[1:] != (3, 2):
-            raise ValueError(f"p_plus must be 3x2, got shape {p_plus.shape[1:]}")
+        # dtype=object gives a ragged p_plus a shape instead of numpy's error.
+        for shape in (np.shape(np.array(c.p_plus, dtype=object)) for c in causes):
+            if shape != (3, 2):
+                raise ValueError(f"p_plus must be 3x2, got shape {shape}")
+        p_plus = np.array([c.p_plus for c in causes], dtype=float)
         if not np.all((p_plus >= -1e-12) & (p_plus <= 1.0 + 1e-12)):
             raise ValueError("response probabilities must lie in [0, 1]")
         for name, arr in (("weights", weights), ("p_plus", p_plus)):
@@ -89,16 +91,16 @@ class CorrelationTable:
         clean = {}
         for pattern in PATTERNS:
             if pattern not in self.blocks:
-                raise MalformedTable(f"missing block {pattern!r}")
+                raise ValueError(f"missing block {pattern!r}")
             arr = np.asarray(self.blocks[pattern], dtype=float)
             if arr.shape != (8,):
-                raise MalformedTable(f"block {pattern!r} must have 8 entries")
+                raise ValueError(f"block {pattern!r} must have 8 entries")
             if not np.all(np.isfinite(arr)):
-                raise MalformedTable(f"block {pattern!r} has a non-finite entry")
+                raise ValueError(f"block {pattern!r} has a non-finite entry")
             if np.any(arr < -1e-12):
-                raise MalformedTable(f"block {pattern!r} has a negative entry")
+                raise ValueError(f"block {pattern!r} has a negative entry")
             if abs(arr.sum() - 1.0) > 1e-12:
-                raise MalformedTable(f"block {pattern!r} sums to {arr.sum()!r}")
+                raise ValueError(f"block {pattern!r} sums to {arr.sum()!r}")
             arr.setflags(write=False)
             clean[pattern] = arr
         object.__setattr__(self, "blocks", clean)
@@ -226,7 +228,7 @@ def hr_constrained_satisfiability(tolerance: float = 1e-6):
     (ix, iy, jx, jy, kx, ky).
     """
     if not 0.0 < tolerance < 1.0:
-        raise ToleranceOutOfRange(f"tolerance {tolerance!r} outside (0, 1)")
+        raise ValueError(f"tolerance {tolerance!r} outside (0, 1)")
     witness = (1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
     if _hr_satisfied_count(witness, tolerance) != 1:
         raise SelfCheckFailed("analytic witness failed its own check")
@@ -250,7 +252,8 @@ def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float
     points of the discs must violate by at least 1/2 - 1e-12.
     """
     rng = seeded_rng(restarts, seed)
-    if len(set(pair)) != 2 or not set(pair) <= set(range(len(PATTERNS))):
+    indices = {n for n in pair if isinstance(n, (int, np.integer)) and type(n) is not bool}
+    if len(pair) != 2 or len(indices & set(range(len(PATTERNS)))) != 2:
         raise ValueError(f"pair must be two distinct indices in 0..3, got {pair!r}")
     targets = np.take(CONSTRAINT_TARGETS, pair)
     patterns = [PATTERNS[n] for n in pair]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointOutsideQuantumRegion
 from .qcore import PATTERNS, density_entries
 
 #: Each pattern of PATTERNS weighed by GHZ's perfect correlation on it, the
@@ -30,6 +29,9 @@ from .qcore import PATTERNS, density_entries
 M_TERMS = tuple((sign, pattern.upper())
                 for sign, pattern in zip((+1.0, -1.0, -1.0, -1.0), PATTERNS))
 MPRIME_TERMS = ((+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY"))
+
+#: Fewest vertices per circle of ``figure1_regions``.
+MIN_SAMPLES = 8
 
 CLASS_SEPARABLE = "separable-compatible"
 CLASS_TWO_ENTANGLED = "two-entangled-compatible"
@@ -98,9 +100,7 @@ def report(point: MerminPoint) -> InequalityReport:
     sufficient; ``locality.polytope_membership`` is the full test of a table."""
     r2 = point.radius_squared
     if r2 > 16.0 + 1e-9:
-        raise PointOutsideQuantumRegion(
-            f"radius^2 = {r2!r} exceeds the quantum bound 16"
-        )
+        raise ValueError(f"radius^2 = {r2!r} exceeds the quantum bound 16")
     peak = max(abs(point.m_value), abs(point.mprime_value))
     if r2 <= 1.0:
         klass = CLASS_SEPARABLE
@@ -125,8 +125,8 @@ def figure1_regions(samples: int = 256) -> list:
     squares their four corners. Curves are closed implicitly (last vertex
     connects back to the first).
     """
-    if samples < 8:
-        raise ValueError(f"samples must be >= 8, got {samples}")
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     theta = 2.0 * np.pi * np.arange(samples) / samples
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
     square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImaginaryResidual, VisibilityOutOfRange
+from .errors import SelfCheckFailed
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -149,10 +149,10 @@ def density_entries(state) -> np.ndarray:
 
 
 def expectation(state, obs: Observable) -> float:
-    """Tr(rho O); the imaginary residual must vanish."""
+    """Tr(rho O); an imaginary part of 1e-10 or more is a code fault (SelfCheckFailed)."""
     value = complex(np.trace(density_entries(state) @ observable_matrix(obs)))
     if abs(value.imag) >= 1e-10:
-        raise ImaginaryResidual(f"imaginary residual {value.imag!r} in expectation")
+        raise SelfCheckFailed(f"imaginary residual {value.imag!r} in expectation")
     return value.real
 
 
@@ -200,7 +200,7 @@ def signed_sum_for_state(state, settings: str) -> float:
 def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
     """v * rho + (1 - v) * I/8."""
     if not 0.0 <= visibility <= 1.0:
-        raise VisibilityOutOfRange(f"visibility {visibility!r} outside [0, 1]")
+        raise ValueError(f"visibility {visibility!r} outside [0, 1]")
     rho = density_entries(state)
     return DensityMatrix(visibility * rho + (1.0 - visibility) * np.eye(8) / 8)
 

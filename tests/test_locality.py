@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ghzlab import locality, mermin, optimize, qcore
-from ghzlab.errors import MalformedTable, SelfCheckFailed, ToleranceOutOfRange
+from ghzlab.errors import SelfCheckFailed
 from ghzlab.locality import (
     Cause,
     CorrelationTable,
@@ -94,7 +94,8 @@ class TestLocalModel:
         with pytest.raises(ValueError, match=r"^response probabilities must lie in \[0, 1\]$"):
             LocalModel((Cause(1.0, np.full((3, 2), 1.5)),))
 
-    @pytest.mark.parametrize("p_plus", [np.full((2, 3), 0.5), np.full(6, 0.5)])
+    @pytest.mark.parametrize("p_plus", [np.full((2, 3), 0.5), np.full(6, 0.5),
+                                        [[0.5, 0.5], [0.5, 0.5], [0.5]]])
     def test_misshaped_p_plus(self, p_plus):
         with pytest.raises(ValueError, match="^p_plus must be 3x2"):
             LocalModel((Cause(1.0, p_plus),))
@@ -152,7 +153,7 @@ class TestNonFiniteRejected:
     def test_correlation_table(self, bad):
         blocks = {p: np.full(8, 0.125) for p in qcore.PATTERNS}
         blocks["xyy"][2] = bad
-        with pytest.raises(MalformedTable, match="non-finite"):
+        with pytest.raises(ValueError, match="^block 'xyy' has a non-finite entry$"):
             CorrelationTable(blocks)
 
 
@@ -221,7 +222,7 @@ class TestHrConstrained:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0])
     def test_tolerance_range(self, tol):
-        with pytest.raises(ToleranceOutOfRange):
+        with pytest.raises(ValueError, match=rf"^tolerance {tol!r} outside \(0, 1\)$"):
             locality.hr_constrained_satisfiability(tol)
 
     def test_all_zero_satisfies_nothing(self):
@@ -254,7 +255,11 @@ class TestHrConstrained:
         ((0, 1), -3, "^restarts must be >= 1, got -3$"),
         ((2, 2), 32, r"^pair must be two distinct indices in 0..3, got \(2, 2\)$"),
         ((0, 7), 32, r"^pair must be two distinct indices in 0..3, got \(0, 7\)$"),
-    ], ids=["restarts-0", "restarts-negative", "pair-repeated", "pair-out-of-range"])
+        ((0.0, 1.0), 32, r"^pair must be two distinct indices in 0..3, got \(0.0, 1.0\)$"),
+        ((True, 2), 32, r"^pair must be two distinct indices in 0..3, got \(True, 2\)$"),
+        ((0, 1, 1), 32, r"^pair must be two distinct indices in 0..3, got \(0, 1, 1\)$"),
+    ], ids=["restarts-0", "restarts-negative", "pair-repeated", "pair-out-of-range",
+            "pair-float", "pair-bool", "pair-three-entries"])
     def test_pair_minimum_refuses_meaningless_input(self, pair, restarts, message):
         with pytest.raises(ValueError, match=message):
             locality.hr_pair_violation_minimum(pair, restarts=restarts)
@@ -330,9 +335,9 @@ class TestCorrelationTable:
         assert locality.table_mermin_value(ghz_correlation_table()) == pytest.approx(4.0, abs=1e-12)
 
     def test_malformed_blocks(self):
-        with pytest.raises(MalformedTable):
+        with pytest.raises(ValueError, match="^block 'xxx' sums to "):
             CorrelationTable({p: np.full(8, 0.25) for p in qcore.PATTERNS})
-        with pytest.raises(MalformedTable):
+        with pytest.raises(ValueError, match="^missing block 'yyx'$"):
             CorrelationTable({p: np.full(8, 0.125) for p in qcore.PATTERNS[:-1]})
 
 

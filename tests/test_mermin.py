@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ghzlab import locality, mermin, qcore
-from ghzlab.errors import PointOutsideQuantumRegion
 from ghzlab.mermin import MerminPoint
 
 from conftest import WHITE_NOISE, random_product_state, random_pure_state
@@ -167,7 +166,7 @@ class TestReport:
         assert mermin.report(MerminPoint(2.0, 0.0)).satisfies_locality_bound
 
     def test_outside_quantum_region_raises(self):
-        with pytest.raises(PointOutsideQuantumRegion):
+        with pytest.raises(ValueError, match=r"^radius\^2 = 25.0 exceeds the quantum bound 16$"):
             mermin.report(MerminPoint(5.0, 0.0))
 
     def test_bound_nesting_random_points(self, rng):

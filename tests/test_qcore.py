@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ghzlab import qcore
-from ghzlab.errors import VisibilityOutOfRange
+from ghzlab.errors import SelfCheckFailed
 from ghzlab.qcore import Observable, StateVector, DensityMatrix
 
 from conftest import WHITE_NOISE, random_pure_state
@@ -78,6 +78,13 @@ class TestExpectation:
         for v in (0.0, 0.3, 0.7, 1.0):
             mixed = qcore.mix_with_white_noise(state, v)
             assert qcore.expectation(mixed, observable) == pytest.approx(v * pure, abs=1e-12)
+
+    def test_imaginary_residual_is_a_failed_self_check(self, monkeypatch):
+        # A validated state and a real-coefficient Pauli sum cannot leave 1e-10;
+        # only a corrupt observable_matrix can, here the anti-Hermitian i*I.
+        monkeypatch.setattr(qcore, "observable_matrix", lambda obs: 1j * np.eye(8))
+        with pytest.raises(SelfCheckFailed, match=r"^imaginary residual [\d.]+ in expectation$"):
+            qcore.expectation(qcore.make_ghz(), obs("XXX"))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="^expected three Pauli settings, got 'XX'$"):
@@ -251,7 +258,7 @@ class TestWhiteNoise:
 
     @pytest.mark.parametrize("v", [-0.1, 1.1, 2.0])
     def test_visibility_range(self, v):
-        with pytest.raises(VisibilityOutOfRange):
+        with pytest.raises(ValueError, match=rf"^visibility {v!r} outside \[0, 1\]$"):
             qcore.mix_with_white_noise(qcore.make_ghz(), v)
 
 
