@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ghzlab
-from ghzlab import cli, errors, locality, qcore
+from ghzlab import cli, errors, locality, mermin, qcore
 
 from conftest import WHITE_NOISE
 
@@ -331,20 +331,53 @@ def test_negative_zero_imaginary_parts_read_as_zero(tmp_path, command, state):
 RAISABLE = {"SelfCheckFailed", "ValueError", "TypeError"}
 
 
-class TestErrorBoundary:
-    @pytest.mark.parametrize("cls,status", [
-        (errors.SelfCheckFailed, 1), (ValueError, 2), (OSError, 2),
-    ], ids=["SelfCheckFailed", "ValueError", "OSError"])
-    def test_each_error_class_exits_with_its_code(self, capsys, monkeypatch, cls, status):
-        def fail(args):
-            raise cls("something went wrong")
+def _raise(cls):
+    def fail(monkeypatch):
+        raise cls("something went wrong")
+    return fail
 
-        monkeypatch.setattr(cli, "cmd_threshold", fail)
+
+def _imaginary_residual(monkeypatch):
+    monkeypatch.setattr(qcore, "observable_matrix", lambda obs: 1j * np.eye(8))
+    basis_state = qcore.StateVector(np.eye(8, dtype=complex)[0])
+    qcore.expectation(basis_state, qcore.Observable.single("XXX"))
+
+
+def _malformed_table(monkeypatch):
+    blocks = {pattern: [1.0] + [0.0] * 7 for pattern in locality.PATTERNS}
+    blocks[locality.PATTERNS[0]] = [1.5, -0.5] + [0.0] * 6
+    locality.CorrelationTable(blocks)
+
+
+#: Each case: what fails inside the command, the exit code and the message. The
+#: named sites once raised classes of their own; they now raise ValueError
+#: (exit 2) or, for the imaginary residual, SelfCheckFailed (exit 1).
+BOUNDARY_CASES = {
+    "SelfCheckFailed": (_raise(errors.SelfCheckFailed), 1, "something went wrong"),
+    "ValueError": (_raise(ValueError), 2, "something went wrong"),
+    "OSError": (_raise(OSError), 2, "something went wrong"),
+    "ImaginaryResidual": (_imaginary_residual, 1, "imaginary residual 1.0 in expectation"),
+    "MalformedTable": (_malformed_table, 2,
+                       f"block {locality.PATTERNS[0]!r} has a negative entry"),
+    "PointOutsideQuantumRegion": (lambda mp: mermin.report(mermin.MerminPoint(4.0, 1.0)), 2,
+                                  "radius^2 = 17.0 exceeds the quantum bound 16"),
+    "ToleranceOutOfRange": (lambda mp: locality.hr_constrained_satisfiability(1.0), 2,
+                            "tolerance 1.0 outside (0, 1)"),
+    "VisibilityOutOfRange": (lambda mp: qcore.mix_with_white_noise(qcore.make_ghz(), 1.5), 2,
+                             "visibility 1.5 outside [0, 1]"),
+}
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_each_error_class_exits_with_its_code(self, capsys, monkeypatch, case):
+        site, status, message = BOUNDARY_CASES[case]
+        monkeypatch.setattr(cli, "cmd_threshold", lambda args: site(monkeypatch))
         code = cli.main(["threshold", "--bound", "locality"])
         captured = capsys.readouterr()
         assert code == status
         assert captured.out == ""
-        assert captured.err == "error: something went wrong\n"
+        assert captured.err == f"error: {message}\n"
 
     def test_every_raise_is_a_known_error(self):
         raised = {}
