@@ -27,13 +27,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-#: GHZ value of each perfect-correlation pattern: the signed probability
-#: sum, and the eigenvalue of the matching Pauli product observable.
-SIGNED_SUM_EXPECTED = {
-    pattern: float(target)
-    for pattern, target in zip(qcore.PATTERNS, locality.CONSTRAINT_TARGETS)
-}
-EIGEN_CHECKS = tuple((p.upper(), value) for p, value in SIGNED_SUM_EXPECTED.items())
 #: Upper end of --restarts, --points and --samples; time and memory grow
 #: linearly in each, so a larger count is refused before any work starts.
 MAX_COUNT = 100_000
@@ -88,8 +81,9 @@ def cmd_verify(args) -> int:
         state = qcore.make_ghz()
     else:
         state = qcore.load_state(args.state)
+    # An M_TERMS coefficient is GHZ's eigenvalue and signed sum on its pattern.
     checks = []
-    for settings, eigenvalue in EIGEN_CHECKS:
+    for eigenvalue, settings in mermin.M_TERMS:
         obs = qcore.Observable.single(settings)
         entry = {
             "name": f"eigen_{settings}",
@@ -102,16 +96,17 @@ def cmd_verify(args) -> int:
         if asserted:
             entry["pass"] = entry["residual"] < 1e-10
         checks.append(entry)
-    for pattern in qcore.PATTERNS:
+    for expected, settings in mermin.M_TERMS:
+        pattern = settings.lower()
         value = qcore.signed_sum_for_state(state, pattern)
         entry = {
             "name": f"signed_sum_{pattern}",
-            "expected": SIGNED_SUM_EXPECTED[pattern],
+            "expected": expected,
             "value": value,
             "asserted": asserted,
         }
         if asserted:
-            entry["pass"] = abs(value - SIGNED_SUM_EXPECTED[pattern]) < 1e-12
+            entry["pass"] = abs(value - expected) < 1e-12
         checks.append(entry)
     all_pass = all(entry["pass"] for entry in checks) if asserted else None
     payload = {"checks": checks, "all_pass": all_pass}
@@ -306,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", parents=[_common_parent()],
                        help="visibility at which a bound starts being violated")
-    p.add_argument("--bound", choices=("locality", "quantum_locality"), required=True)
+    p.add_argument("--bound", choices=tuple(optimize.THRESHOLD_LIMITS), required=True)
     p.set_defaults(func=cmd_threshold)
     return parser
 

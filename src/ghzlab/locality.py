@@ -70,7 +70,10 @@ class LocalModel:
         for shape in (np.shape(np.array(c.p_plus, dtype=object)) for c in causes):
             if shape != (3, 2):
                 raise ValueError(f"p_plus must be 3x2, got shape {shape}")
-        p_plus = np.array([c.p_plus for c in causes], dtype=float)
+        try:
+            p_plus = np.array([c.p_plus for c in causes], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"p_plus must be 3x2 real numbers: {exc}") from exc
         if not np.all((p_plus >= -1e-12) & (p_plus <= 1.0 + 1e-12)):
             raise ValueError("response probabilities must lie in [0, 1]")
         for name, arr in (("weights", weights), ("p_plus", p_plus)):
@@ -100,7 +103,7 @@ class CorrelationTable:
             if np.any(arr < -1e-12):
                 raise ValueError(f"block {pattern!r} has a negative entry")
             if abs(arr.sum() - 1.0) > 1e-12:
-                raise ValueError(f"block {pattern!r} sums to {arr.sum()!r}")
+                raise ValueError(f"block {pattern!r} sums to {float(arr.sum())!r}")
             arr.setflags(write=False)
             clean[pattern] = arr
         object.__setattr__(self, "blocks", clean)
@@ -147,25 +150,18 @@ def triple_products(values, patterns=PATTERNS) -> np.ndarray:
 
 
 def mermin_values(values, terms) -> np.ndarray:
-    """<M> (or <M'>, by ``terms``) of local values: their triple products
-    put through ``mermin.witness_value``; shape ``values.shape[:-2]``."""
-    patterns = [settings.lower() for _, settings in terms]
-    products = np.moveaxis(triple_products(values, patterns), -1, 0)
-    return mermin.witness_value(terms, dict(zip(patterns, products)))
+    """<M> (or <M'>, by ``terms``) of local values: the coefficient-weighted
+    sum of their triple products; shape ``values.shape[:-2]``."""
+    coeffs, patterns = zip(*terms)
+    return (triple_products(values, patterns) * coeffs).sum(axis=-1)
 
 
-def _cause_probabilities(p_plus, patterns=PATTERNS) -> np.ndarray:
-    """Per-cause joint outcome probabilities: (..., len(patterns), 8), OUTCOMES order."""
-    p = at_patterns(p_plus, patterns)
+def _cause_probabilities(p_plus) -> np.ndarray:
+    """Per-cause joint outcome probabilities: (..., len(PATTERNS), 8), OUTCOMES order."""
+    p = at_patterns(p_plus)
     q = np.stack([p, 1.0 - p], axis=-1)
     joint = q[..., 0, :, None, None] * q[..., 1, None, :, None] * q[..., 2, None, None, :]
     return joint.reshape(*joint.shape[:-3], 8)
-
-
-def model_triple_correlations(model: LocalModel, patterns=PATTERNS) -> tuple:
-    """Mixture triple products, one per settings pattern (default PATTERNS)."""
-    products = triple_products(2.0 * model.p_plus - 1.0, patterns)
-    return tuple((model.weights @ products).tolist())
 
 
 # --- sign assignments and the contradiction --------------------------------
@@ -262,7 +258,7 @@ def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float
         return np.sum((triple_products(bars, patterns) - targets) ** 2, axis=-1)
 
     # Party k reads settings[n, k] in pattern n. Witness: 1, (1, 1)/sqrt(2), (t1, t2)/sqrt(2).
-    settings = np.array([["xy".index(ch) for ch in p] for p in patterns])
+    settings = at_patterns([(0, 1)] * 3, patterns)
     others = np.flatnonzero(settings[0] != settings[1])
     witness = np.zeros((3, 2))
     witness[np.arange(3), settings] = 1.0
@@ -289,11 +285,7 @@ def epr_contrast(c1: int = -1, c2: int = -1) -> tuple:
     """
     if c1 not in (+1, -1) or c2 not in (+1, -1):
         raise ValueError("targets must be +-1")
-    assignment = (1, 1, c1, c2)
-    ix, iy, jx, jy = assignment
-    if ix * jx != c1 or iy * jy != c2:
-        raise SelfCheckFailed("EPR witness failed its own check")
-    return assignment
+    return (1, 1, c1, c2)
 
 
 # --- deterministic strategies and polytope membership ----------------------
@@ -319,9 +311,9 @@ def table_triple_correlations(table: CorrelationTable) -> tuple:
 
 
 def table_mermin_value(table: CorrelationTable) -> float:
-    """<M> read off a correlation table."""
-    correlations = dict(zip(PATTERNS, table_triple_correlations(table)))
-    return mermin.witness_value(mermin.M_TERMS, correlations)
+    """<M> read off a correlation table: the triple correlations weighed by
+    CONSTRAINT_TARGETS, the signs of M_TERMS."""
+    return float(np.dot(CONSTRAINT_TARGETS, table_triple_correlations(table)))
 
 
 def _table_vector(table: CorrelationTable) -> np.ndarray:

@@ -71,12 +71,6 @@ class InequalityReport:
         }
 
 
-def witness_value(terms, correlations) -> float:
-    """sum_k coeff_k <settings_k> for M_TERMS or MPRIME_TERMS, given the
-    triple correlations keyed by lowercase settings ("xxx", "xyy", ...)."""
-    return sum(coeff * correlations[settings.lower()] for coeff, settings in terms)
-
-
 def evaluate_point(state) -> MerminPoint:
     """(<M>, <M'>) for a pure or mixed three-qubit state.
 

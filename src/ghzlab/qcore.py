@@ -9,7 +9,7 @@ Conventions used everywhere in the package:
 * Outcome probabilities are ``Re diag(U^H rho U)`` for pure
   (``rho = |psi><psi|``) and mixed states alike; see ``basis_change``.
 * Tolerances: 1e-12 for exact algebraic identities and normalization,
-  1e-10 for eigenchecks and imaginary residuals.
+  1e-10 for eigenchecks and, per unit of coefficient, imaginary residuals.
 """
 from __future__ import annotations
 
@@ -149,9 +149,10 @@ def density_entries(state) -> np.ndarray:
 
 
 def expectation(state, obs: Observable) -> float:
-    """Tr(rho O); an imaginary part of 1e-10 or more is a code fault (SelfCheckFailed)."""
+    """Tr(rho O); an imaginary part above 1e-10 * sum |coeff| is a code fault
+    (SelfCheckFailed): a state's 1e-12 Hermitian slack leaves 4e-12 at most."""
     value = complex(np.trace(density_entries(state) @ observable_matrix(obs)))
-    if abs(value.imag) >= 1e-10:
+    if abs(value.imag) > 1e-10 * sum(abs(coeff) for coeff, _ in obs.terms):
         raise SelfCheckFailed(f"imaginary residual {value.imag!r} in expectation")
     return value.real
 

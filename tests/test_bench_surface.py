@@ -7,6 +7,7 @@ package change that breaks them fail the suite instead of the benchmark run.
 Nothing under perfbench/ is modified.
 """
 import contextlib
+import importlib
 import io
 import random
 import sys
@@ -37,3 +38,12 @@ def test_cli_light_pass_passes_its_checks():
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
         assert commands.check(name, argv, code, out.getvalue()) is None, name
+
+
+@pytest.mark.parametrize("module,name", [(module, name)
+                                         for module, names in child.SPANNED.items()
+                                         for name in names])
+def test_spanned_functions_exist(module, name):
+    # child.py skips a SPANNED name the package lacks, and its per-layer
+    # metric then reads 0 instead of failing.
+    assert callable(getattr(importlib.import_module(f"ghzlab.{module}"), name, None))

@@ -95,7 +95,10 @@ class TestLocalModel:
             LocalModel((Cause(1.0, np.full((3, 2), 1.5)),))
 
     @pytest.mark.parametrize("p_plus", [np.full((2, 3), 0.5), np.full(6, 0.5),
-                                        [[0.5, 0.5], [0.5, 0.5], [0.5]]])
+                                        [[0.5, 0.5], [0.5, 0.5], [0.5]],
+                                        [[0.5, 0.5], [0.5, 0.5], [0.5, [0.5]]],
+                                        [["a", 0.5], [0.5, 0.5], [0.5, 0.5]],
+                                        [[0.5j, 0.5], [0.5, 0.5], [0.5, 0.5]]])
     def test_misshaped_p_plus(self, p_plus):
         with pytest.raises(ValueError, match="^p_plus must be 3x2"):
             LocalModel((Cause(1.0, p_plus),))
@@ -157,23 +160,27 @@ class TestNonFiniteRejected:
             CorrelationTable(blocks)
 
 
+def triple_correlations(model):
+    return locality.table_triple_correlations(model_to_table(model))
+
+
 class TestTripleCorrelations:
     def test_uniform(self):
-        assert locality.model_triple_correlations(uniform_model()) == pytest.approx((0, 0, 0, 0))
+        assert triple_correlations(uniform_model()) == pytest.approx((0, 0, 0, 0))
 
     def test_all_plus(self):
-        assert locality.model_triple_correlations(all_plus_model()) == pytest.approx((1, 1, 1, 1))
+        assert triple_correlations(all_plus_model()) == pytest.approx((1, 1, 1, 1))
 
     def test_odd_mixture_cancels(self):
         model = LocalModel((
             Cause(0.5, np.ones((3, 2))),
             Cause(0.5, np.zeros((3, 2))),
         ))
-        assert locality.model_triple_correlations(model) == pytest.approx((0, 0, 0, 0))
+        assert triple_correlations(model) == pytest.approx((0, 0, 0, 0))
 
     def test_values_bounded(self, rng):
         for _ in range(100):
-            values = locality.model_triple_correlations(random_model(rng))
+            values = triple_correlations(random_model(rng))
             assert all(-1.0 - 1e-12 <= v <= 1.0 + 1e-12 for v in values)
 
 
@@ -335,7 +342,7 @@ class TestCorrelationTable:
         assert locality.table_mermin_value(ghz_correlation_table()) == pytest.approx(4.0, abs=1e-12)
 
     def test_malformed_blocks(self):
-        with pytest.raises(ValueError, match="^block 'xxx' sums to "):
+        with pytest.raises(ValueError, match="^block 'xxx' sums to 2.0$"):
             CorrelationTable({p: np.full(8, 0.25) for p in qcore.PATTERNS})
         with pytest.raises(ValueError, match="^missing block 'yyx'$"):
             CorrelationTable({p: np.full(8, 0.125) for p in qcore.PATTERNS[:-1]})
@@ -447,12 +454,6 @@ class TestOneCorrelatorPath:
             reference = sum(np.prod(out) * p for out, p in zip(qcore.OUTCOMES, table.blocks[pattern]))
             assert abs(value - reference) <= 8 * np.finfo(float).eps
 
-    @given(local_models())
-    def test_probability_and_correlator_routes_agree(self, model):
-        via_table = locality.table_triple_correlations(model_to_table(model))
-        direct = locality.model_triple_correlations(model)
-        assert np.max(np.abs(np.subtract(via_table, direct))) <= 1e-12
-
     @given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=48)
            .map(lambda raw: np.reshape(raw[:len(raw) // 6 * 6], (-1, 3, 2))),
            st.lists(st.sampled_from(["".join(s) for s in itertools.product("xy", repeat=3)]),
@@ -470,14 +471,15 @@ class TestOneCorrelatorPath:
                                              ("mprime", mermin.MPRIME_TERMS)])
     def test_local_maximum_is_its_argmax_strategy_value(self, which, terms):
         # <M> from the strategy's probability table; <M'> (whose patterns are
-        # not in the table) from the strategy model's triple correlations.
+        # not in the table) from the strategy's +-1 signs, term by term.
         def value(strategy):
-            model = strategy_to_model(strategy)
             if which == "m":
-                return abs(locality.table_mermin_value(model_to_table(model)))
-            patterns = [settings.lower() for _, settings in terms]
-            correlations = locality.model_triple_correlations(model, patterns)
-            return abs(mermin.witness_value(terms, dict(zip(patterns, correlations))))
+                return abs(locality.table_mermin_value(model_to_table(strategy_to_model(strategy))))
+            total = 0.0
+            for coeff, settings in terms:
+                i, j, k = ("XY".index(ch) for ch in settings)
+                total += coeff * strategy[0][i] * strategy[1][j] * strategy[2][k]
+            return abs(total)
 
         result = optimize.max_local_mermin(which)
         strategy = tuple(map(tuple, result.argmax["strategy"]))

@@ -79,6 +79,15 @@ class TestExpectation:
             mixed = qcore.mix_with_white_noise(state, v)
             assert qcore.expectation(mixed, observable) == pytest.approx(v * pure, abs=1e-12)
 
+    def test_hermitian_slack_scales_with_the_coefficients(self):
+        # Imaginary off-diagonals of 0.49e-12 pass the 1e-12 Hermitian check
+        # and leave 3.92e-12 per unit coefficient: 3.92e-10 at coefficient 100.
+        # A zero coefficient leaves exactly 0, which its bound of 0 must pass.
+        ghz = qcore.mix_with_white_noise(qcore.make_ghz(), 0.5).entries
+        slack = DensityMatrix(ghz + 1j * 0.49e-12 * (np.ones((8, 8)) - np.eye(8)))
+        assert qcore.expectation(slack, obs("XXX", 100.0)) == pytest.approx(50.0, abs=1e-9)
+        assert qcore.expectation(slack, obs("XXX", 0.0)) == 0.0
+
     def test_imaginary_residual_is_a_failed_self_check(self, monkeypatch):
         # A validated state and a real-coefficient Pauli sum cannot leave 1e-10;
         # only a corrupt observable_matrix can, here the anti-Hermitian i*I.
