@@ -94,7 +94,7 @@ def cmd_verify(args) -> int:
         if isinstance(state, qcore.StateVector):
             entry["residual"] = qcore.eigen_residual(state, obs, eigenvalue)
         if asserted:
-            entry["pass"] = entry["residual"] < 1e-10
+            entry["pass"] = entry["residual"] < qcore.EIGEN_TOL
         checks.append(entry)
     for expected, settings in mermin.M_TERMS:
         pattern = settings.lower()

@@ -13,5 +13,5 @@ class SelfCheckFailed(RuntimeError):
     1e-12, when a seeded point of the discs violates an HR pair by less than
     1/2, when the parity identity or an analytic witness of ``locality``
     fails its own check, when the membership search runs out of pivots, or
-    when an expectation Tr(rho O) keeps an imaginary part of 1e-10 or more.
+    when an expectation Tr(rho O) keeps an imaginary part above 1e-10 * sum |coeff|.
     """

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -60,25 +61,34 @@ class LocalModel:
     p_plus: np.ndarray = field(init=False)
 
     def __post_init__(self, causes):
-        weights = np.array([c.weight for c in causes], dtype=float)
+        weights, p_plus = [], []
+        for cause in causes:
+            # dtype=object gives a ragged p_plus a shape instead of numpy's error.
+            entries = np.array(cause.p_plus, dtype=object)
+            if entries.shape != (3, 2):
+                raise ValueError(f"p_plus must be 3x2, got shape {entries.shape}")
+            weights.append(_real(cause.weight, "cause weight must be a real number"))
+            p_plus.append([_real(e, "p_plus must be 3x2 real numbers") for e in entries.flat])
+        weights = np.array(weights, dtype=float)
+        p_plus = np.array(p_plus, dtype=float).reshape(len(weights), 3, 2)
         total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"cause weights sum to {total!r}, not 1")
         if not np.all((weights >= 0) & (weights < np.inf)):
             raise ValueError("cause weight must be nonnegative and finite")
-        # dtype=object gives a ragged p_plus a shape instead of numpy's error.
-        for shape in (np.shape(np.array(c.p_plus, dtype=object)) for c in causes):
-            if shape != (3, 2):
-                raise ValueError(f"p_plus must be 3x2, got shape {shape}")
-        try:
-            p_plus = np.array([c.p_plus for c in causes], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"p_plus must be 3x2 real numbers: {exc}") from exc
         if not np.all((p_plus >= -1e-12) & (p_plus <= 1.0 + 1e-12)):
             raise ValueError("response probabilities must lie in [0, 1]")
         for name, arr in (("weights", weights), ("p_plus", p_plus)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+def _real(value, message):
+    """``value`` if it is a real number and not a bool (numbers.Real admits bool,
+    not np.bool_); np.array(..., dtype=float) would parse strings and booleans."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{message}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,10 +300,6 @@ def epr_contrast(c1: int = -1, c2: int = -1) -> tuple:
 
 # --- deterministic strategies and polytope membership ----------------------
 
-def strategy_to_model(strategy) -> LocalModel:
-    return LocalModel((Cause(1.0, np.equal(strategy, +1).astype(float)),))
-
-
 def model_to_table(model: LocalModel) -> CorrelationTable:
     blocks = np.tensordot(model.weights, _cause_probabilities(model.p_plus), axes=1)
     return CorrelationTable(dict(zip(PATTERNS, blocks)))
@@ -308,12 +314,6 @@ def ghz_correlation_table() -> CorrelationTable:
 def table_triple_correlations(table: CorrelationTable) -> tuple:
     blocks = _table_vector(table).reshape(len(PATTERNS), len(OUTCOMES))
     return tuple((blocks @ qcore.OUTCOME_SIGNS).tolist())
-
-
-def table_mermin_value(table: CorrelationTable) -> float:
-    """<M> read off a correlation table: the triple correlations weighed by
-    CONSTRAINT_TARGETS, the signs of M_TERMS."""
-    return float(np.dot(CONSTRAINT_TARGETS, table_triple_correlations(table)))
 
 
 def _table_vector(table: CorrelationTable) -> np.ndarray:

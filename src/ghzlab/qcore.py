@@ -8,8 +8,8 @@ Conventions used everywhere in the package:
   ``s``; no alternative phase, so amplitude tables are bit-reproducible.
 * Outcome probabilities are ``Re diag(U^H rho U)`` for pure
   (``rho = |psi><psi|``) and mixed states alike; see ``basis_change``.
-* Tolerances: 1e-12 for exact algebraic identities and normalization,
-  1e-10 for eigenchecks and, per unit of coefficient, imaginary residuals.
+* Tolerances: 1e-12 for exact identities and normalization, EIGEN_TOL for
+  eigenchecks and 1e-10 per unit of coefficient for imaginary residuals.
 """
 from __future__ import annotations
 
@@ -23,6 +23,9 @@ import numpy as np
 from .errors import SelfCheckFailed
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
+
+#: Largest ||O|psi> - lambda|psi>|| that eigencheck and verify accept.
+EIGEN_TOL = 1e-10
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -158,8 +161,8 @@ def expectation(state, obs: Observable) -> float:
 
 
 def eigencheck(state: StateVector, obs: Observable, eigenvalue: float) -> bool:
-    """True iff ||O|psi> - lambda|psi>|| < 1e-10."""
-    return eigen_residual(state, obs, eigenvalue) < 1e-10
+    """True iff ||O|psi> - lambda|psi>|| < EIGEN_TOL."""
+    return eigen_residual(state, obs, eigenvalue) < EIGEN_TOL
 
 
 def eigen_residual(state: StateVector, obs: Observable, eigenvalue: float) -> float:
@@ -236,12 +239,6 @@ def state_from_json_dict(doc: dict):
     with np.errstate(invalid="ignore"):
         data = re + 1j * im
     return StateVector(data) if data.ndim == 1 else DensityMatrix(data)
-
-
-def save_state(state, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_json_dict(state), fh)
-        fh.write("\n")
 
 
 def load_state(path):

@@ -40,7 +40,7 @@ class TestVerify:
 
     def test_maximally_mixed_state_reports_without_asserting(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"
-        qcore.save_state(WHITE_NOISE, path)
+        path.write_text(json.dumps(qcore.state_to_json_dict(WHITE_NOISE)))
         code, out = run(capsys, ["verify", "--state", str(path)])
         assert code == 0
         doc = json.loads(out)
@@ -161,7 +161,7 @@ class TestClassify:
 
     def test_state_file_input(self, capsys, tmp_path):
         path = tmp_path / "ghz.json"
-        qcore.save_state(qcore.make_ghz(), path)
+        path.write_text(json.dumps(qcore.state_to_json_dict(qcore.make_ghz())))
         code, out = run(capsys, ["classify", "--state", str(path)])
         assert code == 0
         assert json.loads(out)["m"] == pytest.approx(4.0, abs=1e-10)
@@ -170,7 +170,7 @@ class TestClassify:
         code, _ = run(capsys, ["classify"])
         assert code == 2
         path = tmp_path / "ghz.json"
-        qcore.save_state(qcore.make_ghz(), path)
+        path.write_text(json.dumps(qcore.state_to_json_dict(qcore.make_ghz())))
         code, _ = run(capsys, ["classify", "--state", str(path), "--noise", "0.5"])
         assert code == 2
 
@@ -559,6 +559,25 @@ def test_scipy_is_never_imported():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.stderr == ""
     assert json.loads(proc.stdout) == [0, [], []]
+
+
+def test_src_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; sympy, say, may be installed but
+    # must not reach the package.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ghzlab"}
+    imported = {}
+    for path in Path(ghzlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported[f"{path.name}:{node.lineno}"] = name.split(".")[0]
+    assert "numpy" in imported.values()
+    assert {site: name for site, name in imported.items() if name not in allowed} == {}
 
 
 class TestOutputFile:

@@ -15,7 +15,6 @@ from ghzlab.locality import (
     ghz_sign_feasibility,
     model_to_table,
     polytope_membership,
-    strategy_to_model,
 )
 
 from conftest import random_pure_state
@@ -26,7 +25,18 @@ def uniform_model():
 
 
 def all_plus_model():
-    return strategy_to_model(((1, 1), (1, 1), (1, 1)))
+    return LocalModel((Cause(1.0, np.ones((3, 2))),))
+
+
+def strategy_table(index):
+    """The table of strategy SIGNS[index]: its column of the strategy matrix."""
+    column = locality._strategy_matrix()[:, index]
+    return CorrelationTable(dict(zip(qcore.PATTERNS, column.reshape(len(qcore.PATTERNS), 8))))
+
+
+def table_mermin(table):
+    """<M> of a table: its triple correlations weighed by CONSTRAINT_TARGETS."""
+    return float(np.dot(locality.CONSTRAINT_TARGETS, locality.table_triple_correlations(table)))
 
 
 def joint_probability(model, pattern, outcomes):
@@ -85,6 +95,16 @@ def numeric_pair_minimum(pair, restarts, seed):
     return best
 
 
+HALF = np.full((3, 2), 0.5).tolist()
+
+
+def with_entry(entry):
+    """A copy of HALF with p_plus[1][0] replaced."""
+    p_plus = [list(row) for row in HALF]
+    p_plus[1][0] = entry
+    return p_plus
+
+
 class TestLocalModel:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -107,6 +127,34 @@ class TestLocalModel:
         causes = (Cause(1.5, np.full((3, 2), 0.5)), Cause(-0.5, np.full((3, 2), 0.5)))
         with pytest.raises(ValueError, match="^cause weight must be nonnegative and finite$"):
             LocalModel(causes)
+
+    @pytest.mark.parametrize("weight,p_plus,message", [
+        ("1", HALF, "cause weight must be a real number, got str"),
+        (1.0, with_entry("0.5"), "p_plus must be 3x2 real numbers, got str"),
+        (1.0, with_entry(b"1"), "p_plus must be 3x2 real numbers, got bytes"),
+        (True, HALF, "cause weight must be a real number, got bool"),
+        (1.0, with_entry(np.True_), "p_plus must be 3x2 real numbers, got bool_?"),
+        (1.0, with_entry(0.5 + 0j), "p_plus must be 3x2 real numbers, got complex"),
+        ("1", [["0.5", b"1"], [True, 0.5], [0.5, 0.5]],
+         "cause weight must be a real number, got str"),
+    ], ids=["str-weight", "str-entry", "bytes-entry", "true-weight", "numpy-true-entry",
+            "complex-entry", "all-at-once"])
+    def test_non_numbers_are_refused_not_parsed(self, weight, p_plus, message):
+        # np.array(..., dtype=float) reads "0.5", b"1" and True as floats.
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            LocalModel((Cause(weight, p_plus),))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: (rng.dirichlet(np.ones(3)), [rng.uniform(0.0, 1.0, (3, 2)) for _ in range(3)]),
+        lambda rng: ([1.0], [[[0, 1], [1, 0], [1, 1]]]),
+        lambda rng: ([0, 1], [np.zeros((3, 2), dtype=int), np.ones((3, 2), dtype=np.int64)]),
+    ], ids=["numpy-floats", "int-entries", "int-weights-and-arrays"])
+    def test_real_numbers_are_accepted(self, make, rng):
+        weights, p_plus = make(rng)
+        model = LocalModel(tuple(Cause(w, p) for w, p in zip(weights, p_plus)))
+        np.testing.assert_array_equal(model.weights, np.asarray(weights, dtype=float))
+        np.testing.assert_array_equal(model.p_plus, np.asarray(p_plus, dtype=float))
 
     def test_causes_are_held_once_as_read_only_arrays(self):
         model = random_model(np.random.default_rng(3))
@@ -317,12 +365,18 @@ class TestStrategies:
         assert SIGNS[0].tolist() == [[1, 1], [1, 1], [1, 1]]
 
     def test_strategy_tables_are_deterministic(self):
-        for strategy in SIGNS[:8]:
-            table = model_to_table(strategy_to_model(strategy))
+        for index in range(len(SIGNS)):
+            table = strategy_table(index)
             for pattern in qcore.PATTERNS:
                 block = table.blocks[pattern]
                 assert np.all(np.isin(np.round(block, 12), (0.0, 1.0)))
                 assert block.sum() == pytest.approx(1.0)
+
+    def test_strategy_columns_are_their_one_cause_model_tables(self):
+        for index, signs in enumerate(SIGNS):
+            model = LocalModel((Cause(1.0, (signs + 1) / 2),))
+            np.testing.assert_array_equal(locality._table_vector(model_to_table(model)),
+                                          locality._strategy_matrix()[:, index])
 
 
 class TestCorrelationTable:
@@ -339,7 +393,7 @@ class TestCorrelationTable:
             (1.0, -1.0, -1.0, -1.0), abs=1e-12)
 
     def test_mermin_value_of_ghz(self):
-        assert locality.table_mermin_value(ghz_correlation_table()) == pytest.approx(4.0, abs=1e-12)
+        assert table_mermin(ghz_correlation_table()) == pytest.approx(4.0, abs=1e-12)
 
     def test_malformed_blocks(self):
         with pytest.raises(ValueError, match="^block 'xxx' sums to 2.0$"):
@@ -362,7 +416,7 @@ class TestPolytopeMembership:
 
     def test_deterministic_strategy_recovered(self):
         index = 23
-        table = model_to_table(strategy_to_model(SIGNS[index]))
+        table = strategy_table(index)
         result = polytope_membership(table)
         assert result.inside
         assert result.weights[index] == pytest.approx(1.0, abs=1e-8)
@@ -383,9 +437,9 @@ class TestPolytopeMembership:
             for p in qcore.PATTERNS
         }
         table = CorrelationTable(blocks)
-        assert locality.table_mermin_value(table) == pytest.approx(4.0 * visibility, abs=1e-12)
+        assert table_mermin(table) == pytest.approx(4.0 * visibility, abs=1e-12)
         result = polytope_membership(table)
-        if locality.table_mermin_value(table) > 2.0:
+        if table_mermin(table) > 2.0:
             assert not result.inside
         assert result.inside == inside
 
@@ -472,19 +526,19 @@ class TestOneCorrelatorPath:
     def test_local_maximum_is_its_argmax_strategy_value(self, which, terms):
         # <M> from the strategy's probability table; <M'> (whose patterns are
         # not in the table) from the strategy's +-1 signs, term by term.
-        def value(strategy):
+        def value(index):
             if which == "m":
-                return abs(locality.table_mermin_value(model_to_table(strategy_to_model(strategy))))
-            total = 0.0
+                return abs(table_mermin(strategy_table(index)))
+            strategy, total = SIGNS[index], 0.0
             for coeff, settings in terms:
                 i, j, k = ("XY".index(ch) for ch in settings)
                 total += coeff * strategy[0][i] * strategy[1][j] * strategy[2][k]
             return abs(total)
 
         result = optimize.max_local_mermin(which)
-        strategy = tuple(map(tuple, result.argmax["strategy"]))
-        assert result.best_value == value(strategy)
-        assert result.best_value == max(value(s) for s in SIGNS)
+        index = SIGNS.tolist().index(result.argmax["strategy"])
+        assert result.best_value == value(index)
+        assert result.best_value == max(value(j) for j in range(len(SIGNS)))
 
 
 # --- the nearest-point membership search ------------------------------------
@@ -526,7 +580,7 @@ class TestNearestPoint:
     @pytest.mark.parametrize("excess", [1e-7, 1e-6])
     def test_just_above_the_mermin_bound_is_outside(self, excess):
         table = noisy_ghz_table(0.5 + excess)
-        assert locality.table_mermin_value(table) > 2.0
+        assert table_mermin(table) > 2.0
         result = polytope_membership(table)
         assert not result.inside
         assert result.weights is None and result.max_residual > locality.MEMBERSHIP_TOL
