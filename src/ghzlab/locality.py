@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import numbers
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -61,34 +60,20 @@ class LocalModel:
     p_plus: np.ndarray = field(init=False)
 
     def __post_init__(self, causes):
-        weights, p_plus = [], []
-        for cause in causes:
-            # dtype=object gives a ragged p_plus a shape instead of numpy's error.
-            entries = np.array(cause.p_plus, dtype=object)
-            if entries.shape != (3, 2):
-                raise ValueError(f"p_plus must be 3x2, got shape {entries.shape}")
-            weights.append(_real(cause.weight, "cause weight must be a real number"))
-            p_plus.append([_real(e, "p_plus must be 3x2 real numbers") for e in entries.flat])
-        weights = np.array(weights, dtype=float)
-        p_plus = np.array(p_plus, dtype=float).reshape(len(weights), 3, 2)
-        total = float(weights.sum())
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"cause weights sum to {total!r}, not 1")
-        if not np.all((weights >= 0) & (weights < np.inf)):
+        weights = qcore.read_numbers([cause.weight for cause in causes], "cause weight")
+        p_plus = qcore.read_numbers([cause.p_plus for cause in causes], "p_plus entry")
+        if weights.ndim != 1:
+            raise ValueError(f"cause weight must be a real number, got shape {weights.shape[1:]}")
+        if abs(weights.sum() - 1.0) > 1e-12:
+            raise ValueError(f"cause weights sum to {float(weights.sum())!r}, not 1")
+        if np.any(weights < 0):
             raise ValueError("cause weight must be nonnegative and finite")
+        if p_plus.shape[1:] != (3, 2):
+            raise ValueError(f"p_plus must be 3x2, got shape {p_plus.shape[1:]}")
         if not np.all((p_plus >= -1e-12) & (p_plus <= 1.0 + 1e-12)):
             raise ValueError("response probabilities must lie in [0, 1]")
-        for name, arr in (("weights", weights), ("p_plus", p_plus)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def _real(value, message):
-    """``value`` if it is a real number and not a bool (numbers.Real admits bool,
-    not np.bool_); np.array(..., dtype=float) would parse strings and booleans."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{message}, got {type(value).__name__}")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "p_plus", p_plus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,16 +90,13 @@ class CorrelationTable:
         for pattern in PATTERNS:
             if pattern not in self.blocks:
                 raise ValueError(f"missing block {pattern!r}")
-            arr = np.asarray(self.blocks[pattern], dtype=float)
+            arr = qcore.read_numbers(self.blocks[pattern], f"block {pattern!r} entry")
             if arr.shape != (8,):
                 raise ValueError(f"block {pattern!r} must have 8 entries")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"block {pattern!r} has a non-finite entry")
             if np.any(arr < -1e-12):
                 raise ValueError(f"block {pattern!r} has a negative entry")
             if abs(arr.sum() - 1.0) > 1e-12:
                 raise ValueError(f"block {pattern!r} sums to {float(arr.sum())!r}")
-            arr.setflags(write=False)
             clean[pattern] = arr
         object.__setattr__(self, "blocks", clean)
 

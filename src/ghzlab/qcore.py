@@ -10,12 +10,15 @@ Conventions used everywhere in the package:
   (``rho = |psi><psi|``) and mixed states alike; see ``basis_change``.
 * Tolerances: 1e-12 for exact identities and normalization, EIGEN_TOL for
   eigenchecks and 1e-10 per unit of coefficient for imaginary residuals.
+* Every number handed to the package is read by ``read_numbers``, which
+  refuses, never coerces, anything but finite numbers in float range.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,31 @@ OUTCOME_SIGNS.setflags(write=False)
 PATTERNS = ("xxx", "xyy", "yxy", "yyx")
 
 
+def read_numbers(values, what: str, dtype=float) -> np.ndarray:
+    """``values`` as a finite, read-only array of ``dtype`` (float or complex):
+    an ndarray numpy casts safely to it (bool aside) passes whole, anything else
+    must hold only real (complex) numbers, never bools. ``what`` names one entry."""
+    number = numbers.Complex if dtype is complex else numbers.Real
+    noun = f"a {number.__name__.lower()} number"
+    if not (isinstance(values, np.ndarray) and values.dtype != bool
+            and np.can_cast(values.dtype, dtype)):
+        try:
+            values = np.array(values, dtype=object)
+        except ValueError as exc:  # sequences of arrays that do not stack
+            raise ValueError(f"{what} must be {noun}, got a ragged array") from exc
+        for entry in values.ravel():
+            if not isinstance(entry, number) or isinstance(entry, bool):
+                raise ValueError(f"{what} must be {noun}, got {type(entry).__name__}")
+    try:
+        arr = np.array(values, dtype=dtype)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is too large for a float") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} is non-finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of three qubits: 8 amplitudes."""
@@ -58,15 +86,12 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = read_numbers(self.amplitudes, "amplitude", complex).reshape(-1)
         if amps.size != 8:
             raise ValueError(f"expected a three-qubit state (8 amplitudes), got {amps.size}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("state has a non-finite amplitude")
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
 
@@ -77,12 +102,10 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = read_numbers(self.entries, "density matrix entry", complex)
         if mat.shape != (8, 8):
             raise ValueError("expected a three-qubit state (an 8x8 matrix), "
                              f"got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("density matrix has a non-finite entry")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
             raise ValueError("density matrix not Hermitian within 1e-12")
         tr = complex(np.trace(mat))
@@ -91,7 +114,6 @@ class DensityMatrix:
         # White-noise mixing can leave eigenvalues a hair below zero.
         if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
             raise ValueError("density matrix has a negative eigenvalue")
-        mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
 
@@ -110,13 +132,14 @@ class Observable:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("an observable needs at least one term")
-        norm = []
-        for coeff, settings in self.terms:
-            settings = settings.upper()
-            if len(settings) != 3 or any(ch not in PAULI for ch in settings):
-                raise ValueError(f"expected three Pauli settings, got {settings!r}")
-            norm.append((float(coeff), settings))
-        object.__setattr__(self, "terms", tuple(norm))
+        coeffs = read_numbers([coeff for coeff, _ in self.terms], "coefficient")
+        if coeffs.ndim != 1:
+            raise ValueError(f"coefficient must be a real number, got shape {coeffs.shape[1:]}")
+        settings = [settings.upper() for _, settings in self.terms]
+        for s in settings:
+            if len(s) != 3 or any(ch not in PAULI for ch in s):
+                raise ValueError(f"expected three Pauli settings, got {s!r}")
+        object.__setattr__(self, "terms", tuple(zip(coeffs.tolist(), settings)))
 
     @classmethod
     def single(cls, settings: str, coeff: float = 1.0) -> "Observable":
@@ -221,24 +244,17 @@ def state_to_json_dict(state) -> dict:
 
 def state_from_json_dict(doc: dict):
     try:
-        dim = doc["dim"]
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim, re, im = doc["dim"], doc["re"], doc["im"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
+    re, im = read_numbers(re, "state entry"), read_numbers(im, "state entry")
     if re.shape != im.shape:
         raise ValueError(f"state arrays re and im differ in shape: {re.shape} and {im.shape}")
-    # JSON numbers only: no string, no boolean, and no rounding of 8.7.
+    # No string, no boolean, and no rounding of 8.7.
     if type(dim) not in (int, float) or re.shape not in ((dim,), (dim, dim)):
         raise ValueError(f"state arrays have shape {re.shape}, "
                          f"expected ({dim!r},) or ({dim!r}, {dim!r})")
-    for entry in np.asarray([doc["re"], doc["im"]], dtype=object).flat:
-        if type(entry) not in (int, float):
-            raise ValueError(f"state entry {entry!r} is not a JSON number")
-    # A non-finite part makes 1j * im warn; the constructors refuse it below.
-    with np.errstate(invalid="ignore"):
-        data = re + 1j * im
-    return StateVector(data) if data.ndim == 1 else DensityMatrix(data)
+    return (StateVector if re.ndim == 1 else DensityMatrix)(re + 1j * im)
 
 
 def load_state(path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,29 @@ from ghzlab import qcore
 
 #: The maximally mixed state I/8: GHZ at visibility 0.
 WHITE_NOISE = qcore.mix_with_white_noise(qcore.make_ghz(), 0.0)
+
+#: Entries that no number reader takes, each with its message: ``what`` names
+#: the entry and ``noun`` is "a real number" or "a complex number".
+BAD_ENTRIES = [
+    pytest.param(np.nan, "{what} is non-finite", id="nan"),
+    pytest.param(np.inf, "{what} is non-finite", id="inf"),
+    pytest.param(-np.inf, "{what} is non-finite", id="-inf"),
+    pytest.param("0.5", "{what} must be {noun}, got str", id="str"),
+    pytest.param(b"1", "{what} must be {noun}, got bytes", id="bytes"),
+    pytest.param(True, "{what} must be {noun}, got bool", id="true"),
+    pytest.param(np.True_, "{what} must be {noun}, got bool", id="numpy-true"),
+    pytest.param(None, "{what} must be {noun}, got NoneType", id="none"),
+    pytest.param([0.5], "{what} must be {noun}, got list", id="nested-list"),
+    pytest.param(10 ** 400, "{what} is too large for a float", id="huge-int"),
+]
+#: BAD_ENTRIES for the real readers, which also refuse a complex entry.
+BAD_REAL_ENTRIES = BAD_ENTRIES + [
+    pytest.param(0.5 + 0j, "{what} must be {noun}, got complex", id="complex")]
+
+
+def refusal(template: str, what: str, noun: str = "a real number") -> str:
+    """The exact-match pattern of a BAD_ENTRIES message."""
+    return f"^{re.escape(template.format(what=what, noun=noun))}$"
 
 
 def random_pure_state(rng) -> qcore.StateVector:

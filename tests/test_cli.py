@@ -18,7 +18,7 @@ from ghzlab import cli, errors, locality, mermin, qcore
 
 from conftest import WHITE_NOISE
 
-#: A JSON integer beyond float range: numpy raises OverflowError on reading it.
+#: A JSON integer beyond float range: a float conversion raises OverflowError.
 HUGE_INT_STATE = json.dumps({"dim": 8, "re": [10 ** 400] + [0] * 7, "im": [0] * 8})
 #: A two-qubit state file; the package reads three-qubit states only.
 PAIR_STATE = json.dumps({"dim": 4, "re": [0.5] * 4, "im": [0.0] * 4})
@@ -61,8 +61,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == ("error: malformed state document: "
-                                "int too large to convert to float\n")
+        assert captured.err == "error: state entry is too large for a float\n"
 
     def test_missing_state_file(self, capsys, tmp_path):
         code, _ = run(capsys, ["verify", "--state", str(tmp_path / "nope.json")])
@@ -257,35 +256,44 @@ def test_misshaped_state_file_is_refused(capsys, tmp_path, command, fmt, doc):
     assert captured.err.startswith("error: state arrays ")
 
 
-def _mixed_doc_with_string():
+def _mixed_doc_with(entry):
     doc = qcore.state_to_json_dict(WHITE_NOISE)
-    doc["re"][3][3] = "0.125"
+    doc["re"][3][3] = entry
     return json.dumps(doc)
 
 
-#: State files with a string or a boolean where a number belongs: numpy
-#: would read "0.125" as 0.125 and false as 0.
+#: State files with an entry that is not a number in float range, and the
+#: message each gives: numpy would read "0.125" as 0.125 and false as 0.
 NON_NUMBER_DOCS = {
     "string-in-re": json.dumps({"dim": 8, "re": [str(_GHZ_RE[0])] + _GHZ_RE[1:],
                                 "im": [0.0] * 8}),
     "boolean-in-im": json.dumps({"dim": 8, "re": _GHZ_RE, "im": [False] + [0.0] * 7}),
-    "string-in-mixed-row": _mixed_doc_with_string(),
+    "string-in-mixed-row": _mixed_doc_with("0.125"),
+    "null-in-re": json.dumps({"dim": 8, "re": [None] + _GHZ_RE[1:], "im": [0.0] * 8}),
+    "nested-list-in-im": json.dumps({"dim": 8, "re": _GHZ_RE, "im": [[0.0]] + [0.0] * 7}),
+    "huge-int-in-mixed-row": _mixed_doc_with(10 ** 400),
+}
+NON_NUMBER_ERRORS = {
+    "string-in-re": "state entry must be a real number, got str",
+    "boolean-in-im": "state entry must be a real number, got bool",
+    "string-in-mixed-row": "state entry must be a real number, got str",
+    "null-in-re": "state entry must be a real number, got NoneType",
+    "nested-list-in-im": "state entry must be a real number, got list",
+    "huge-int-in-mixed-row": "state entry is too large for a float",
 }
 
 
 @pytest.mark.parametrize("command", ["verify", "classify"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("doc", list(NON_NUMBER_DOCS.values()), ids=list(NON_NUMBER_DOCS))
-def test_non_number_state_entry_is_refused(capsys, tmp_path, command, fmt, doc):
+@pytest.mark.parametrize("name", list(NON_NUMBER_DOCS), ids=list(NON_NUMBER_DOCS))
+def test_non_number_state_entry_is_refused(capsys, tmp_path, command, fmt, name):
     path = tmp_path / "state.json"
-    path.write_text(doc)
+    path.write_text(NON_NUMBER_DOCS[name])
     code = cli.main([command, "--state", str(path), "--format", fmt])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: state entry ")
-    assert captured.err.rstrip().endswith(" is not a JSON number")
+    assert captured.err == f"error: {NON_NUMBER_ERRORS[name]}\n"
 
 
 #: State files nested deeper than the JSON parser recurses.
@@ -578,6 +586,29 @@ def test_src_imports_only_the_standard_library_and_numpy():
                 imported[f"{path.name}:{node.lineno}"] = name.split(".")[0]
     assert "numpy" in imported.values()
     assert {site: name for site, name in imported.items() if name not in allowed} == {}
+
+
+def test_numbers_are_read_in_one_place():
+    # qcore.read_numbers is the package's one number reader: no other module
+    # imports numbers, and no code outside it asks numpy for an object array.
+    sites = []
+    for path in Path(ghzlab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        reader = set()
+        if path.name == "qcore.py":
+            func = next(node for node in tree.body if getattr(node, "name", "") == "read_numbers")
+            reader = {id(node) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "qcore.py":
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else [
+                    alias.name for alias in node.names]
+                sites += [f"{path.name}:{node.lineno}: import numbers"
+                          for module in modules if module == "numbers"]
+            elif isinstance(node, ast.Call) and id(node) not in reader:
+                args = node.args + [keyword.value for keyword in node.keywords]
+                sites += [f"{path.name}:{node.lineno}: dtype object" for arg in args
+                          if isinstance(arg, ast.Name) and arg.id == "object"]
+    assert sites == []
 
 
 class TestOutputFile:

@@ -17,7 +17,7 @@ from ghzlab.locality import (
     polytope_membership,
 )
 
-from conftest import random_pure_state
+from conftest import BAD_REAL_ENTRIES, random_pure_state, refusal
 
 
 def uniform_model():
@@ -114,13 +114,17 @@ class TestLocalModel:
         with pytest.raises(ValueError, match=r"^response probabilities must lie in \[0, 1\]$"):
             LocalModel((Cause(1.0, np.full((3, 2), 1.5)),))
 
-    @pytest.mark.parametrize("p_plus", [np.full((2, 3), 0.5), np.full(6, 0.5),
-                                        [[0.5, 0.5], [0.5, 0.5], [0.5]],
-                                        [[0.5, 0.5], [0.5, 0.5], [0.5, [0.5]]],
-                                        [["a", 0.5], [0.5, 0.5], [0.5, 0.5]],
-                                        [[0.5j, 0.5], [0.5, 0.5], [0.5, 0.5]]])
-    def test_misshaped_p_plus(self, p_plus):
-        with pytest.raises(ValueError, match="^p_plus must be 3x2"):
+    @pytest.mark.parametrize("p_plus,message", [
+        (np.full((2, 3), 0.5), r"p_plus must be 3x2, got shape \(2, 3\)"),
+        (np.full(6, 0.5), r"p_plus must be 3x2, got shape \(6,\)"),
+        ([[0.5, 0.5], [0.5, 0.5], [0.5]], "p_plus entry must be a real number, got list"),
+        ([[0.5, 0.5], [0.5, 0.5], [0.5, [0.5]]], "p_plus entry must be a real number, got list"),
+        ([["a", 0.5], [0.5, 0.5], [0.5, 0.5]], "p_plus entry must be a real number, got str"),
+        ([[0.5j, 0.5], [0.5, 0.5], [0.5, 0.5]],
+         "p_plus entry must be a real number, got complex"),
+    ], ids=[f"p_plus{n}" for n in range(6)])
+    def test_misshaped_p_plus(self, p_plus, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             LocalModel((Cause(1.0, p_plus),))
 
     def test_negative_weight(self):
@@ -130,15 +134,20 @@ class TestLocalModel:
 
     @pytest.mark.parametrize("weight,p_plus,message", [
         ("1", HALF, "cause weight must be a real number, got str"),
-        (1.0, with_entry("0.5"), "p_plus must be 3x2 real numbers, got str"),
-        (1.0, with_entry(b"1"), "p_plus must be 3x2 real numbers, got bytes"),
+        (1.0, with_entry("0.5"), "p_plus entry must be a real number, got str"),
+        (1.0, with_entry(b"1"), "p_plus entry must be a real number, got bytes"),
         (True, HALF, "cause weight must be a real number, got bool"),
-        (1.0, with_entry(np.True_), "p_plus must be 3x2 real numbers, got bool_?"),
-        (1.0, with_entry(0.5 + 0j), "p_plus must be 3x2 real numbers, got complex"),
+        (1.0, with_entry(np.True_), "p_plus entry must be a real number, got bool"),
+        (1.0, with_entry(0.5 + 0j), "p_plus entry must be a real number, got complex"),
         ("1", [["0.5", b"1"], [True, 0.5], [0.5, 0.5]],
          "cause weight must be a real number, got str"),
+        ([1.0], HALF, r"cause weight must be a real number, got shape \(1,\)"),
+        (10 ** 400, HALF, "cause weight is too large for a float"),
+        (1.0, np.ones((3, 2), dtype=bool), "p_plus entry must be a real number, got bool"),
+        (1.0, np.full((3, 2), 0.5 + 0j), "p_plus entry must be a real number, got complex"),
     ], ids=["str-weight", "str-entry", "bytes-entry", "true-weight", "numpy-true-entry",
-            "complex-entry", "all-at-once"])
+            "complex-entry", "all-at-once", "list-weight", "huge-int-weight", "bool-array",
+            "complex-array"])
     def test_non_numbers_are_refused_not_parsed(self, weight, p_plus, message):
         # np.array(..., dtype=float) reads "0.5", b"1" and True as floats.
         with pytest.raises(ValueError, match=f"^{message}$") as info:
@@ -183,28 +192,31 @@ NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 class TestNonFiniteRejected:
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_cause_weight(self, bad):
-        with pytest.raises(ValueError):
-            LocalModel((Cause(bad, np.full((3, 2), 0.5)),))
+    @pytest.mark.parametrize("bad,message", BAD_REAL_ENTRIES)
+    def test_cause_weight(self, bad, message):
+        # Beside a second weight, a nested one is ragged rather than a 2-D shape.
+        causes = (Cause(bad, HALF), Cause(0.0, HALF))
+        with pytest.raises(ValueError, match=refusal(message, "cause weight")):
+            LocalModel(causes)
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_cause_p_plus(self, bad):
-        p_plus = np.full((3, 2), 0.5)
-        p_plus[1, 1] = bad
-        with pytest.raises(ValueError):
-            LocalModel((Cause(1.0, p_plus),))
+    @pytest.mark.parametrize("bad,message", BAD_REAL_ENTRIES)
+    def test_cause_p_plus(self, bad, message):
+        with pytest.raises(ValueError, match=refusal(message, "p_plus entry")):
+            LocalModel((Cause(1.0, with_entry(bad)),))
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_local_model_weight_sum(self, bad):
-        with pytest.raises(ValueError, match="sum to"):
+        # A non-finite weight is refused before the weights are summed.
+        with pytest.raises(ValueError, match="^cause weight is non-finite$"):
             LocalModel((Cause(bad, np.full((3, 2), 0.5)),))
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_correlation_table(self, bad):
-        blocks = {p: np.full(8, 0.125) for p in qcore.PATTERNS}
+    @pytest.mark.parametrize("bad,message", BAD_REAL_ENTRIES)
+    def test_correlation_table(self, bad, message):
+        # A non-finite float goes into an ndarray, which the reader takes whole.
+        blocks = {p: np.full(8, 0.125) if isinstance(bad, float) else [0.125] * 8
+                  for p in qcore.PATTERNS}
         blocks["xyy"][2] = bad
-        with pytest.raises(ValueError, match="^block 'xyy' has a non-finite entry$"):
+        with pytest.raises(ValueError, match=refusal(message, "block 'xyy' entry")):
             CorrelationTable(blocks)
 
 

@@ -9,7 +9,8 @@ from ghzlab import qcore
 from ghzlab.errors import SelfCheckFailed
 from ghzlab.qcore import Observable, StateVector, DensityMatrix
 
-from conftest import WHITE_NOISE, random_pure_state
+from conftest import (BAD_ENTRIES, BAD_REAL_ENTRIES, WHITE_NOISE, random_pure_state,
+                      refusal)
 
 
 def obs(settings, coeff=1.0):
@@ -129,16 +130,97 @@ class TestNonFiniteRejected:
     def test_state_vector(self, bad, imaginary):
         amps = qcore.make_ghz().amplitudes.copy()
         amps[3] = complex(0.0, bad) if imaginary else complex(bad, 0.0)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^amplitude is non-finite$"):
             StateVector(amps)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad,message", BAD_ENTRIES)
+    def test_amplitude_entry(self, bad, message):
+        amps = qcore.make_ghz().amplitudes.tolist()
+        amps[3] = bad
+        with pytest.raises(ValueError, match=refusal(message, "amplitude", "a complex number")):
+            StateVector(amps)
+
+    @pytest.mark.parametrize("bad,message", BAD_ENTRIES)
     @pytest.mark.parametrize("index", [(0, 0), (2, 5)])
-    def test_density_matrix(self, bad, index):
-        rho = WHITE_NOISE.entries.copy()
-        rho[index] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+    def test_density_matrix(self, bad, message, index):
+        # A non-finite float goes into an ndarray, which the reader takes whole.
+        rho = WHITE_NOISE.entries.copy() if isinstance(bad, float) else WHITE_NOISE.entries.tolist()
+        rho[index[0]][index[1]] = bad
+        with pytest.raises(ValueError, match=refusal(message, "density matrix entry",
+                                                     "a complex number")):
             DensityMatrix(rho)
+
+    @pytest.mark.parametrize("bad,message", BAD_REAL_ENTRIES)
+    def test_coefficient(self, bad, message):
+        with pytest.raises(ValueError, match=refusal(message, "coefficient")):
+            Observable(((bad, "XXX"), (1.0, "YYY")))
+
+    @pytest.mark.parametrize("bad,message", BAD_REAL_ENTRIES)
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_state_file_entry(self, bad, message, part):
+        doc = qcore.state_to_json_dict(qcore.make_ghz())
+        doc[part][3] = bad
+        with pytest.raises(ValueError, match=refusal(message, "state entry")):
+            qcore.state_from_json_dict(doc)
+
+
+def _nest(flat, shape):
+    """``flat`` laid out as nested lists of ``shape`` (a scalar for shape [])."""
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0] if shape[0] else 0
+    return [_nest(flat[n * step:(n + 1) * step], shape[1:]) for n in range(shape[0])]
+
+
+#: Finite floats and ints a float holds: what the real reader takes.
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2 ** 1023, 2 ** 1023))
+#: Leaves the real reader refuses; a leaf [x] beside other leaves is ragged too.
+NON_NUMBERS = st.one_of(
+    st.text(max_size=3), st.binary(max_size=3), st.booleans(), st.just(np.True_),
+    st.none(), st.integers(2 ** 1024, 2 ** 1100), st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.complex_numbers(allow_nan=False, allow_infinity=False))
+
+
+class TestReadNumbers:
+    @pytest.mark.parametrize("values,name", [
+        (np.array([True, False]), "bool"), (np.array([0.5 + 0j]), "complex"),
+        (np.array(["0.5"]), "str"), (np.array([0.5], dtype=object), None),
+    ], ids=["bool", "complex", "str", "object"])
+    def test_only_arrays_numpy_casts_safely_pass_whole(self, values, name):
+        if name is None:
+            assert qcore.read_numbers(values, "entry").tolist() == [0.5]
+        else:
+            with pytest.raises(ValueError, match=f"^entry must be a real number, got {name}$"):
+                qcore.read_numbers(values, "entry")
+
+    @given(st.lists(st.integers(0, 3), max_size=3), st.data())
+    def test_numbers_read_as_numpy_reads_them(self, shape, data):
+        size = int(np.prod(shape))
+        values = _nest(data.draw(st.lists(NUMBERS, min_size=size, max_size=size)), shape)
+        if data.draw(st.booleans()):
+            values = np.array(values)
+        arr = qcore.read_numbers(values, "entry")
+        assert arr.dtype == float and not arr.flags.writeable
+        assert np.array_equal(arr, np.array(values, dtype=float))
+
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.data())
+    def test_anything_else_is_a_one_line_value_error(self, shape, data):
+        size = int(np.prod(shape))
+        flat = data.draw(st.lists(NUMBERS, min_size=size, max_size=size))
+        if len(shape) > 1 and shape[-2] > 1 and data.draw(st.booleans()):
+            values = _nest(flat, shape)
+            inner = values
+            for _ in shape[:-1]:
+                inner = inner[data.draw(st.integers(0, len(inner) - 1))]
+            inner.append(0.5)  # one row longer than the others: ragged
+        else:
+            bad = NON_NUMBERS | NUMBERS.map(lambda x: [x]) if size > 1 else NON_NUMBERS
+            flat[data.draw(st.integers(0, size - 1))] = data.draw(bad)
+            values = _nest(flat, shape)
+        with pytest.raises(ValueError) as info:
+            qcore.read_numbers(values, "entry")
+        assert "\n" not in str(info.value)
 
 
 class TestAmplitudeTable:
