@@ -39,7 +39,7 @@ SIGNS.setflags(write=False)
 #: Largest max |A w - b| at the nearest local point of a table inside.
 MEMBERSHIP_TOL = 1e-9
 
-#: Passive-set solves a membership search may take before SelfCheckFailed.
+#: Iterations, adds and drops alike, a membership search may take before SelfCheckFailed.
 MEMBERSHIP_PIVOTS = 3 * len(SIGNS)
 
 
@@ -215,6 +215,7 @@ def hr_constrained_satisfiability(tolerance: float = 1e-6):
     Returns ``(max_satisfied, witness)`` with witness the six reals
     (ix, iy, jx, jy, kx, ky).
     """
+    tolerance = qcore.read_number(tolerance, "tolerance")
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance {tolerance!r} outside (0, 1)")
     witness = (1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
@@ -311,27 +312,40 @@ def _strategy_matrix() -> np.ndarray:
     return mat
 
 
+@functools.cache
+def _gram_matrix() -> np.ndarray:
+    """A^T A of the strategy matrix A, built once for every membership search."""
+    gram = _strategy_matrix().T @ _strategy_matrix()
+    gram.setflags(write=False)
+    return gram
+
+
 def _nearest_point(b_vec) -> tuple:
     """Lawson-Hanson NNLS: w >= 0 minimising |r|, r = b_vec - A w; returns (w, r)."""
-    a_mat = _strategy_matrix()
-    gram, target = a_mat.T @ a_mat, a_mat.T @ b_vec
+    a_mat, gram = _strategy_matrix(), _gram_matrix()
+    target = a_mat.T @ b_vec
     w, passive = np.zeros(len(SIGNS)), np.zeros(len(SIGNS), dtype=bool)
     for _ in range(MEMBERSHIP_PIVOTS):
-        s = np.zeros_like(w)
-        s[passive] = np.linalg.solve(gram[np.ix_(passive, passive)], target[passive])
-        if np.all(s[passive] > 0):
-            w = s
-            gradient = np.where(passive, -np.inf, target - gram @ w)
+        # Ascending passive columns, so solves repeat bit for bit; none at first (w = 0).
+        idx = passive.nonzero()[0]
+        s_p = np.linalg.solve(gram[idx[:, None], idx], target[idx]) if idx.size else w[idx]
+        if not idx.size or s_p.min() > 0:
+            w = np.zeros(len(SIGNS))
+            w[idx] = s_p
+            gradient = target - gram @ w
+            gradient[idx] = -np.inf
             # Rounding leaves about 1e-15 on the gradient; a stop at 1e-15 cycles.
             if gradient.max() <= 1e-13:
                 return w, b_vec - a_mat @ w
             passive[np.argmax(gradient)] = True
         else:
-            blocking = np.flatnonzero(passive & (s <= 0))
-            steps = w[blocking] / (w[blocking] - s[blocking])
-            w = w + steps.min() * (s - w)
-            passive[blocking[steps == steps.min()]] = False
-            w[~passive] = 0.0
+            blocked = s_p <= 0
+            blocking = idx[blocked]
+            steps = w[blocking] / (w[blocking] - s_p[blocked])
+            w[idx] += steps.min() * (s_p - w[idx])
+            dropped = blocking[steps == steps.min()]
+            passive[dropped] = False
+            w[dropped] = 0.0
     raise SelfCheckFailed(f"membership search ran out of pivots ({MEMBERSHIP_PIVOTS})")
 
 

@@ -79,6 +79,14 @@ def read_numbers(values, what: str, dtype=float) -> np.ndarray:
     return arr
 
 
+def read_number(value, what: str) -> float:
+    """One real number, read by ``read_numbers``; ``what`` names it."""
+    arr = read_numbers(value, what)
+    if arr.shape:
+        raise ValueError(f"{what} must be a real number, got shape {arr.shape}")
+    return float(arr)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of three qubits: 8 amplitudes."""
@@ -135,9 +143,9 @@ class Observable:
         coeffs = read_numbers([coeff for coeff, _ in self.terms], "coefficient")
         if coeffs.ndim != 1:
             raise ValueError(f"coefficient must be a real number, got shape {coeffs.shape[1:]}")
-        settings = [settings.upper() for _, settings in self.terms]
+        settings = [s.upper() if isinstance(s, str) else s for _, s in self.terms]
         for s in settings:
-            if len(s) != 3 or any(ch not in PAULI for ch in s):
+            if not isinstance(s, str) or len(s) != 3 or any(ch not in PAULI for ch in s):
                 raise ValueError(f"expected three Pauli settings, got {s!r}")
         object.__setattr__(self, "terms", tuple(zip(coeffs.tolist(), settings)))
 
@@ -226,6 +234,7 @@ def signed_sum_for_state(state, settings: str) -> float:
 
 def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
     """v * rho + (1 - v) * I/8."""
+    visibility = read_number(visibility, "visibility")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility {visibility!r} outside [0, 1]")
     rho = density_entries(state)

@@ -25,6 +25,9 @@ BAD_ENTRIES = [
 #: BAD_ENTRIES for the real readers, which also refuse a complex entry.
 BAD_REAL_ENTRIES = BAD_ENTRIES + [
     pytest.param(0.5 + 0j, "{what} must be {noun}, got complex", id="complex")]
+#: BAD_REAL_ENTRIES for a reader of one number, to which a list is a shape.
+BAD_SCALARS = [param for param in BAD_REAL_ENTRIES if param.id != "nested-list"] + [
+    pytest.param([0.5], "{what} must be {noun}, got shape (1,)", id="list")]
 
 
 def refusal(template: str, what: str, noun: str = "a real number") -> str:

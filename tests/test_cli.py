@@ -373,6 +373,10 @@ BOUNDARY_CASES = {
                             "tolerance 1.0 outside (0, 1)"),
     "VisibilityOutOfRange": (lambda mp: qcore.mix_with_white_noise(qcore.make_ghz(), 1.5), 2,
                              "visibility 1.5 outside [0, 1]"),
+    "ToleranceNotANumber": (lambda mp: locality.hr_constrained_satisfiability("0.5"), 2,
+                            "tolerance must be a real number, got str"),
+    "VisibilityNotANumber": (lambda mp: qcore.mix_with_white_noise(qcore.make_ghz(), True), 2,
+                             "visibility must be a real number, got bool"),
 }
 
 

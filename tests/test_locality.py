@@ -17,7 +17,7 @@ from ghzlab.locality import (
     polytope_membership,
 )
 
-from conftest import BAD_REAL_ENTRIES, random_pure_state, refusal
+from conftest import BAD_REAL_ENTRIES, BAD_SCALARS, random_pure_state, refusal
 
 
 def uniform_model():
@@ -204,6 +204,11 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match=refusal(message, "p_plus entry")):
             LocalModel((Cause(1.0, with_entry(bad)),))
 
+    @pytest.mark.parametrize("bad,message", BAD_SCALARS)
+    def test_hr_tolerance(self, bad, message):
+        with pytest.raises(ValueError, match=refusal(message, "tolerance")):
+            locality.hr_constrained_satisfiability(bad)
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_local_model_weight_sum(self, bad):
         # A non-finite weight is refused before the weights are summed.
@@ -287,9 +292,9 @@ class TestHrConstrained:
         bars = np.asarray(witness).reshape(3, 2)
         assert np.all(bars[:, 0] ** 2 + bars[:, 1] ** 2 <= 1.0 + 1e-12)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, 1])
     def test_tolerance_range(self, tol):
-        with pytest.raises(ValueError, match=rf"^tolerance {tol!r} outside \(0, 1\)$"):
+        with pytest.raises(ValueError, match=rf"^tolerance {float(tol)!r} outside \(0, 1\)$"):
             locality.hr_constrained_satisfiability(tol)
 
     def test_all_zero_satisfies_nothing(self):
@@ -567,6 +572,37 @@ def haar_table(rng):
     return CorrelationTable({p: qcore.outcome_probabilities(state, p) for p in qcore.PATTERNS})
 
 
+def seed_5_haar_tables(count):
+    """The tables of the first ``count`` Haar-random pure states of seed 5."""
+    rng = np.random.default_rng(5)
+    return [haar_table(rng) for _ in range(count)]
+
+
+def reference_nearest_point(b_vec):
+    """The membership search as first written, kept as the reference the rewrite
+    must match bit for bit: A^T A built per call, the passive set read through a
+    boolean mask, a solve on every pass and a gradient masked by np.where."""
+    a_mat = locality._strategy_matrix()
+    gram, target = a_mat.T @ a_mat, a_mat.T @ b_vec
+    w, passive = np.zeros(len(SIGNS)), np.zeros(len(SIGNS), dtype=bool)
+    for _ in range(locality.MEMBERSHIP_PIVOTS):
+        s = np.zeros_like(w)
+        s[passive] = np.linalg.solve(gram[np.ix_(passive, passive)], target[passive])
+        if np.all(s[passive] > 0):
+            w = s
+            gradient = np.where(passive, -np.inf, target - gram @ w)
+            if gradient.max() <= 1e-13:
+                return w, b_vec - a_mat @ w
+            passive[np.argmax(gradient)] = True
+        else:
+            blocking = np.flatnonzero(passive & (s <= 0))
+            steps = w[blocking] / (w[blocking] - s[blocking])
+            w = w + steps.min() * (s - w)
+            passive[blocking[steps == steps.min()]] = False
+            w[~passive] = 0.0
+    raise SelfCheckFailed(f"membership search ran out of pivots ({locality.MEMBERSHIP_PIVOTS})")
+
+
 def assert_inside_certified(table, result):
     """The returned weights are a local model within MEMBERSHIP_TOL of the table."""
     b_vec = locality._table_vector(table)
@@ -627,6 +663,35 @@ class TestNearestPoint:
                 assert_outside_certified(table, result)
             answers.append(result.inside)
         assert 0 < sum(answers) < len(answers)
+
+    @pytest.mark.parametrize("tables", [
+        lambda: [strategy_table(index) for index in range(len(SIGNS))],
+        lambda: [model_to_table(random_model(np.random.default_rng(seed))) for seed in range(200)],
+        lambda: [noisy_ghz_table(v) for v in [*np.linspace(0.0, 1.0, 101), 0.5 - 1e-7, 0.5 + 1e-7]],
+        lambda: seed_5_haar_tables(200),
+    ], ids=["strategies", "local-mixtures", "noisy-ghz", "haar-seed-5"])
+    def test_weights_and_residual_match_the_reference_bit_for_bit(self, tables):
+        for table in tables():
+            b_vec = locality._table_vector(table)
+            (w, r), (w_ref, r_ref) = locality._nearest_point(b_vec), reference_nearest_point(b_vec)
+            assert np.array_equal(w, w_ref) and np.array_equal(r, r_ref)
+
+    def test_pivot_budget_runs_out_where_the_reference_does(self, monkeypatch):
+        b_vec = locality._table_vector(seed_5_haar_tables(1)[0])
+        raised = {search: [] for search in (locality._nearest_point, reference_nearest_point)}
+        for pivots in range(1, 41):
+            monkeypatch.setattr(locality, "MEMBERSHIP_PIVOTS", pivots)
+            for search, budgets in raised.items():
+                try:
+                    search(b_vec)
+                except SelfCheckFailed:
+                    budgets.append(pivots)
+        budgets, reference = raised.values()
+        assert budgets == reference == list(range(1, len(reference) + 1))
+        # Adds alone would stop after one pivot per weight and one more: this
+        # search also drops columns, and every drop spends a pivot too.
+        needed = len(reference) + 1
+        assert needed > np.count_nonzero(reference_nearest_point(b_vec)[0]) + 1
 
     def test_exhausted_pivot_budget_raises(self, monkeypatch):
         monkeypatch.setattr(locality, "MEMBERSHIP_PIVOTS", 1)

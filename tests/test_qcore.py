@@ -9,7 +9,7 @@ from ghzlab import qcore
 from ghzlab.errors import SelfCheckFailed
 from ghzlab.qcore import Observable, StateVector, DensityMatrix
 
-from conftest import (BAD_ENTRIES, BAD_REAL_ENTRIES, WHITE_NOISE, random_pure_state,
+from conftest import (BAD_ENTRIES, BAD_REAL_ENTRIES, BAD_SCALARS, WHITE_NOISE, random_pure_state,
                       refusal)
 
 
@@ -103,6 +103,8 @@ class TestExpectation:
     def test_four_settings_rejected(self):
         with pytest.raises(ValueError, match="^expected three Pauli settings, got 'XXXX'$"):
             Observable(((1.0, "XXX"), (1.0, "XXXX")))
+        with pytest.raises(ValueError, match="^expected three Pauli settings, got 5$"):
+            Observable(((1.0, 5),))
 
     def test_empty_observable_rejected(self):
         with pytest.raises(ValueError, match="^an observable needs at least one term$"):
@@ -154,6 +156,11 @@ class TestNonFiniteRejected:
     def test_coefficient(self, bad, message):
         with pytest.raises(ValueError, match=refusal(message, "coefficient")):
             Observable(((bad, "XXX"), (1.0, "YYY")))
+
+    @pytest.mark.parametrize("bad,message", BAD_SCALARS)
+    def test_visibility(self, bad, message):
+        with pytest.raises(ValueError, match=refusal(message, "visibility")):
+            qcore.mix_with_white_noise(qcore.make_ghz(), bad)
 
     @pytest.mark.parametrize("bad,message", BAD_REAL_ENTRIES)
     @pytest.mark.parametrize("part", ["re", "im"])
@@ -347,9 +354,9 @@ class TestWhiteNoise:
         m = Observable(mermin.M_TERMS)
         assert qcore.expectation(rho, m) == pytest.approx(2.0, abs=1e-12)
 
-    @pytest.mark.parametrize("v", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("v", [-0.1, 1.1, 2.0, 2])
     def test_visibility_range(self, v):
-        with pytest.raises(ValueError, match=rf"^visibility {v!r} outside \[0, 1\]$"):
+        with pytest.raises(ValueError, match=rf"^visibility {float(v)!r} outside \[0, 1\]$"):
             qcore.mix_with_white_noise(qcore.make_ghz(), v)
 
 
