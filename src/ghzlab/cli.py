@@ -3,8 +3,10 @@
 Subcommands: verify, contradiction, bounds, figure1, classify, threshold.
 Global flags: --seed, --restarts, --tol, --format json|csv, --out path.
 The environment variable GHZLAB_SEED overrides the default seed only when
---seed is absent. Exit codes: 0 success, 1 a failed check (an identity
-verify asserts, or an internal self-check), 2 input/IO error.
+--seed is absent. Exit codes: 0 success, 1 a failed check, 2 input/IO error.
+A failed check is an internal self-check (one error line, no report) or an
+identity that verify asserts: its report is still written in full, with
+"all_pass": false, and only then is the exit code 1.
 
 Output is deterministic: identical flags and seed produce byte-identical
 bytes. CSV uses '.' decimals and 12 significant digits.
@@ -12,6 +14,7 @@ bytes. CSV uses '.' decimals and 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -57,12 +60,15 @@ def _flatten(obj, prefix=""):
 
 
 def _render(payload, output_format: str) -> str:
+    """JSON, or CSV: a list of flat dicts is a table whose header row is the
+    keys; any other payload is flattened to key,value rows."""
     if output_format == "json":
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    lines = ["key,value"]
-    for key, value in _flatten(payload):
-        lines.append(f"{key},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    if isinstance(payload, list):
+        rows = [list(payload[0])] + [[_fmt(value) for value in row.values()] for row in payload]
+    else:
+        rows = [["key", "value"]] + [[key, _fmt(value)] for key, value in _flatten(payload)]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _emit(text: str, out_path) -> None:
@@ -73,65 +79,39 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-# --- subcommands -----------------------------------------------------------
+# --- subcommands: each returns its payload ---------------------------------
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     asserted = args.state is None
-    if asserted:
-        state = qcore.make_ghz()
-    else:
-        state = qcore.load_state(args.state)
+    state = qcore.make_ghz() if asserted else qcore.load_state(args.state)
     # An M_TERMS coefficient is GHZ's eigenvalue and signed sum on its pattern.
-    checks = []
-    for eigenvalue, settings in mermin.M_TERMS:
-        obs = qcore.Observable.single(settings)
-        entry = {
-            "name": f"eigen_{settings}",
-            "expected": eigenvalue,
-            "value": qcore.expectation(state, obs),
-            "asserted": asserted,
-        }
-        if isinstance(state, qcore.StateVector):
-            entry["residual"] = qcore.eigen_residual(state, obs, eigenvalue)
-        if asserted:
-            entry["pass"] = entry["residual"] < qcore.EIGEN_TOL
-        checks.append(entry)
+    eigen, signed = [], []
     for expected, settings in mermin.M_TERMS:
+        obs = qcore.Observable.single(settings)
         pattern = settings.lower()
-        value = qcore.signed_sum_for_state(state, pattern)
-        entry = {
-            "name": f"signed_sum_{pattern}",
-            "expected": expected,
-            "value": value,
-            "asserted": asserted,
-        }
+        eigen.append({"name": f"eigen_{settings}", "expected": expected,
+                      "value": qcore.expectation(state, obs), "asserted": asserted})
+        signed.append({"name": f"signed_sum_{pattern}", "expected": expected,
+                       "value": qcore.signed_sum_for_state(state, pattern),
+                       "asserted": asserted})
+        if isinstance(state, qcore.StateVector):
+            eigen[-1]["residual"] = qcore.eigen_residual(state, obs, expected)
         if asserted:
-            entry["pass"] = abs(value - expected) < 1e-12
-        checks.append(entry)
-    all_pass = all(entry["pass"] for entry in checks) if asserted else None
-    payload = {"checks": checks, "all_pass": all_pass}
-    _emit(_render(payload, args.format), args.out)
-    return EXIT_FAIL if all_pass is False else EXIT_OK
+            eigen[-1]["pass"] = eigen[-1]["residual"] < qcore.EIGEN_TOL
+            signed[-1]["pass"] = abs(signed[-1]["value"] - expected) < 1e-12
+    checks = eigen + signed
+    return {"checks": checks,
+            "all_pass": all(entry["pass"] for entry in checks) if asserted else None}
 
 
-def cmd_contradiction(args) -> int:
+def cmd_contradiction(args) -> dict:
     if args.mode == "epr":
-        entries = []
-        for c1 in (+1, -1):
-            for c2 in (+1, -1):
-                ix, iy, jx, jy = locality.epr_contrast(c1, c2)
-                entries.append(
-                    {"c1": c1, "c2": c2,
-                     "assignment": {"ix": ix, "iy": iy, "jx": jx, "jy": jy}}
-                )
-        payload = {"mode": "epr", "feasible": entries}
-    else:
-        report = locality.ghz_sign_feasibility()
-        hr_max, _ = locality.hr_constrained_satisfiability(args.tol)
-        payload = dict(report.to_json_dict())
-        payload["hr_max"] = hr_max
-    _emit(_render(payload, args.format), args.out)
-    return EXIT_OK
+        return {"mode": "epr", "feasible": [
+            {"c1": c1, "c2": c2,
+             "assignment": dict(zip(("ix", "iy", "jx", "jy"), locality.epr_contrast(c1, c2)))}
+            for c1, c2 in itertools.product((+1, -1), repeat=2)]}
+    report = locality.ghz_sign_feasibility().to_json_dict()
+    return {**report, "hr_max": locality.hr_constrained_satisfiability(args.tol)[0]}
 
 
 _BOUND_RUNNERS = {
@@ -143,85 +123,56 @@ _BOUND_RUNNERS = {
 }
 
 
-def cmd_bounds(args) -> int:
-    result = _BOUND_RUNNERS[args.model_class](args)
-    _emit(_render(result.to_json_dict(), args.format), args.out)
-    return EXIT_OK
+def cmd_bounds(args) -> dict:
+    return _BOUND_RUNNERS[args.model_class](args).to_json_dict()
 
 
-def _pure_points(amplitudes) -> list:
-    """(m, m') of each row of a (count, 8) batch of pure-state amplitudes."""
-    values = mermin.pure_mermin_values(np.array(amplitudes))
-    return list(zip(values.real, values.imag))
-
-
-def _scatter_points(seed: int, count: int):
-    """Seeded (m, m') samples for each model class, GHZ appended last."""
+def _scatter_points(seed: int, count: int) -> dict:
+    """Seeded m + i*m' samples, one array per model class, GHZ appended last."""
     rng = np.random.default_rng(seed)
-    groups = {}
-
     bars = 2.0 * rng.uniform(0.0, 1.0, size=(count, 3, 2)) - 1.0
-    groups["scatter_local"] = list(zip(locality.mermin_values(bars, mermin.M_TERMS),
-                                       locality.mermin_values(bars, mermin.MPRIME_TERMS)))
-
-    groups["scatter_quantum_local"] = _pure_points(
-        [optimize.product_state(optimize.random_bloch_angles(rng, 3))
-         for _ in range(count)])
-
-    states = []
+    local = (locality.mermin_values(bars, mermin.M_TERMS)
+             + 1j * locality.mermin_values(bars, mermin.MPRIME_TERMS))
+    product = [optimize.product_state(optimize.random_bloch_angles(rng, 3))
+               for _ in range(count)]
+    biseparable = []
     for _ in range(count):
         cut = int(rng.integers(0, 3))
-        params = np.concatenate(
-            [optimize.random_bloch_angles(rng, 1), rng.standard_normal(8)]
-        )
-        states.append(optimize.biseparable_state(cut, params))
-    groups["scatter_biseparable"] = _pure_points(states)
-
-    states = []
-    for _ in range(count):
-        raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        states.append(raw / np.linalg.norm(raw))
-    states.append(qcore.make_ghz().amplitudes)
-    groups["scatter_quantum"] = _pure_points(states)
-    return groups
+        params = np.concatenate([optimize.random_bloch_angles(rng, 1), rng.standard_normal(8)])
+        biseparable.append(optimize.biseparable_state(cut, params))
+    # One batch, the same stream as 8 real then 8 imaginary parts per point.
+    draws = rng.standard_normal((count, 2, 8))
+    haar = [raw / np.linalg.norm(raw) for raw in draws[:, 0] + 1j * draws[:, 1]]
+    haar.append(qcore.make_ghz().amplitudes)
+    return {"scatter_local": local,
+            "scatter_quantum_local": mermin.pure_mermin_values(np.array(product)),
+            "scatter_biseparable": mermin.pure_mermin_values(np.array(biseparable)),
+            "scatter_quantum": mermin.pure_mermin_values(np.array(haar))}
 
 
-def cmd_figure1(args) -> int:
-    rows = []
-    for name, vertices in mermin.figure1_regions(args.samples):
-        for m_val, mp_val in vertices:
-            rows.append((name, float(m_val), float(mp_val)))
-    for name, points in _scatter_points(args.seed, args.points).items():
-        for m_val, mp_val in points:
-            rows.append((name, float(m_val), float(mp_val)))
-    if args.format == "json":
-        text = _render([{"curve": n, "m": m, "mprime": mp} for n, m, mp in rows], "json")
-    else:
-        lines = ["curve,m,mprime"]
-        lines.extend(f"{n},{_fmt(m)},{_fmt(mp)}" for n, m, mp in rows)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+def cmd_figure1(args) -> list:
+    rows = [{"curve": name, "m": float(m_val), "mprime": float(mp_val)}
+            for name, vertices in mermin.figure1_regions(args.samples)
+            for m_val, mp_val in vertices]
+    rows += [{"curve": name, "m": float(value.real), "mprime": float(value.imag)}
+             for name, values in _scatter_points(args.seed, args.points).items()
+             for value in values]
+    return rows
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     if (args.state is None) == (args.noise is None):
         raise ValueError("provide exactly one of --state or --noise")
     if args.noise is not None:
         state = qcore.mix_with_white_noise(qcore.make_ghz(), args.noise)
     else:
         state = qcore.load_state(args.state)
-    point = mermin.evaluate_point(state)
-    payload = mermin.report(point).to_json_dict()
-    _emit(_render(payload, args.format), args.out)
-    return EXIT_OK
+    return mermin.report(mermin.evaluate_point(state)).to_json_dict()
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> dict:
     visibility = optimize.noise_threshold(args.bound, args.tol)
-    payload = {"bound": args.bound, "visibility": visibility, "tol": args.tol}
-    _emit(_render(payload, args.format), args.out)
-    return EXIT_OK
+    return {"bound": args.bound, "visibility": visibility, "tol": args.tol}
 
 
 # --- parser and dispatch ---------------------------------------------------
@@ -307,16 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, then render and write its payload: the one place
+    output is written. Exit 1 when the payload reports ``all_pass`` false."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_counts(args)
         if args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        payload = args.func(args)
+        _emit(_render(payload, args.format), args.out)
     except (SelfCheckFailed, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL if isinstance(exc, SelfCheckFailed) else EXIT_INPUT
+    return EXIT_FAIL if isinstance(payload, dict) and payload.get("all_pass") is False else EXIT_OK
 
 
 def entry() -> None:

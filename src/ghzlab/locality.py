@@ -206,18 +206,20 @@ def _hr_satisfied_count(bars, tolerance: float) -> int:
 def hr_constrained_satisfiability(tolerance: float = 1e-6):
     """Max constraints satisfiable under per-party bar_x^2 + bar_y^2 <= 1.
 
-    Exact case analysis: meeting any constraint within a small tolerance
-    forces its three correlators to magnitude ~1, which zeroes the
-    partner component of each involved party. Every pair of constraints
-    shares a party through opposite settings, so no two can hold at once;
-    one alone is achievable (e.g. all x-correlators 1, all y 0).
+    Every pair of constraints shares a party through opposite settings, so
+    Cauchy-Schwarz bounds their triple products by |T1| + |T2| <= 1 (see
+    ``hr_pair_violation_minimum``). Two constraints met within ``tolerance``
+    need 2 (1 - tolerance) <= 1, so below 1/2 no two hold at once; one alone
+    is achievable (e.g. all x-correlators 1, all y 0). At 1/2 two do: bars
+    (1, 0), (1, 1)/sqrt(2), (1, -1)/sqrt(2) give xxx = 1/2 and xyy = -1/2.
+    The tolerance must therefore lie in (0, 0.5).
 
     Returns ``(max_satisfied, witness)`` with witness the six reals
     (ix, iy, jx, jy, kx, ky).
     """
     tolerance = qcore.read_number(tolerance, "tolerance")
-    if not 0.0 < tolerance < 1.0:
-        raise ValueError(f"tolerance {tolerance!r} outside (0, 1)")
+    if not 0.0 < tolerance < 0.5:
+        raise ValueError(f"tolerance {tolerance!r} outside (0, 0.5)")
     witness = (1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
     if _hr_satisfied_count(witness, tolerance) != 1:
         raise SelfCheckFailed("analytic witness failed its own check")
@@ -274,10 +276,12 @@ def epr_contrast(c1: int = -1, c2: int = -1) -> tuple:
 
     Exists for every sign pattern: with only two parties and two settings
     the constraints never close a parity loop, so locality alone yields
-    no contradiction.
+    no contradiction. Each target must be the integer +1 or -1; a bool or a
+    float is refused.
     """
-    if c1 not in (+1, -1) or c2 not in (+1, -1):
-        raise ValueError("targets must be +-1")
+    for c in (c1, c2):
+        if type(c) is bool or not isinstance(c, (int, np.integer)) or c not in (+1, -1):
+            raise ValueError("targets must be +-1")
     return (1, 1, c1, c2)
 
 

@@ -63,6 +63,35 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: state entry is too large for a float\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_identity_writes_the_report_and_exits_1(self, capsys, monkeypatch,
+                                                           tmp_path, fmt):
+        monkeypatch.setattr(qcore, "eigen_residual", lambda state, obs, eigenvalue: 1.0)
+        code = cli.main(["verify", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        if fmt == "json":
+            doc = json.loads(captured.out)
+        else:
+            rows = list(csv.reader(io.StringIO(captured.out)))
+            assert rows[0] == ["key", "value"]
+            doc = dict(rows[1:])
+            # 4 eigen checks of 6 fields, 4 signed sums of 5, then all_pass.
+            assert len(doc) == 4 * 6 + 4 * 5 + 1
+            doc = {"all_pass": {"false": False}.get(doc["all_pass"]), "checks": [
+                {"name": doc[f"checks.{i}.name"], "pass": doc[f"checks.{i}.pass"] == "true"}
+                for i in range(8)]}
+        assert doc["all_pass"] is False
+        assert [c["name"] for c in doc["checks"]] == [
+            "eigen_XXX", "eigen_XYY", "eigen_YXY", "eigen_YYX",
+            "signed_sum_xxx", "signed_sum_xyy", "signed_sum_yxy", "signed_sum_yyx"]
+        assert [c["pass"] for c in doc["checks"]] == [False] * 4 + [True] * 4
+        path = tmp_path / "report"
+        assert cli.main(["verify", "--format", fmt, "--out", str(path)]) == 1
+        assert capsys.readouterr() == ("", "")
+        assert path.read_text() == captured.out
+
     def test_missing_state_file(self, capsys, tmp_path):
         code, _ = run(capsys, ["verify", "--state", str(tmp_path / "nope.json")])
         assert code == 2
@@ -370,7 +399,7 @@ BOUNDARY_CASES = {
     "PointOutsideQuantumRegion": (lambda mp: mermin.report(mermin.MerminPoint(4.0, 1.0)), 2,
                                   "radius^2 = 17.0 exceeds the quantum bound 16"),
     "ToleranceOutOfRange": (lambda mp: locality.hr_constrained_satisfiability(1.0), 2,
-                            "tolerance 1.0 outside (0, 1)"),
+                            "tolerance 1.0 outside (0, 0.5)"),
     "VisibilityOutOfRange": (lambda mp: qcore.mix_with_white_noise(qcore.make_ghz(), 1.5), 2,
                              "visibility 1.5 outside [0, 1]"),
     "ToleranceNotANumber": (lambda mp: locality.hr_constrained_satisfiability("0.5"), 2,
@@ -613,6 +642,32 @@ def test_numbers_are_read_in_one_place():
                 sites += [f"{path.name}:{node.lineno}: dtype object" for arg in args
                           if isinstance(arg, ast.Name) and arg.id == "object"]
     assert sites == []
+
+
+def test_output_is_written_in_one_place():
+    # Each subcommand returns its payload; cli.main alone renders and writes
+    # it, and cli._emit is the one writer to stdout.
+    sites = {"_emit": set(), "_render": set(), "stdout": set()}
+    for path in Path(ghzlab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # ast.walk is breadth first, so a nested function overwrites its parent.
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            site = f"{path.name}:{owner.get(id(node))}"
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("_emit", "_render"):
+                    sites[name].add(site)
+                if name == "print" and not any(k.arg == "file" for k in node.keywords):
+                    sites["stdout"].add(site)
+            elif (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                  and getattr(node.value, "id", None) == "sys"):
+                sites["stdout"].add(site)
+    assert sites == {"_emit": {"cli.py:main"}, "_render": {"cli.py:main"},
+                     "stdout": {"cli.py:_emit"}}
 
 
 class TestOutputFile:

@@ -292,10 +292,21 @@ class TestHrConstrained:
         bars = np.asarray(witness).reshape(3, 2)
         assert np.all(bars[:, 0] ** 2 + bars[:, 1] ** 2 <= 1.0 + 1e-12)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, 1])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, 1, 0.5, 0.6])
     def test_tolerance_range(self, tol):
-        with pytest.raises(ValueError, match=rf"^tolerance {float(tol)!r} outside \(0, 1\)$"):
+        with pytest.raises(ValueError, match=rf"^tolerance {float(tol)!r} outside \(0, 0.5\)$"):
             locality.hr_constrained_satisfiability(tol)
+
+    def test_two_constraints_hold_within_one_half(self):
+        # Bars (1, 0), (1, 1)/sqrt(2), (1, -1)/sqrt(2) give xxx = 1/2 and
+        # xyy = -1/2, each 1/2 from its target; sqrt(0.5) rounds up, so the
+        # float products lie one ulp beyond 1/2 in magnitude.
+        h = np.sqrt(0.5)
+        bars = (1.0, 0.0, h, h, h, -h)
+        disc = np.asarray(bars).reshape(3, 2)
+        assert np.all(disc[:, 0] ** 2 + disc[:, 1] ** 2 <= 1.0 + 1e-15)
+        assert locality._hr_satisfied_count(bars, 0.5) == 2
+        assert locality._hr_satisfied_count(bars, 0.5 - 1e-9) == 0
 
     def test_all_zero_satisfies_nothing(self):
         assert locality._hr_satisfied_count((0.0,) * 6, 1e-6) == 0
@@ -371,8 +382,14 @@ class TestEprContrast:
         assert locality.epr_contrast(c1, c2) in hits
 
     def test_bad_targets(self):
-        with pytest.raises(ValueError):
-            locality.epr_contrast(0, 1)
+        # Booleans and floats equal +-1 but are not the integer targets.
+        for c1, c2 in [(0, 1), (True, -1), (1, False), (1.0, -1.0), (-1, -1.0),
+                       (np.True_, 1), ("1", 1), (None, 1)]:
+            with pytest.raises(ValueError, match=r"^targets must be \+-1$"):
+                locality.epr_contrast(c1, c2)
+
+    def test_numpy_integer_targets(self):
+        assert locality.epr_contrast(np.int64(1), np.int8(-1)) == (1, 1, 1, -1)
 
 
 class TestStrategies:
