@@ -86,6 +86,9 @@ class CorrelationTable:
     blocks: dict
 
     def __post_init__(self):
+        unexpected = [key for key in self.blocks if key not in PATTERNS]
+        if unexpected:
+            raise ValueError(f"unexpected block {unexpected[0]!r}")
         clean = {}
         for pattern in PATTERNS:
             if pattern not in self.blocks:
@@ -227,7 +230,9 @@ def hr_constrained_satisfiability(tolerance: float = 1e-6):
 
 
 def seeded_rng(restarts: int, seed: int):
-    """The generator of ``restarts`` seeded witnesses; ``restarts`` must be >= 1."""
+    """The generator of ``restarts`` seeded witnesses; ``restarts`` must be an integer >= 1."""
+    if type(restarts) is bool or not isinstance(restarts, (int, np.integer)):
+        raise ValueError(f"restarts must be an integer, got {type(restarts).__name__}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     return np.random.default_rng(seed)

@@ -119,6 +119,8 @@ def figure1_regions(samples: int = 256) -> list:
     squares their four corners. Curves are closed implicitly (last vertex
     connects back to the first).
     """
+    if type(samples) is bool or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {type(samples).__name__}")
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     theta = 2.0 * np.pi * np.arange(samples) / samples

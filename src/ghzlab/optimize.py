@@ -31,8 +31,8 @@ DEFAULT_RESTARTS = 32
 DEFAULT_SEED = 42
 WITNESS_TOL = 1e-12
 #: diag(1, i) on qubit 3 of three, and on the first qubit of a pair.
-QUBIT3_TURN = np.tile([1, 1j], 4)
-PAIR_TURN = np.repeat([1, 1j], 2)
+QUBIT3_TURN = qcore.tensor([np.ones(2), np.ones(2), [1, 1j]])
+PAIR_TURN = qcore.tensor([[1, 1j], np.ones(2)])
 #: Limit of each noise-threshold bound: peak |<M>|, |<M'>| and radius.
 THRESHOLD_LIMITS = {"locality": 2.0, "quantum_locality": 1.0}
 
@@ -144,10 +144,7 @@ def random_bloch_angles(rng, count: int) -> np.ndarray:
 
 def product_state(params) -> np.ndarray:
     """Amplitudes of the product of three Bloch qubits (theta, phi interleaved)."""
-    psi = np.array([1.0 + 0j])
-    for q in range(3):
-        psi = np.kron(psi, _bloch_qubit(params[2 * q], params[2 * q + 1]))
-    return psi
+    return qcore.tensor([_bloch_qubit(params[2 * q], params[2 * q + 1]) for q in range(3)])
 
 
 def biseparable_state(cut: int, params) -> np.ndarray:
@@ -308,7 +305,8 @@ def noise_threshold(bound: str, tol: float = 1e-6) -> float:
     returned once the GHZ point is confirmed within 1e-12. Being exact,
     it meets any accuracy ``tol`` in (0, inf).
     """
-    if not 0.0 < tol < np.inf:
+    tol = qcore.read_number(tol, "tol")
+    if tol <= 0.0:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if bound not in THRESHOLD_LIMITS:
         raise ValueError(f"unknown bound {bound!r}")

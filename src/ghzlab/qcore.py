@@ -2,8 +2,8 @@
 
 Conventions used everywhere in the package:
 
-* Basis order is qubit-1 major: amplitude index ``b1 b2 b3`` in binary,
-  with bit 0 meaning "up" and measurement outcome +1.
+* Basis order is qubit-1 major, the order ``tensor`` builds products in:
+  amplitude index ``b1 b2 b3`` in binary, bit 0 meaning "up" and outcome +1.
 * sigma_y eigenvectors are ``(|up> + 1j*s*|down>)/sqrt(2)`` for outcome
   ``s``; no alternative phase, so amplitude tables are bit-reproducible.
 * Outcome probabilities are ``Re diag(U^H rho U)`` for pure
@@ -157,20 +157,18 @@ class Observable:
 def make_ghz() -> StateVector:
     """The three-qubit state (|up,up,up> + |down,down,down>)/sqrt(2)."""
     amps = np.zeros(8, dtype=complex)
-    amps[0] = SQRT2_INV
-    amps[7] = SQRT2_INV
+    amps[[0, 7]] = SQRT2_INV
     return StateVector(amps)
 
 
+def tensor(factors) -> np.ndarray:
+    """Kronecker product of one factor per qubit, qubit 1 the leftmost."""
+    return functools.reduce(np.kron, factors)
+
+
 def observable_matrix(obs: Observable) -> np.ndarray:
-    """Kronecker-product expansion with qubit-1 as the leftmost factor."""
-    total = np.zeros((8, 8), dtype=complex)
-    for coeff, settings in obs.terms:
-        term = np.array([[1.0 + 0j]])
-        for ch in settings:
-            term = np.kron(term, PAULI[ch])
-        total += coeff * term
-    return total
+    """The sum over terms of coefficient times the Pauli product."""
+    return sum(coeff * tensor([PAULI[ch] for ch in settings]) for coeff, settings in obs.terms)
 
 
 def density_entries(state) -> np.ndarray:
@@ -206,7 +204,7 @@ def basis_change(settings: str) -> np.ndarray:
     settings = settings.lower()
     if len(settings) != 3 or not set(settings) <= set(EIGENBASES):
         raise ValueError(f"one setting per qubit required (x or y): {settings!r}")
-    return functools.reduce(np.kron, [EIGENBASES[ch] for ch in settings], np.ones((1, 1)))
+    return tensor([EIGENBASES[ch] for ch in settings])
 
 
 def amplitude_table(state: StateVector, settings: str) -> np.ndarray:

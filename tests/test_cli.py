@@ -644,6 +644,24 @@ def test_numbers_are_read_in_one_place():
     assert sites == []
 
 
+def test_kronecker_products_are_built_in_one_place():
+    # qcore.tensor is the one Kronecker fold: no other code names np.kron, and
+    # nothing builds a product by tiling or repeating.
+    sites = []
+    for path in Path(ghzlab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        fold = set()
+        if path.name == "qcore.py":
+            func = next(node for node in tree.body if getattr(node, "name", "") == "tensor")
+            fold = {id(node) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
+                    and node.attr in ("kron", "tile", "repeat")
+                    and not (node.attr == "kron" and id(node) in fold)):
+                sites.append(f"{path.name}:{node.lineno}: np.{node.attr}")
+    assert sites == []
+
+
 def test_output_is_written_in_one_place():
     # Each subcommand returns its payload; cli.main alone renders and writes
     # it, and cli._emit is the one writer to stdout.

@@ -336,13 +336,15 @@ class TestHrConstrained:
     @pytest.mark.parametrize("pair,restarts,message", [
         ((0, 1), 0, "^restarts must be >= 1, got 0$"),
         ((0, 1), -3, "^restarts must be >= 1, got -3$"),
+        ((0, 1), True, "^restarts must be an integer, got bool$"),
+        ((0, 1), 4.0, "^restarts must be an integer, got float$"),
         ((2, 2), 32, r"^pair must be two distinct indices in 0..3, got \(2, 2\)$"),
         ((0, 7), 32, r"^pair must be two distinct indices in 0..3, got \(0, 7\)$"),
         ((0.0, 1.0), 32, r"^pair must be two distinct indices in 0..3, got \(0.0, 1.0\)$"),
         ((True, 2), 32, r"^pair must be two distinct indices in 0..3, got \(True, 2\)$"),
         ((0, 1, 1), 32, r"^pair must be two distinct indices in 0..3, got \(0, 1, 1\)$"),
-    ], ids=["restarts-0", "restarts-negative", "pair-repeated", "pair-out-of-range",
-            "pair-float", "pair-bool", "pair-three-entries"])
+    ], ids=["restarts-0", "restarts-negative", "restarts-bool", "restarts-float",
+            "pair-repeated", "pair-out-of-range", "pair-float", "pair-bool", "pair-three-entries"])
     def test_pair_minimum_refuses_meaningless_input(self, pair, restarts, message):
         with pytest.raises(ValueError, match=message):
             locality.hr_pair_violation_minimum(pair, restarts=restarts)
@@ -434,6 +436,8 @@ class TestCorrelationTable:
             CorrelationTable({p: np.full(8, 0.25) for p in qcore.PATTERNS})
         with pytest.raises(ValueError, match="^missing block 'yyx'$"):
             CorrelationTable({p: np.full(8, 0.125) for p in qcore.PATTERNS[:-1]})
+        with pytest.raises(ValueError, match="^unexpected block 'zzz'$"):
+            CorrelationTable({p: np.full(8, 0.125) for p in (*qcore.PATTERNS, "zzz")})
 
 
 class TestPolytopeMembership:

@@ -207,5 +207,9 @@ class TestFigure1:
         assert [4.0, 4.0] in regions["realism_square"].tolist()
 
     def test_minimum_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^samples must be >= 8, got 4$"):
             mermin.figure1_regions(4)
+        for bad, name in [(8.5, "float"), (16.0, "float"), (True, "bool"), (np.True_, "bool")]:
+            with pytest.raises(ValueError, match=f"^samples must be an integer, got {name}$"):
+                mermin.figure1_regions(bad)
+        assert len(dict(mermin.figure1_regions(np.int64(8)))["quantum_circle"]) == 8

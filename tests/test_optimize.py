@@ -46,9 +46,14 @@ class TestLocalAndRealistic:
     optimize.max_quantum_local_radius, optimize.max_biseparable_radius,
     optimize.max_quantum_radius,
 ], ids=["quantum_local", "biseparable", "quantum"])
-@pytest.mark.parametrize("restarts", [0, -5])
-def test_rejects_restarts_below_one(maximize, restarts):
-    with pytest.raises(ValueError, match="restarts"):
+@pytest.mark.parametrize("restarts,message", [
+    pytest.param(0, "restarts must be >= 1, got 0", id="0"),
+    pytest.param(-5, "restarts must be >= 1, got -5", id="-5"),
+    pytest.param(True, "restarts must be an integer, got bool", id="bool"),
+    pytest.param(2.0, "restarts must be an integer, got float", id="float"),
+])
+def test_rejects_restarts_below_one(maximize, restarts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         maximize(restarts)
 
 
@@ -276,5 +281,11 @@ class TestNoiseThreshold:
             optimize.noise_threshold("realism")
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tol must be positive and finite, got 0\.0$"):
             optimize.noise_threshold("locality", tol=0.0)
+        # Read like every other number: no bool, string or non-finite value.
+        for bad, message in [(True, "tol must be a real number, got bool"),
+                             ("1e-6", "tol must be a real number, got str"),
+                             (np.nan, "tol is non-finite"), (np.inf, "tol is non-finite")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                optimize.noise_threshold("locality", tol=bad)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ghzlab import qcore
+from ghzlab import mermin, optimize, qcore
 from ghzlab.errors import SelfCheckFailed
 from ghzlab.qcore import Observable, StateVector, DensityMatrix
 
@@ -53,6 +54,55 @@ class TestObservableMatrix:
     def test_bad_settings_rejected(self):
         with pytest.raises(ValueError):
             Observable.single("XQZ")
+
+
+def same_bits(result, reference) -> bool:
+    """Equal shape, dtype and bytes, so signed zeros count too."""
+    reference = np.asarray(reference)
+    return (result.shape == reference.shape and result.dtype == reference.dtype
+            and result.tobytes() == reference.tobytes())
+
+
+class TestTensor:
+    """``tensor`` drops the 1x1 identity seed of the folds it replaced; a
+    Kronecker product with a one is exact, so every product is unchanged."""
+
+    @pytest.mark.parametrize("settings", ["".join(s) for s in itertools.product("xy", repeat=3)])
+    def test_basis_change(self, settings):
+        reference = functools.reduce(np.kron, [qcore.EIGENBASES[ch] for ch in settings],
+                                     np.ones((1, 1)))
+        assert same_bits(qcore.basis_change(settings), reference)
+
+    @staticmethod
+    def seeded_observable_matrix(terms) -> np.ndarray:
+        total = np.zeros((8, 8), dtype=complex)
+        for coeff, settings in terms:
+            term = np.array([[1.0 + 0j]])
+            for ch in settings:
+                term = np.kron(term, qcore.PAULI[ch])
+            total += coeff * term
+        return total
+
+    def test_observable_matrix(self):
+        triples = ["".join(s) for s in itertools.product("IXYZ", repeat=3)]
+        cases = [((coeff, s),) for s in triples for coeff in (1.0, -1.0, 0.5)]
+        cases += [mermin.M_TERMS, mermin.MPRIME_TERMS, tuple((1.0, s) for s in triples)]
+        for terms in cases:
+            matrix = qcore.observable_matrix(Observable(terms))
+            assert same_bits(matrix, self.seeded_observable_matrix(terms)), terms
+
+    def test_product_state(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            params = optimize.random_bloch_angles(rng, 3)
+            reference = np.array([1.0 + 0j])
+            for theta, phi in params.reshape(3, 2):
+                reference = np.kron(reference, optimize._bloch_qubit(theta, phi))
+            assert same_bits(optimize.product_state(params), reference)
+
+    def test_quarter_turns(self):
+        assert same_bits(optimize.QUBIT3_TURN, np.tile([1, 1j], 4))
+        assert same_bits(optimize.PAIR_TURN, np.repeat([1, 1j], 2))
 
 
 class TestExpectation:
