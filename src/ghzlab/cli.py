@@ -129,7 +129,7 @@ def cmd_bounds(args) -> dict:
 
 def _scatter_points(seed: int, count: int) -> dict:
     """Seeded m + i*m' samples, one array per model class, GHZ appended last."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(qcore.read_count(seed, "seed", 0))
     bars = 2.0 * rng.uniform(0.0, 1.0, size=(count, 3, 2)) - 1.0
     local = (locality.mermin_values(bars, mermin.M_TERMS)
              + 1j * locality.mermin_values(bars, mermin.MPRIME_TERMS))

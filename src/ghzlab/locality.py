@@ -230,12 +230,9 @@ def hr_constrained_satisfiability(tolerance: float = 1e-6):
 
 
 def seeded_rng(restarts: int, seed: int):
-    """The generator of ``restarts`` seeded witnesses; ``restarts`` must be an integer >= 1."""
-    if type(restarts) is bool or not isinstance(restarts, (int, np.integer)):
-        raise ValueError(f"restarts must be an integer, got {type(restarts).__name__}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    return np.random.default_rng(seed)
+    """The generator of ``restarts`` (an integer >= 1) witnesses from ``seed`` (>= 0)."""
+    qcore.read_count(restarts, "restarts", 1)
+    return np.random.default_rng(qcore.read_count(seed, "seed", 0))
 
 
 def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float:
@@ -337,16 +334,18 @@ def _nearest_point(b_vec) -> tuple:
     for _ in range(MEMBERSHIP_PIVOTS):
         # Ascending passive columns, so solves repeat bit for bit; none at first (w = 0).
         idx = passive.nonzero()[0]
-        s_p = np.linalg.solve(gram[idx[:, None], idx], target[idx]) if idx.size else w[idx]
-        if not idx.size or s_p.min() > 0:
+        s_p = np.linalg.solve(gram.take(idx, 0).take(idx, 1), target[idx]) if idx.size else w[idx]
+        # The entry at argmin/argmax compares as min()/max() would, NaN included, for less.
+        if not idx.size or s_p[s_p.argmin()] > 0:
             w = np.zeros(len(SIGNS))
             w[idx] = s_p
             gradient = target - gram @ w
             gradient[idx] = -np.inf
             # Rounding leaves about 1e-15 on the gradient; a stop at 1e-15 cycles.
-            if gradient.max() <= 1e-13:
+            j = gradient.argmax()
+            if gradient[j] <= 1e-13:
                 return w, b_vec - a_mat @ w
-            passive[np.argmax(gradient)] = True
+            passive[j] = True
         else:
             blocked = s_p <= 0
             blocking = idx[blocked]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PATTERNS, density_entries
+from .qcore import PATTERNS, density_entries, read_count
 
 #: Each pattern of PATTERNS weighed by GHZ's perfect correlation on it, the
 #: one place these four signs are written.
@@ -119,10 +119,7 @@ def figure1_regions(samples: int = 256) -> list:
     squares their four corners. Curves are closed implicitly (last vertex
     connects back to the first).
     """
-    if type(samples) is bool or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {type(samples).__name__}")
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    samples = read_count(samples, "samples", MIN_SAMPLES)
     theta = 2.0 * np.pi * np.arange(samples) / samples
     circle = np.column_stack([np.cos(theta), np.sin(theta)])
     square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])

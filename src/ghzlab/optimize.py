@@ -185,7 +185,7 @@ def max_quantum_local_radius(restarts: int = DEFAULT_RESTARTS,
         model_class="quantum_local",
         best_value=value,
         argmax={"bloch_angles": [float(v) for v in starts[0]]},
-        restarts_used=restarts, seed=seed,
+        restarts_used=int(restarts), seed=int(seed),
     )
 
 
@@ -242,7 +242,7 @@ def max_biseparable_radius(restarts: int = DEFAULT_RESTARTS,
             "attained": True,
             "membership_bound": 8.0,
         },
-        restarts_used=restarts, seed=seed,
+        restarts_used=int(restarts), seed=int(seed),
     )
 
 
@@ -292,7 +292,7 @@ def max_quantum_radius(restarts: int = DEFAULT_RESTARTS,
             "state_re": [float(v) for v in best_psi.real],
             "state_im": [float(v) for v in best_psi.imag],
         },
-        restarts_used=restarts, seed=seed,
+        restarts_used=int(restarts), seed=int(seed),
     )
 
 

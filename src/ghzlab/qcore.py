@@ -10,8 +10,9 @@ Conventions used everywhere in the package:
   (``rho = |psi><psi|``) and mixed states alike; see ``basis_change``.
 * Tolerances: 1e-12 for exact identities and normalization, EIGEN_TOL for
   eigenchecks and 1e-10 per unit of coefficient for imaginary residuals.
-* Every number handed to the package is read by ``read_numbers``, which
-  refuses, never coerces, anything but finite numbers in float range.
+* Every number handed to the package is read by ``read_numbers``, a count or
+  seed by ``read_count``; both refuse, never coerce, what is not a finite
+  number in float range (an integer from a least value, for a count).
 """
 from __future__ import annotations
 
@@ -85,6 +86,15 @@ def read_number(value, what: str) -> float:
     if arr.shape:
         raise ValueError(f"{what} must be a real number, got shape {arr.shape}")
     return float(arr)
+
+
+def read_count(value, what: str, minimum: int) -> int:
+    """A count or seed: an int or numpy integer, never a bool, at least ``minimum``."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

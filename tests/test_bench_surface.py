@@ -32,6 +32,15 @@ def test_library_operations_pass_their_checks(kind):
         assert check(inp, want, run(inp)) is None
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tables_pass_their_checks_on_more_inputs(seed):
+    # The inside flag and the weights of polytope_membership, as the timed
+    # library_tables loop checks them, on more tables than the case above.
+    run, check, inputs = child.Library().operations("tables", seed)
+    for _, (inp, want) in zip(range(200), inputs):
+        assert check(inp, want, run(inp)) is None
+
+
 def test_cli_light_pass_passes_its_checks():
     for name, argv in commands.cli_pass("cli_light", random.Random(0)):
         out = io.StringIO()

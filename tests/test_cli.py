@@ -556,6 +556,21 @@ class TestDeterminismAndSeeding:
         code, _ = run(capsys, ["bounds", "--class", "quantum_local", "--restarts", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,env", [
+        (["bounds", "--class", "quantum", "--seed", "-1"], None),
+        (["figure1", "--seed", "-1"], None),
+        (["figure1"], "-3"),
+    ], ids=["bounds", "figure1", "figure1-env"])
+    def test_negative_seed_is_named(self, capsys, monkeypatch, argv, env):
+        if env is None:
+            monkeypatch.delenv("GHZLAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GHZLAB_SEED", env)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: seed must be >= 0, got {env or '-1'}\n"
+
 
 class TestCountFlags:
     FLAGS = [

@@ -599,6 +599,17 @@ def seed_5_haar_tables(count):
     return [haar_table(rng) for _ in range(count)]
 
 
+#: Table families the search is compared with the reference on.
+TABLE_FAMILIES = {
+    "strategies": lambda: [strategy_table(index) for index in range(len(SIGNS))],
+    "local-mixtures": lambda: [model_to_table(random_model(np.random.default_rng(seed)))
+                               for seed in range(200)],
+    "noisy-ghz": lambda: [noisy_ghz_table(v)
+                          for v in [*np.linspace(0.0, 1.0, 101), 0.5 - 1e-7, 0.5 + 1e-7]],
+    "haar-seed-5": lambda: seed_5_haar_tables(200),
+}
+
+
 def reference_nearest_point(b_vec):
     """The membership search as first written, kept as the reference the rewrite
     must match bit for bit: A^T A built per call, the passive set read through a
@@ -685,17 +696,30 @@ class TestNearestPoint:
             answers.append(result.inside)
         assert 0 < sum(answers) < len(answers)
 
-    @pytest.mark.parametrize("tables", [
-        lambda: [strategy_table(index) for index in range(len(SIGNS))],
-        lambda: [model_to_table(random_model(np.random.default_rng(seed))) for seed in range(200)],
-        lambda: [noisy_ghz_table(v) for v in [*np.linspace(0.0, 1.0, 101), 0.5 - 1e-7, 0.5 + 1e-7]],
-        lambda: seed_5_haar_tables(200),
-    ], ids=["strategies", "local-mixtures", "noisy-ghz", "haar-seed-5"])
+    @pytest.mark.parametrize("tables", TABLE_FAMILIES.values(), ids=TABLE_FAMILIES)
     def test_weights_and_residual_match_the_reference_bit_for_bit(self, tables):
         for table in tables():
             b_vec = locality._table_vector(table)
             (w, r), (w_ref, r_ref) = locality._nearest_point(b_vec), reference_nearest_point(b_vec)
             assert np.array_equal(w, w_ref) and np.array_equal(r, r_ref)
+
+    @pytest.mark.parametrize("tables", TABLE_FAMILIES.values(), ids=TABLE_FAMILIES)
+    def test_one_solve_per_pass_with_a_nonempty_passive_set(self, tables, monkeypatch):
+        # The reference solves on every pass, its first one on the empty set
+        # (w = 0); the search must make the same solves less that one.
+        sizes, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(b)) or solve(a, b))
+
+        def solve_sizes(search, b_vec):
+            sizes.clear()
+            search(b_vec)
+            return sizes.copy()
+
+        for table in tables():
+            b_vec = locality._table_vector(table)
+            searched = solve_sizes(locality._nearest_point, b_vec)
+            reference = solve_sizes(reference_nearest_point, b_vec)
+            assert reference[0] == 0 and searched == reference[1:] and 0 not in searched
 
     def test_pivot_budget_runs_out_where_the_reference_does(self, monkeypatch):
         b_vec = locality._table_vector(seed_5_haar_tables(1)[0])

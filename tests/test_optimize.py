@@ -42,10 +42,14 @@ class TestLocalAndRealistic:
         assert abs(value) == 2.0
 
 
-@pytest.mark.parametrize("maximize", [
+#: The three seeded searches, each run with (restarts, seed).
+seeded_searches = pytest.mark.parametrize("maximize", [
     optimize.max_quantum_local_radius, optimize.max_biseparable_radius,
     optimize.max_quantum_radius,
 ], ids=["quantum_local", "biseparable", "quantum"])
+
+
+@seeded_searches
 @pytest.mark.parametrize("restarts,message", [
     pytest.param(0, "restarts must be >= 1, got 0", id="0"),
     pytest.param(-5, "restarts must be >= 1, got -5", id="-5"),
@@ -55,6 +59,25 @@ class TestLocalAndRealistic:
 def test_rejects_restarts_below_one(maximize, restarts, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         maximize(restarts)
+
+
+@seeded_searches
+@pytest.mark.parametrize("seed,message", [
+    pytest.param(-1, "seed must be >= 0, got -1", id="-1"),
+    pytest.param(1.5, "seed must be an integer, got float", id="float"),
+    pytest.param(True, "seed must be an integer, got bool", id="bool"),
+    pytest.param("7", "seed must be an integer, got str", id="str"),
+])
+def test_rejects_seeds_that_are_not_counts(maximize, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        maximize(4, seed)
+
+
+@seeded_searches
+def test_numpy_integer_counts_give_the_plain_int_json(maximize):
+    result = maximize(np.int64(4), np.uint16(1))
+    assert type(result.restarts_used) is int and type(result.seed) is int
+    assert json.dumps(result.to_json_dict()) == json.dumps(maximize(4, 1).to_json_dict())
 
 
 class TestQuantumLocal:

@@ -280,6 +280,28 @@ class TestReadNumbers:
         assert "\n" not in str(info.value)
 
 
+class TestReadCount:
+    @pytest.mark.parametrize("value", [0, 7, np.int64(7), np.uint8(7), 2 ** 70])
+    def test_integers_from_the_minimum_up_are_read_as_python_ints(self, value):
+        count = qcore.read_count(value, "seed", 0)
+        assert type(count) is int and count == value
+
+    @pytest.mark.parametrize("value,message", [
+        (-1, "seed must be >= 0, got -1"),
+        (np.int64(-3), "seed must be >= 0, got -3"),
+        (1.5, "seed must be an integer, got float"),
+        (7.0, "seed must be an integer, got float"),
+        (True, "seed must be an integer, got bool"),
+        (np.True_, "seed must be an integer, got bool"),
+        ("7", "seed must be an integer, got str"),
+        (None, "seed must be an integer, got NoneType"),
+    ], ids=["negative", "numpy-negative", "float", "integral-float", "bool", "numpy-bool",
+            "str", "none"])
+    def test_anything_else_is_refused(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            qcore.read_count(value, "seed", 0)
+
+
 class TestAmplitudeTable:
     def test_ghz_xxx_closed_form(self):
         table = qcore.amplitude_table(qcore.make_ghz(), "xxx")
