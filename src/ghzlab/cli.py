@@ -3,7 +3,8 @@
 Subcommands: verify, contradiction, bounds, figure1, classify, threshold.
 Global flags: --seed, --restarts, --tol, --format json|csv, --out path.
 The environment variable GHZLAB_SEED overrides the default seed only when
---seed is absent. Exit codes: 0 success, 1 a failed check, 2 input/IO error.
+--seed is absent; every subcommand refuses a negative seed (exit 2). Exit
+codes: 0 success, 1 a failed check, 2 input/IO error.
 A failed check is an internal self-check (one error line, no report) or an
 identity that verify asserts: its report is still written in full, with
 "all_pass": false, and only then is the exit code 1.
@@ -129,7 +130,7 @@ def cmd_bounds(args) -> dict:
 
 def _scatter_points(seed: int, count: int) -> dict:
     """Seeded m + i*m' samples, one array per model class, GHZ appended last."""
-    rng = np.random.default_rng(qcore.read_count(seed, "seed", 0))
+    rng = np.random.default_rng(seed)
     bars = 2.0 * rng.uniform(0.0, 1.0, size=(count, 3, 2)) - 1.0
     local = (locality.mermin_values(bars, mermin.M_TERMS)
              + 1j * locality.mermin_values(bars, mermin.MPRIME_TERMS))
@@ -264,8 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_counts(args)
-        if args.seed is None:
-            args.seed = _default_seed()
+        args.seed = qcore.read_count(_default_seed() if args.seed is None else args.seed, "seed", 0)
         payload = args.func(args)
         _emit(_render(payload, args.format), args.out)
     except (SelfCheckFailed, OSError, ValueError) as exc:

@@ -12,10 +12,12 @@ where r^2 = <M>^2 + <M'>^2. Since M + iM' = (X + iY)^{(x)3} = 8|000><111|,
 r^2 = 64 |psi_000|^2 |psi_111|^2 and AM-GM gives the maxima: every qubit
 on the equator, a pair in (e^{ia}|00> + e^{ib}|11>)/sqrt(2), or the state
 (e^{ia}|000> + e^{ib}|111>)/sqrt(2). Each seeded start moves in one exact
-step onto the maximizer with its own phases; the value is returned only
-after the identity holds exactly on the operator matrices and every such
-witness reaches it within 1e-12. The eigensolve oracles are independent
-references: an exact quarter-turn check, then one eigensolve (one per cut).
+step onto the maximizer with its own phases. Each radius maximum leaves
+through ``_certify``, which builds the result only once the identity holds
+exactly on the operator matrices and every such witness is 8 amplitudes of
+norm 1 (so finite) reaching the value, both within 1e-12. The eigensolve
+oracles are independent references: an exact quarter-turn check, then one
+eigensolve (one per cut).
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import SelfCheckFailed
 from . import locality, mermin, qcore
-from .qcore import Observable, StateVector, make_ghz, observable_matrix
+from .qcore import Observable, make_ghz, observable_matrix
 
 DEFAULT_RESTARTS = 32
 DEFAULT_SEED = 42
@@ -82,19 +84,24 @@ def _check_quarter_turn(first, second, phases) -> None:
                               "operator code corrupt")
 
 
-def _certify(model_class: str, value: float, witnesses) -> float:
-    """Return ``value`` once the pair identity and every witness confirm it."""
+def _certify(model_class: str, value: float, witnesses, argmax: dict,
+             restarts: int, seed: int) -> OptimizationResult:
+    """The result at ``value`` once the pair identity and every witness confirm it: a
+    witness is this module's own maximizer, not input, so it is checked as a result."""
     m_mat, mp_mat = _mermin_matrices()
     corner = np.zeros((8, 8), dtype=complex)
     corner[0, 7] = 8.0
     if not np.array_equal(m_mat + 1j * mp_mat, corner):
         raise SelfCheckFailed("M + iM' != 8|000><111|; operator code corrupt")
     for psi in witnesses:
-        reached = mermin.evaluate_point(StateVector(psi)).radius_squared
-        if abs(reached - value) > WITNESS_TOL:
-            raise SelfCheckFailed(
-                f"{model_class} witness reached {reached!r}, closed form {value}")
-    return value
+        if np.shape(psi) != (8,):
+            raise SelfCheckFailed(f"{model_class} witness has shape {np.shape(psi)}, not (8,)")
+        norm2 = float(np.vdot(psi, psi).real)
+        reached = float(abs(mermin.pure_mermin_values(psi)) ** 2)
+        if not (abs(norm2 - 1.0) <= WITNESS_TOL and abs(reached - value) <= WITNESS_TOL):
+            raise SelfCheckFailed(f"{model_class} witness with |psi|^2 = {norm2} "
+                                  f"reached {reached}, closed form {value}")
+    return OptimizationResult(model_class, float(value), argmax, int(restarts), int(seed))
 
 
 def max_local_mermin(which: str = "m") -> OptimizationResult:
@@ -180,13 +187,8 @@ def max_quantum_local_radius(restarts: int = DEFAULT_RESTARTS,
     starts = [random_bloch_angles(rng, 3) for _ in range(restarts)]
     for params in starts:
         params[0::2] = np.pi / 2.0
-    value = _certify("quantum_local", 1.0, [product_state(p) for p in starts])
-    return OptimizationResult(
-        model_class="quantum_local",
-        best_value=value,
-        argmax={"bloch_angles": [float(v) for v in starts[0]]},
-        restarts_used=int(restarts), seed=int(seed),
-    )
+    return _certify("quantum_local", 1.0, [product_state(p) for p in starts],
+                    {"bloch_angles": [float(v) for v in starts[0]]}, restarts, seed)
 
 
 def biseparable_radius_eigen_oracle() -> float:
@@ -229,21 +231,12 @@ def max_biseparable_radius(restarts: int = DEFAULT_RESTARTS,
             pair = _phased_cat(params[2::2] + 1j * params[3::2])
             params[2::2], params[3::2] = pair.real, pair.imag
             starts.append((cut, params))
-    value = _certify("biseparable", 4.0,
-                     [biseparable_state(cut, p) for cut, p in starts])
     best_cut, best_params = starts[0]
-    return OptimizationResult(
-        model_class="biseparable",
-        best_value=value,
-        argmax={
-            "cut": best_cut,
-            "params": [float(v) for v in best_params],
-            "per_cut_maxima": {str(c): value for c in range(3)},
-            "attained": True,
-            "membership_bound": 8.0,
-        },
-        restarts_used=int(restarts), seed=int(seed),
-    )
+    argmax = {"cut": best_cut, "params": [float(v) for v in best_params],
+              "per_cut_maxima": {str(c): 4.0 for c in range(3)},
+              "attained": True, "membership_bound": 8.0}
+    return _certify("biseparable", 4.0, [biseparable_state(cut, p) for cut, p in starts],
+                    argmax, restarts, seed)
 
 
 def operator_square_sum_top_eigenvalue() -> float:
@@ -283,17 +276,10 @@ def max_quantum_radius(restarts: int = DEFAULT_RESTARTS,
     raws = [rng.standard_normal(16) for _ in range(restarts)]
     starts = [raw[0::2] + 1j * raw[1::2] for raw in raws]
     witnesses = [_phased_cat(psi) for psi in starts]
-    value = _certify("quantum", 16.0, witnesses)
     best_psi = witnesses[0] * np.exp(-1j * np.angle(witnesses[0][0]))
-    return OptimizationResult(
-        model_class="quantum",
-        best_value=value,
-        argmax={
-            "state_re": [float(v) for v in best_psi.real],
-            "state_im": [float(v) for v in best_psi.imag],
-        },
-        restarts_used=int(restarts), seed=int(seed),
-    )
+    argmax = {"state_re": [float(v) for v in best_psi.real],
+              "state_im": [float(v) for v in best_psi.imag]}
+    return _certify("quantum", 16.0, witnesses, argmax, restarts, seed)
 
 
 def noise_threshold(bound: str, tol: float = 1e-6) -> float:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ghzlab
-from ghzlab import cli, errors, locality, mermin, qcore
+from ghzlab import cli, errors, locality, mermin, optimize, qcore
 
 from conftest import WHITE_NOISE
 
@@ -430,6 +430,18 @@ class TestErrorBoundary:
         assert raised
         assert {site: name for site, name in raised.items() if name not in RAISABLE} == {}
 
+    @pytest.mark.parametrize("scale", [1 + 1e-7, np.nan], ids=["off-norm", "nan"])
+    def test_faulty_witness_exits_1(self, capsys, monkeypatch, scale):
+        # A witness is the code's own result: a miss is a failed self-check,
+        # not refused input, whatever its norm.
+        phased_cat = optimize._phased_cat
+        monkeypatch.setattr(optimize, "_phased_cat", lambda amps: scale * phased_cat(amps))
+        code = cli.main(["bounds", "--class", "quantum", "--restarts", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: quantum witness ")
+
     def test_failed_self_check_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(locality, "_hr_satisfied_count", lambda bars, tol: 0)
         code = cli.main(["contradiction"])
@@ -556,11 +568,21 @@ class TestDeterminismAndSeeding:
         code, _ = run(capsys, ["bounds", "--class", "quantum_local", "--restarts", "2"])
         assert code == 2
 
+    #: Subcommands whose seed no search reads: the seed rule holds for them too.
+    UNSEEDED = {"verify": ["verify"], "contradiction": ["contradiction"],
+                "bounds-local": ["bounds", "--class", "local"],
+                "bounds-realistic": ["bounds", "--class", "realistic"],
+                "classify": ["classify", "--noise", "0.6"],
+                "threshold": ["threshold", "--bound", "locality"]}
+
     @pytest.mark.parametrize("argv,env", [
         (["bounds", "--class", "quantum", "--seed", "-1"], None),
         (["figure1", "--seed", "-1"], None),
         (["figure1"], "-3"),
-    ], ids=["bounds", "figure1", "figure1-env"])
+    ] + [(argv + ["--seed", "-1"], None) for argv in UNSEEDED.values()]
+      + [(argv, "-3") for argv in UNSEEDED.values()],
+        ids=["bounds", "figure1", "figure1-env"] + list(UNSEEDED)
+        + [f"{name}-env" for name in UNSEEDED])
     def test_negative_seed_is_named(self, capsys, monkeypatch, argv, env):
         if env is None:
             monkeypatch.delenv("GHZLAB_SEED", raising=False)
@@ -701,6 +723,31 @@ def test_output_is_written_in_one_place():
                 sites["stdout"].add(site)
     assert sites == {"_emit": {"cli.py:main"}, "_render": {"cli.py:main"},
                      "stdout": {"cli.py:_emit"}}
+
+
+def test_class_maxima_leave_through_one_certified_exit():
+    # optimize._certify checks every radius maximum's witnesses and builds its
+    # result; only the two exact maxima build their own. No witness is read
+    # through the input reader StateVector.
+    builders, readers = set(), set()
+    for path in Path(ghzlab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "OptimizationResult":
+                    builders.add(f"{path.name}:{owner.get(id(node))}")
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)}
+            if path.name == "optimize.py" and "StateVector" in names:
+                readers.add(f"{path.name}:{node.lineno}")
+    assert builders == {"optimize.py:_certify", "optimize.py:max_local_mermin",
+                        "optimize.py:max_realistic_mermin"}
+    assert readers == set()
 
 
 class TestOutputFile:

@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,41 @@ class TestQuarterTurnCertificates:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         assert oracle() == pytest.approx(value, abs=1e-12)
         assert len(calls) == eigensolves
+
+
+RADIUS_MAXIMA = {"quantum_local": optimize.max_quantum_local_radius,
+                 "biseparable": optimize.max_biseparable_radius,
+                 "quantum": optimize.max_quantum_radius}
+
+
+class TestCertify:
+    @pytest.mark.parametrize("model_class", RADIUS_MAXIMA)
+    def test_broken_pair_identity_is_refused(self, monkeypatch, model_class):
+        m_mat, mp_mat = optimize._mermin_matrices()
+        monkeypatch.setattr(optimize, "_mermin_matrices", lambda: (m_mat, -mp_mat))
+        with pytest.raises(errors.SelfCheckFailed, match=re.escape("M + iM' != 8|000><111|")):
+            RADIUS_MAXIMA[model_class](2, 0)
+
+    @pytest.mark.parametrize("model_class,builder", [
+        ("quantum_local", "product_state"),
+        ("biseparable", "biseparable_state"),
+        ("quantum", "_phased_cat"),
+    ])
+    def test_witness_off_the_maximum_is_refused(self, monkeypatch, model_class, builder):
+        # |000> is a unit vector with r^2 = 0: the closed form is not reached.
+        monkeypatch.setattr(optimize, builder, lambda *args: np.eye(8, dtype=complex)[0])
+        with pytest.raises(errors.SelfCheckFailed) as caught:
+            RADIUS_MAXIMA[model_class](2, 0)
+        assert str(caught.value).startswith(f"{model_class} witness ")
+        assert "reached 0.0," in str(caught.value)
+        assert "np." not in str(caught.value)
+
+    @pytest.mark.parametrize("witness", [np.full(8, np.nan), np.full(8, np.inf),
+                                         np.eye(4)[0], np.eye(8)[[0, 7]]],
+                             ids=["nan", "inf", "four", "two-rows"])
+    def test_witness_that_is_not_a_finite_unit_8_vector_is_refused(self, witness):
+        with pytest.raises(errors.SelfCheckFailed, match="^quantum witness "):
+            optimize._certify("quantum", 16.0, [witness], {}, 1, 0)
 
 
 class TestNesting:
