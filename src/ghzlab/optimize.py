@@ -164,7 +164,7 @@ def biseparable_state(cut: int, params) -> np.ndarray:
     raw = np.asarray(params[2:10], dtype=float)
     pair = (raw[0::2] + 1j * raw[1::2]).reshape(2, 2)
     pair = pair / np.linalg.norm(pair)
-    return np.moveaxis(np.multiply.outer(single, pair), 0, cut).reshape(8)
+    return np.moveaxis(qcore.tensor([single, pair.reshape(4)]).reshape(2, 2, 2), 0, cut).reshape(8)
 
 
 def _phased_cat(amplitudes) -> np.ndarray:

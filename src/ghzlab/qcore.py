@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -81,7 +82,10 @@ def read_numbers(values, what: str, dtype=float) -> np.ndarray:
 
 
 def read_number(value, what: str) -> float:
-    """One real number, read by ``read_numbers``; ``what`` names it."""
+    """One real number, read by ``read_numbers``; ``what`` names it. A finite
+    Python float is already one, so it is returned as it is."""
+    if type(value) is float and math.isfinite(value):
+        return value
     arr = read_numbers(value, what)
     if arr.shape:
         raise ValueError(f"{what} must be a real number, got shape {arr.shape}")
@@ -172,8 +176,14 @@ def make_ghz() -> StateVector:
 
 
 def tensor(factors) -> np.ndarray:
-    """Kronecker product of one factor per qubit, qubit 1 the leftmost."""
-    return functools.reduce(np.kron, factors)
+    """Kronecker product of the factors, qubit 1's the leftmost, all vectors or all
+    matrices: each fold is np.kron's one broadcast multiply, without its shape work."""
+    def fold(a, b):
+        outer = np.multiply.outer(a, b)
+        if outer.ndim == 2:
+            return outer.reshape(-1)
+        return outer.swapaxes(1, 2).reshape(outer.shape[0] * outer.shape[2], -1)
+    return functools.reduce(fold, factors)
 
 
 def observable_matrix(obs: Observable) -> np.ndarray:

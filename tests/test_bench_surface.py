@@ -41,6 +41,17 @@ def test_tables_pass_their_checks_on_more_inputs(seed):
         assert check(inp, want, run(inp)) is None
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_states_pass_their_checks_on_more_inputs(kind, seed):
+    # evaluate_point, report and the four signed sums, as the timed
+    # library_pure and library_mixed loops check them, on more states than
+    # the first case above reaches.
+    run, check, inputs = child.Library().operations(kind, seed)
+    for _, (inp, want) in zip(range(1000), inputs):
+        assert check(inp, want, run(inp)) is None
+
+
 def test_cli_light_pass_passes_its_checks():
     for name, argv in commands.cli_pass("cli_light", random.Random(0)):
         out = io.StringIO()

@@ -682,9 +682,10 @@ def test_numbers_are_read_in_one_place():
 
 
 def test_kronecker_products_are_built_in_one_place():
-    # qcore.tensor is the one Kronecker fold: no other code names np.kron, and
-    # nothing builds a product by tiling or repeating.
-    sites = []
+    # qcore.tensor is the one Kronecker fold and the one place that multiplies
+    # by broadcast outer product: no code names kron, and nothing builds a
+    # product by tiling or repeating.
+    sites, in_tensor = [], []
     for path in Path(ghzlab.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         fold = set()
@@ -692,11 +693,16 @@ def test_kronecker_products_are_built_in_one_place():
             func = next(node for node in tree.body if getattr(node, "name", "") == "tensor")
             fold = {id(node) for node in ast.walk(func)}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
-                    and node.attr in ("kron", "tile", "repeat")
-                    and not (node.attr == "kron" and id(node) in fold)):
-                sites.append(f"{path.name}:{node.lineno}: np.{node.attr}")
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "kron" or (getattr(node.value, "id", None) == "np"
+                                       and node.attr in ("tile", "repeat")):
+                sites.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif node.attr == "outer" and getattr(node.value, "attr", None) == "multiply":
+                (in_tensor if id(node) in fold else sites).append(
+                    f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert sites == []
+    assert len(in_tensor) == 1
 
 
 def test_output_is_written_in_one_place():

@@ -1,0 +1,122 @@
+"""Golden CLI transcripts: argv, exit code, stdout and stderr of each command.
+
+``tests/cli_transcripts.json`` holds one entry per command, run in-process
+through ``cli.main`` with GHZLAB_SEED unset, so a change that alters any byte
+a user sees, or an exit code, fails here. The commands are the
+criterion-11 set, the benchmark's cli_light set at fixed flags, every
+``bounds`` class with its defaults and with ``--restarts 4 --seed 7``,
+``figure1`` at two seeds, ``classify`` on three state files, and one
+refusal per rule of the README's "Errors". When a change of output is
+intended, regenerate the file and review its diff:
+
+    PYTHONPATH=src python tests/test_cli_transcripts.py --write
+"""
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from ghzlab import cli
+
+TRANSCRIPTS = Path(__file__).with_name("cli_transcripts.json")
+
+
+def state_doc(re: list) -> str:
+    """A state file of 8 real amplitudes; json writes a NaN as ``NaN``."""
+    return json.dumps({"dim": 8, "re": re, "im": [0.0] * 8})
+
+
+#: State files the commands name by these placeholders, written where each test runs.
+STATE_FILES = {
+    "<ghz-state>": state_doc([2 ** -0.5] + [0.0] * 6 + [2 ** -0.5]),
+    "<lopsided-ghz-state>": state_doc([0.9 ** 0.5] + [0.0] * 6 + [0.1 ** 0.5]),
+    "<plus-plus-plus-state>": state_doc([8 ** -0.5] * 8),
+    "<nan-state>": state_doc([float("nan")] + [0.0] * 7),
+}
+
+BOUND_CLASSES = ("local", "realistic", "quantum_local", "biseparable", "quantum")
+COMMANDS = [
+    # The criterion-11 commands.
+    ["verify"],
+    ["contradiction"],
+    ["contradiction", "--mode", "epr"],
+    ["bounds", "--class", "local"],
+    ["bounds", "--class", "realistic"],
+    ["bounds", "--class", "quantum_local", "--restarts", "4"],
+    ["bounds", "--class", "biseparable", "--restarts", "2"],
+    ["bounds", "--class", "quantum", "--restarts", "4", "--seed", "7"],
+    ["figure1", "--samples", "32", "--points", "10"],
+    ["classify", "--noise", "0.3"],
+    ["threshold", "--bound", "locality"],
+    ["threshold", "--bound", "quantum_locality"],
+    # The cli_light commands not above, at the flags random.Random(0) draws.
+    ["classify", "--noise", "0.8444218515250481"],
+    ["figure1", "--seed", "1806341205"],
+    # Every bounds class, with the defaults and with set flags.
+    *(["bounds", "--class", name] for name in BOUND_CLASSES[2:]),
+    *(["bounds", "--class", name, "--restarts", "4", "--seed", "7"] for name in BOUND_CLASSES),
+    # figure1 at two seeds.
+    ["figure1", "--samples", "32", "--points", "10", "--seed", "0"],
+    ["figure1", "--samples", "32", "--points", "10", "--seed", "7"],
+    # classify on a state file: GHZ, sqrt(0.9)|000> + sqrt(0.1)|111>, |+++>.
+    ["classify", "--state", "<ghz-state>"],
+    ["classify", "--state", "<lopsided-ghz-state>"],
+    ["classify", "--state", "<plus-plus-plus-state>"],
+    # Refusals: a negative seed, a tolerance out of range, a non-finite
+    # state and a count out of range.
+    ["verify", "--seed", "-1"],
+    ["contradiction", "--tol", "0.5"],
+    ["classify", "--state", "<nan-state>"],
+    ["bounds", "--class", "quantum", "--restarts", "0"],
+]
+
+
+def run(argv, tmp_dir: Path) -> int:
+    """``cli.main`` on argv, each state file placeholder the path of that file in tmp_dir."""
+    paths = {}
+    for placeholder, doc in STATE_FILES.items():
+        paths[placeholder] = tmp_dir / f"{placeholder.strip('<>')}.json"
+        paths[placeholder].write_text(doc)
+    return cli.main([str(paths.get(arg, arg)) for arg in argv])
+
+
+@pytest.fixture(scope="module")
+def transcripts() -> list:
+    return json.loads(TRANSCRIPTS.read_text())
+
+
+def test_transcripts_cover_the_commands(transcripts):
+    assert [entry["argv"] for entry in transcripts] == COMMANDS
+
+
+@pytest.mark.parametrize("index", range(len(COMMANDS)), ids=[" ".join(a) for a in COMMANDS])
+def test_transcript_is_unchanged(index, transcripts, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GHZLAB_SEED", raising=False)
+    expected = transcripts[index]
+    code = run(expected["argv"], tmp_path)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (expected["code"], expected["stdout"], expected["stderr"])
+
+
+def write(tmp_dir: Path) -> None:
+    os.environ.pop("GHZLAB_SEED", None)
+    entries = []
+    for argv in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv, tmp_dir)
+        entries.append({"argv": argv, "code": code,
+                        "stdout": out.getvalue(), "stderr": err.getvalue()})
+    TRANSCRIPTS.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        write(Path(tmp))

@@ -63,9 +63,33 @@ def same_bits(result, reference) -> bool:
             and result.tobytes() == reference.tobytes())
 
 
+#: Finite entries, signed zeros among them, whose products stay in float range.
+FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def kron_factors(draw) -> list:
+    """2 or 3 factors, all 2x2 or all of length 2, each real or complex."""
+    shape = draw(st.sampled_from([(2, 2), (2,)]))
+    size = int(np.prod(shape))
+    factors = []
+    for _ in range(draw(st.integers(2, 3))):
+        re = draw(st.lists(FINITE, min_size=size, max_size=size))
+        if draw(st.booleans()):
+            im = draw(st.lists(FINITE, min_size=size, max_size=size))
+            re = [complex(x, y) for x, y in zip(re, im)]  # keeps each signed zero
+        factors.append(np.array(re).reshape(shape))
+    return factors
+
+
 class TestTensor:
     """``tensor`` drops the 1x1 identity seed of the folds it replaced; a
-    Kronecker product with a one is exact, so every product is unchanged."""
+    Kronecker product with a one is exact, so every product is unchanged.
+    Each fold is the one multiply ``np.kron`` makes, so the bits are its bits."""
+
+    @given(kron_factors())
+    def test_matches_np_kron(self, factors):
+        assert same_bits(qcore.tensor(factors), functools.reduce(np.kron, factors))
 
     @pytest.mark.parametrize("settings", ["".join(s) for s in itertools.product("xy", repeat=3)])
     def test_basis_change(self, settings):
@@ -99,6 +123,18 @@ class TestTensor:
             for theta, phi in params.reshape(3, 2):
                 reference = np.kron(reference, optimize._bloch_qubit(theta, phi))
             assert same_bits(optimize.product_state(params), reference)
+
+    def test_biseparable_state(self):
+        # The single qubit times the pair, moved to the cut, as one broadcast multiply.
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            cut = int(rng.integers(0, 3))
+            params = np.concatenate([optimize.random_bloch_angles(rng, 1), rng.standard_normal(8)])
+            single = optimize._bloch_qubit(params[0], params[1])
+            pair = (params[2:10:2] + 1j * params[3:10:2]).reshape(2, 2)
+            pair = pair / np.linalg.norm(pair)
+            reference = np.moveaxis(np.multiply.outer(single, pair), 0, cut).reshape(8)
+            assert same_bits(optimize.biseparable_state(cut, params), reference)
 
     def test_quarter_turns(self):
         assert same_bits(optimize.QUBIT3_TURN, np.tile([1, 1j], 4))
