@@ -5,7 +5,8 @@ through ``cli.main`` with GHZLAB_SEED unset, so a change that alters any byte
 a user sees, or an exit code, fails here. The commands are the
 criterion-11 set, the benchmark's cli_light set at fixed flags, every
 ``bounds`` class with its defaults and with ``--restarts 4 --seed 7``,
-``figure1`` at two seeds, ``classify`` on three state files, and one
+``figure1`` at two seeds, ``classify`` on three state files, the CSV and
+JSON forms of what the bounds table drives, and one
 refusal per rule of the README's "Errors". When a change of output is
 intended, regenerate the file and review its diff:
 
@@ -66,6 +67,12 @@ COMMANDS = [
     ["classify", "--state", "<ghz-state>"],
     ["classify", "--state", "<lopsided-ghz-state>"],
     ["classify", "--state", "<plus-plus-plus-state>"],
+    # What the bounds table drives: the CSV row order of a report's bounds,
+    # a threshold in CSV and figure1's curves in JSON.
+    ["classify", "--noise", "0.3", "--format", "csv"],
+    ["classify", "--state", "<lopsided-ghz-state>", "--format", "csv"],
+    ["threshold", "--bound", "quantum_locality", "--format", "csv"],
+    ["figure1", "--samples", "8", "--points", "2", "--format", "json"],
     # Refusals: a negative seed, a tolerance out of range, a non-finite
     # state and a count out of range.
     ["verify", "--seed", "-1"],
