@@ -245,8 +245,9 @@ def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float
     points of the discs must violate by at least 1/2 - 1e-12.
     """
     rng = seeded_rng(restarts, seed)
-    indices = {n for n in pair if isinstance(n, (int, np.integer)) and type(n) is not bool}
-    if len(pair) != 2 or len(indices & set(range(len(PATTERNS)))) != 2:
+    entries = pair if isinstance(pair, (tuple, list)) else ()
+    indices = {n for n in entries if isinstance(n, (int, np.integer)) and type(n) is not bool}
+    if len(entries) != 2 or len(indices & set(range(len(PATTERNS)))) != 2:
         raise ValueError(f"pair must be two distinct indices in 0..3, got {pair!r}")
     targets = np.take(CONSTRAINT_TARGETS, pair)
     patterns = [PATTERNS[n] for n in pair]

@@ -7,22 +7,19 @@ prod_k (x_k + i*y_k) of their equatorial Bloch components:
     M  = XXX - XYY - YXY - YYX
     M' = XXY + XYX + YXX - YYY
 
-Bounds evaluated on a point (m, m'):
-
-    locality            max(|m|, |m'|) <= 2
-    quantum locality    m^2 + m'^2     <= 1
-    realism             max(|m|, |m'|) <= 4
-    quantum             m^2 + m'^2     <= 16
-
-All comparisons are non-strict: a point exactly on a bound satisfies it.
+BOUNDS holds the four bounds on a point (m, m'), CLASSES the radius
+classes; every limit is written there and nowhere else. All comparisons
+are non-strict: a point exactly on a bound satisfies it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .qcore import PATTERNS, density_entries, read_count
+from .qcore import PATTERNS, density_entries, read_count, read_number
 
 #: Each pattern of PATTERNS weighed by GHZ's perfect correlation on it, the
 #: one place these four signs are written.
@@ -33,9 +30,15 @@ MPRIME_TERMS = ((+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY"))
 #: Fewest vertices per circle of ``figure1_regions``.
 MIN_SAMPLES = 8
 
-CLASS_SEPARABLE = "separable-compatible"
-CLASS_TWO_ENTANGLED = "two-entangled-compatible"
-CLASS_THREE_ENTANGLED = "three-entangled"
+#: The four bounds, in report order: name -> (shape, limit). A square bounds
+#: max(|m|, |m'|), a circle the radius, compared as r^2 <= limit * limit.
+BOUNDS = MappingProxyType({"locality": ("square", 2.0), "quantum_locality": ("circle", 1.0),
+                           "realism": ("square", 4.0), "quantum": ("circle", 4.0)})
+#: Each class by the largest r^2 it holds; a point takes the first that holds it.
+#: 8 is the biseparable membership bound, above the biseparable maximum 4, and
+#: perfbench/child.py's ``_klass`` checks ``report`` against it: move both together.
+CLASSES = MappingProxyType({"separable-compatible": 1.0, "two-entangled-compatible": 8.0,
+                            "three-entangled": math.inf})
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,8 @@ class MerminPoint:
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """The point, whether it satisfies each bound (fields in BOUNDS order), its class."""
+
     point: MerminPoint
     satisfies_locality_bound: bool
     satisfies_quantum_locality_bound: bool
@@ -61,12 +66,7 @@ class InequalityReport:
         return {
             "m": self.point.m_value,
             "mprime": self.point.mprime_value,
-            "bounds": {
-                "locality": self.satisfies_locality_bound,
-                "quantum_locality": self.satisfies_quantum_locality_bound,
-                "realism": self.satisfies_realism_bound,
-                "quantum": self.satisfies_quantum_bound,
-            },
+            "bounds": {name: getattr(self, f"satisfies_{name}_bound") for name in BOUNDS},
             "class": self.entanglement_class,
         }
 
@@ -92,40 +92,31 @@ def report(point: MerminPoint) -> InequalityReport:
     """Check the four bounds and classify the point by its radius. The locality
     bound is Mermin's max(|m|, |m'|) <= 2: necessary for a local model, not
     sufficient; ``locality.polytope_membership`` is the full test of a table."""
-    r2 = point.radius_squared
-    if r2 > 16.0 + 1e-9:
-        raise ValueError(f"radius^2 = {r2!r} exceeds the quantum bound 16")
-    peak = max(abs(point.m_value), abs(point.mprime_value))
-    if r2 <= 1.0:
-        klass = CLASS_SEPARABLE
-    elif r2 <= 8.0:
-        klass = CLASS_TWO_ENTANGLED
-    else:
-        klass = CLASS_THREE_ENTANGLED
-    return InequalityReport(
-        point=point,
-        satisfies_locality_bound=peak <= 2.0,
-        satisfies_quantum_locality_bound=r2 <= 1.0,
-        satisfies_realism_bound=peak <= 4.0,
-        satisfies_quantum_bound=r2 <= 16.0,
-        entanglement_class=klass,
-    )
+    m, mp = read_number(point.m_value, "m"), read_number(point.mprime_value, "mprime")
+    try:
+        r2 = m ** 2 + mp ** 2
+    except OverflowError:  # a finite point past float range is outside every bound
+        r2 = math.inf
+    quantum = BOUNDS["quantum"][1] ** 2
+    if r2 > quantum + 1e-9:
+        raise ValueError(f"radius^2 = {r2!r} exceeds the quantum bound {quantum:g}")
+    peak = max(abs(m), abs(mp))
+    holds = [peak <= limit if shape == "square" else r2 <= limit * limit
+             for shape, limit in BOUNDS.values()]
+    return InequalityReport(point, *holds,
+                            next(name for name, limit in CLASSES.items() if r2 <= limit))
 
 
 def figure1_regions(samples: int = 256) -> list:
-    """Boundary polylines of the four bounds in the (m, m') plane.
+    """Boundary polylines of the four bounds in the (m, m') plane, innermost first.
 
-    Returns (name, vertices) pairs; circles carry ``samples`` vertices,
-    squares their four corners. Curves are closed implicitly (last vertex
-    connects back to the first).
+    Returns ("<bound>_<shape>", vertices) pairs, stably sorted by limit; circles
+    carry ``samples`` vertices, squares their four corners. Curves are closed
+    implicitly (last vertex connects back to the first).
     """
     samples = read_count(samples, "samples", MIN_SAMPLES)
     theta = 2.0 * np.pi * np.arange(samples) / samples
-    circle = np.column_stack([np.cos(theta), np.sin(theta)])
-    square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-    return [
-        ("quantum_locality_circle", 1.0 * circle),
-        ("locality_square", 2.0 * square),
-        ("realism_square", 4.0 * square),
-        ("quantum_circle", 4.0 * circle),
-    ]
+    unit = {"circle": np.column_stack([np.cos(theta), np.sin(theta)]),
+            "square": np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])}
+    return [(f"{name}_{shape}", limit * unit[shape])
+            for name, (shape, limit) in sorted(BOUNDS.items(), key=lambda item: item[1][1])]

@@ -35,8 +35,10 @@ WITNESS_TOL = 1e-12
 #: diag(1, i) on qubit 3 of three, and on the first qubit of a pair.
 QUBIT3_TURN = qcore.tensor([np.ones(2), np.ones(2), [1, 1j]])
 PAIR_TURN = qcore.tensor([[1, 1j], np.ones(2)])
-#: Limit of each noise-threshold bound: peak |<M>|, |<M'>| and radius.
-THRESHOLD_LIMITS = {"locality": 2.0, "quantum_locality": 1.0}
+#: Limit of each bound that GHZ violates, so that noisy GHZ crosses it.
+_GHZ_BOUNDS = mermin.report(mermin.evaluate_point(make_ghz())).to_json_dict()["bounds"]
+THRESHOLD_LIMITS = {name: limit for name, (_, limit) in mermin.BOUNDS.items()
+                    if not _GHZ_BOUNDS[name]}
 
 
 @dataclass(frozen=True)
@@ -234,7 +236,7 @@ def max_biseparable_radius(restarts: int = DEFAULT_RESTARTS,
     best_cut, best_params = starts[0]
     argmax = {"cut": best_cut, "params": [float(v) for v in best_params],
               "per_cut_maxima": {str(c): 4.0 for c in range(3)},
-              "attained": True, "membership_bound": 8.0}
+              "attained": True, "membership_bound": mermin.CLASSES["two-entangled-compatible"]}
     return _certify("biseparable", 4.0, [biseparable_state(cut, p) for cut, p in starts],
                     argmax, restarts, seed)
 
@@ -287,14 +289,14 @@ def noise_threshold(bound: str, tol: float = 1e-6) -> float:
 
     White noise I/8 is traceless against every term of M and M', so
     v*GHZ + (1-v)*I/8 sits at v times the GHZ point (4, 0). The threshold
-    is the bound's limit over 4 (2/4 locality, 1/4 quantum locality),
-    returned once the GHZ point is confirmed within 1e-12. Being exact,
-    it meets any accuracy ``tol`` in (0, inf).
+    is the bound's limit over 4, for a peak and a radius of 4v alike, returned
+    once the GHZ point is confirmed within 1e-12. Being exact, it meets any
+    accuracy ``tol`` in (0, inf).
     """
     tol = qcore.read_number(tol, "tol")
     if tol <= 0.0:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if bound not in THRESHOLD_LIMITS:
+    if not isinstance(bound, str) or bound not in THRESHOLD_LIMITS:
         raise ValueError(f"unknown bound {bound!r}")
     ghz = mermin.evaluate_point(make_ghz())
     if abs(complex(ghz.m_value, ghz.mprime_value) - 4.0) > WITNESS_TOL:

@@ -221,8 +221,8 @@ def eigen_residual(state: StateVector, obs: Observable, eigenvalue: float) -> fl
 
 def basis_change(settings: str) -> np.ndarray:
     """U: joint x/y eigenvectors, one setting per qubit, as columns in OUTCOMES order."""
-    settings = settings.lower()
-    if len(settings) != 3 or not set(settings) <= set(EIGENBASES):
+    settings = settings.lower() if isinstance(settings, str) else settings
+    if not isinstance(settings, str) or len(settings) != 3 or not set(settings) <= set(EIGENBASES):
         raise ValueError(f"one setting per qubit required (x or y): {settings!r}")
     return tensor([EIGENBASES[ch] for ch in settings])
 

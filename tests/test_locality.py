@@ -343,8 +343,11 @@ class TestHrConstrained:
         ((0.0, 1.0), 32, r"^pair must be two distinct indices in 0..3, got \(0.0, 1.0\)$"),
         ((True, 2), 32, r"^pair must be two distinct indices in 0..3, got \(True, 2\)$"),
         ((0, 1, 1), 32, r"^pair must be two distinct indices in 0..3, got \(0, 1, 1\)$"),
+        (5, 32, r"^pair must be two distinct indices in 0..3, got 5$"),
+        ("01", 32, r"^pair must be two distinct indices in 0..3, got '01'$"),
     ], ids=["restarts-0", "restarts-negative", "restarts-bool", "restarts-float",
-            "pair-repeated", "pair-out-of-range", "pair-float", "pair-bool", "pair-three-entries"])
+            "pair-repeated", "pair-out-of-range", "pair-float", "pair-bool", "pair-three-entries",
+            "pair-int", "pair-str"])
     def test_pair_minimum_refuses_meaningless_input(self, pair, restarts, message):
         with pytest.raises(ValueError, match=message):
             locality.hr_pair_violation_minimum(pair, restarts=restarts)

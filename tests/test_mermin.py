@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from ghzlab import locality, mermin, qcore
+from ghzlab import locality, mermin, optimize, qcore
 from ghzlab.mermin import MerminPoint
 
-from conftest import WHITE_NOISE, random_product_state, random_pure_state
+from conftest import BAD_SCALARS, WHITE_NOISE, random_product_state, random_pure_state, refusal
 
 
 M = qcore.Observable(mermin.M_TERMS)
@@ -141,7 +141,7 @@ class TestReport:
         assert not rep.satisfies_quantum_locality_bound
         assert rep.satisfies_realism_bound
         assert rep.satisfies_quantum_bound
-        assert rep.entanglement_class == mermin.CLASS_THREE_ENTANGLED
+        assert rep.entanglement_class == "three-entangled"
 
     def test_small_point(self):
         rep = mermin.report(MerminPoint(0.5, 0.5))
@@ -149,7 +149,7 @@ class TestReport:
         assert rep.satisfies_quantum_locality_bound
         assert rep.satisfies_realism_bound
         assert rep.satisfies_quantum_bound
-        assert rep.entanglement_class == mermin.CLASS_SEPARABLE
+        assert rep.entanglement_class == "separable-compatible"
 
     def test_intermediate_point(self):
         rep = mermin.report(MerminPoint(2.5, 0.0))
@@ -157,17 +157,49 @@ class TestReport:
         assert not rep.satisfies_quantum_locality_bound
         assert rep.satisfies_realism_bound
         assert rep.satisfies_quantum_bound
-        assert rep.entanglement_class == mermin.CLASS_TWO_ENTANGLED
+        assert rep.entanglement_class == "two-entangled-compatible"
 
     def test_boundaries_are_inclusive(self):
-        assert mermin.report(MerminPoint(1.0, 0.0)).entanglement_class == mermin.CLASS_SEPARABLE
+        assert mermin.report(MerminPoint(1.0, 0.0)).entanglement_class == "separable-compatible"
         assert mermin.report(MerminPoint(1.0, 0.0)).satisfies_quantum_locality_bound
-        assert mermin.report(MerminPoint(2.0, 2.0)).entanglement_class == mermin.CLASS_TWO_ENTANGLED
+        assert mermin.report(MerminPoint(2.0, 2.0)).entanglement_class == "two-entangled-compatible"
         assert mermin.report(MerminPoint(2.0, 0.0)).satisfies_locality_bound
 
     def test_outside_quantum_region_raises(self):
         with pytest.raises(ValueError, match=r"^radius\^2 = 25.0 exceeds the quantum bound 16$"):
             mermin.report(MerminPoint(5.0, 0.0))
+
+    @pytest.mark.parametrize("coordinate", ["m", "mprime"])
+    @pytest.mark.parametrize("bad,template", BAD_SCALARS)
+    def test_refuses_what_is_not_a_finite_number(self, coordinate, bad, template):
+        # Read like every other number: a NaN is not classed, a string not compared.
+        point = MerminPoint(bad, 0.0) if coordinate == "m" else MerminPoint(0.0, bad)
+        with pytest.raises(ValueError, match=refusal(template, coordinate)):
+            mermin.report(point)
+
+    @pytest.mark.parametrize("point", [MerminPoint(1e200, 0.0), MerminPoint(0.0, -1e200),
+                                       MerminPoint(-1e200, 1e200)], ids=["m", "mprime", "both"])
+    def test_refuses_a_finite_point_whose_radius_overflows(self, point):
+        with pytest.raises(ValueError, match=r"^radius\^2 = inf exceeds the quantum bound 16$"):
+            mermin.report(point)
+
+    @settings(derandomize=True, database=None)
+    @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    def test_report_follows_the_tables(self, m, mp):
+        r2 = m ** 2 + mp ** 2
+        assume(r2 <= 16.0)
+        rep = mermin.report(MerminPoint(m, mp))
+        bounds = rep.to_json_dict()["bounds"]
+        for name, (shape, limit) in mermin.BOUNDS.items():
+            measure = max(abs(m), abs(mp)) if shape == "square" else r2
+            assert bounds[name] == (measure <= (limit if shape == "square" else limit * limit))
+            assert bounds[name] == getattr(rep, f"satisfies_{name}_bound")
+        assert rep.entanglement_class == [
+            name for name, limit in mermin.CLASSES.items() if limit >= r2][0]
+        # Inner bounds imply outer ones, and the quantum disc holds every point.
+        assert bounds["quantum"]
+        assert bounds["realism"] >= bounds["locality"] >= bounds["quantum_locality"]
+        assert bounds["quantum_locality"] == (rep.entanglement_class == "separable-compatible")
 
     def test_bound_nesting_random_points(self, rng):
         for _ in range(500):
@@ -182,11 +214,48 @@ class TestReport:
     def test_json_shape(self):
         doc = mermin.report(MerminPoint(4.0, 0.0)).to_json_dict()
         assert set(doc) == {"m", "mprime", "bounds", "class"}
-        assert set(doc["bounds"]) == {"locality", "quantum_locality", "realism", "quantum"}
+        assert list(doc["bounds"]) == ["locality", "quantum_locality", "realism", "quantum"]
+
+
+class TestTables:
+    def test_limits_and_order(self):
+        assert dict(mermin.BOUNDS) == {"locality": ("square", 2.0),
+                                       "quantum_locality": ("circle", 1.0),
+                                       "realism": ("square", 4.0), "quantum": ("circle", 4.0)}
+        assert list(mermin.BOUNDS) == ["locality", "quantum_locality", "realism", "quantum"]
+        assert dict(mermin.CLASSES) == {"separable-compatible": 1.0,
+                                        "two-entangled-compatible": 8.0,
+                                        "three-entangled": np.inf}
+        with pytest.raises(TypeError):
+            mermin.BOUNDS["locality"] = ("square", 2.5)
+
+    @pytest.mark.parametrize("which", ["m", "mprime"])
+    def test_square_limits_are_the_certified_maxima(self, which):
+        assert mermin.BOUNDS["locality"] == ("square", optimize.max_local_mermin(which).best_value)
+        assert mermin.BOUNDS["realism"] == (
+            "square", optimize.max_realistic_mermin(which).best_value)
+
+    def test_circle_limits_are_the_certified_maxima(self):
+        shape, limit = mermin.BOUNDS["quantum_locality"]
+        assert (shape, limit ** 2) == ("circle", optimize.max_quantum_local_radius(2).best_value)
+        shape, limit = mermin.BOUNDS["quantum"]
+        assert (shape, limit ** 2) == ("circle", optimize.max_quantum_radius(2).best_value)
+        assert limit ** 2 == optimize.quantum_radius_eigen_oracle()
+        assert optimize.max_biseparable_radius(2).argmax["membership_bound"] == (
+            mermin.CLASSES["two-entangled-compatible"])
+
+    def test_thresholds_are_the_bounds_ghz_violates(self):
+        bounds = mermin.report(mermin.evaluate_point(qcore.make_ghz())).to_json_dict()["bounds"]
+        assert optimize.THRESHOLD_LIMITS == {
+            name: limit for name, (_, limit) in mermin.BOUNDS.items() if not bounds[name]}
+        assert list(optimize.THRESHOLD_LIMITS) == ["locality", "quantum_locality"]
+        for name, limit in optimize.THRESHOLD_LIMITS.items():
+            assert optimize.noise_threshold(name) == limit / 4.0
 
 
 class TestFigure1:
     def test_four_curves(self):
+        # Innermost first: by limit, the two curves at 4 in BOUNDS order.
         regions = mermin.figure1_regions(64)
         names = [name for name, _ in regions]
         assert names == ["quantum_locality_circle", "locality_square",

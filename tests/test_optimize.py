@@ -336,8 +336,14 @@ class TestNoiseThreshold:
             assert point.mprime_value == pytest.approx(0.0, abs=1e-10)
 
     def test_unknown_bound(self):
-        with pytest.raises(ValueError):
+        # Realism holds at GHZ's point, so no noise level crosses it.
+        with pytest.raises(ValueError, match="^unknown bound 'realism'$"):
             optimize.noise_threshold("realism")
+
+    @pytest.mark.parametrize("bound", [["locality"], None, 2.0], ids=["list", "none", "float"])
+    def test_bound_that_is_not_a_name(self, bound):
+        with pytest.raises(ValueError, match=f"^unknown bound {re.escape(repr(bound))}$"):
+            optimize.noise_threshold(bound)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError, match=r"^tol must be positive and finite, got 0\.0$"):

@@ -431,9 +431,11 @@ class TestOutcomeProbabilities:
     @pytest.mark.parametrize("state", [qcore.make_ghz(), WHITE_NOISE],
                              ids=["pure", "mixed"])
     def test_settings_must_match_qubit_count(self, state):
-        for settings in ("xy", "xyxy"):
-            with pytest.raises(ValueError, match="one setting per qubit"):
+        for settings in ("xy", "xyxy", ["x", "x", "x"], None):
+            with pytest.raises(ValueError, match="^one setting per qubit"):
                 qcore.signed_sum_for_state(state, settings)
+        with pytest.raises(ValueError, match=r"^one setting per qubit required \(x or y\): None$"):
+            qcore.basis_change(None)
 
     def test_density_entries(self):
         ghz = qcore.make_ghz()
