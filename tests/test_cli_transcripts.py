@@ -5,7 +5,7 @@ through ``cli.main`` with GHZLAB_SEED unset, so a change that alters any byte
 a user sees, or an exit code, fails here. The commands are the
 criterion-11 set, the benchmark's cli_light set at fixed flags, every
 ``bounds`` class with its defaults and with ``--restarts 4 --seed 7``,
-``figure1`` at two seeds, ``classify`` on three state files, the CSV and
+``figure1`` at two seeds, ``classify`` on four state files, the CSV and
 JSON forms of what the bounds table drives, and one
 refusal per rule of the README's "Errors". When a change of output is
 intended, regenerate the file and review its diff:
@@ -15,6 +15,7 @@ intended, regenerate the file and review its diff:
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -36,6 +37,10 @@ STATE_FILES = {
     "<ghz-state>": state_doc([2 ** -0.5] + [0.0] * 6 + [2 ** -0.5]),
     "<lopsided-ghz-state>": state_doc([0.9 ** 0.5] + [0.0] * 6 + [0.1 ** 0.5]),
     "<plus-plus-plus-state>": state_doc([8 ** -0.5] * 8),
+    # cos 15°|000> + sin 15°|111>, whose m = 4 sin 30° = 2 is on the locality
+    # square, with its norm 2e-13 above 1 (inside StateVector's slack).
+    "<locality-edge-state>": state_doc([math.cos(math.pi / 12) * (1 + 1e-13)] + [0.0] * 6
+                                       + [math.sin(math.pi / 12) * (1 + 1e-13)]),
     "<nan-state>": state_doc([float("nan")] + [0.0] * 7),
 }
 
@@ -63,13 +68,17 @@ COMMANDS = [
     # figure1 at two seeds.
     ["figure1", "--samples", "32", "--points", "10", "--seed", "0"],
     ["figure1", "--samples", "32", "--points", "10", "--seed", "7"],
-    # classify on a state file: GHZ, sqrt(0.9)|000> + sqrt(0.1)|111>, |+++>.
+    # classify on a state file: GHZ, sqrt(0.9)|000> + sqrt(0.1)|111>, |+++>,
+    # and a state on the locality square.
     ["classify", "--state", "<ghz-state>"],
     ["classify", "--state", "<lopsided-ghz-state>"],
     ["classify", "--state", "<plus-plus-plus-state>"],
-    # What the bounds table drives: the CSV row order of a report's bounds,
-    # a threshold in CSV and figure1's curves in JSON.
+    ["classify", "--state", "<locality-edge-state>"],
+    # What the bounds table drives: the CSV row order of a report's bounds
+    # (at v = 0.5 on the locality square), a threshold in CSV and figure1's
+    # curves in JSON.
     ["classify", "--noise", "0.3", "--format", "csv"],
+    ["classify", "--noise", "0.5", "--format", "csv"],
     ["classify", "--state", "<lopsided-ghz-state>", "--format", "csv"],
     ["threshold", "--bound", "quantum_locality", "--format", "csv"],
     ["figure1", "--samples", "8", "--points", "2", "--format", "json"],
