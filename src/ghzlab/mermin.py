@@ -8,12 +8,11 @@ prod_k (x_k + i*y_k) of their equatorial Bloch components:
     M' = XXY + XYX + YXX - YYY
 
 BOUNDS holds the four bounds on a point (m, m'), CLASSES the radius
-classes; every limit is written there and nowhere else. All comparisons
-are non-strict: a point exactly on a bound satisfies it.
+classes; every limit is written there and nowhere else. Every comparison
+is ``value - SLACK <= limit``: a value within SLACK above a limit is on it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -30,15 +29,17 @@ MPRIME_TERMS = ((+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY"))
 #: Fewest vertices per circle of ``figure1_regions``.
 MIN_SAMPLES = 8
 
+#: A value at most SLACK above a limit is on it: rounding never makes a violation.
+SLACK = 1e-9
 #: The four bounds, in report order: name -> (shape, limit). A square bounds
-#: max(|m|, |m'|), a circle the radius, compared as r^2 <= limit * limit.
+#: max(|m|, |m'|), a circle the radius, compared as r^2 - SLACK <= limit * limit.
 BOUNDS = MappingProxyType({"locality": ("square", 2.0), "quantum_locality": ("circle", 1.0),
                            "realism": ("square", 4.0), "quantum": ("circle", 4.0)})
 #: Each class by the largest r^2 it holds; a point takes the first that holds it.
 #: 8 is the biseparable membership bound, above the biseparable maximum 4, and
 #: perfbench/child.py's ``_klass`` checks ``report`` against it: move both together.
 CLASSES = MappingProxyType({"separable-compatible": 1.0, "two-entangled-compatible": 8.0,
-                            "three-entangled": math.inf})
+                            "three-entangled": np.inf})
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class MerminPoint:
 
     @property
     def radius_squared(self) -> float:
-        return self.m_value ** 2 + self.mprime_value ** 2
+        return self.m_value * self.m_value + self.mprime_value * self.mprime_value
 
 
 @dataclass(frozen=True)
@@ -89,22 +90,20 @@ def pure_mermin_values(amplitudes) -> np.ndarray:
 
 
 def report(point: MerminPoint) -> InequalityReport:
-    """Check the four bounds and classify the point by its radius. The locality
-    bound is Mermin's max(|m|, |m'|) <= 2: necessary for a local model, not
-    sufficient; ``locality.polytope_membership`` is the full test of a table."""
+    """The four flags and the class of a point, refused if its quantum flag is
+    false. The locality bound is Mermin's max(|m|, |m'|) <= 2: necessary for a
+    local model, not sufficient; ``locality.polytope_membership`` is the full test."""
+    if not isinstance(point, MerminPoint):
+        raise TypeError(f"expected MerminPoint, got {type(point)}")
     m, mp = read_number(point.m_value, "m"), read_number(point.mprime_value, "mprime")
-    try:
-        r2 = m ** 2 + mp ** 2
-    except OverflowError:  # a finite point past float range is outside every bound
-        r2 = math.inf
-    quantum = BOUNDS["quantum"][1] ** 2
-    if r2 > quantum + 1e-9:
-        raise ValueError(f"radius^2 = {r2!r} exceeds the quantum bound {quantum:g}")
-    peak = max(abs(m), abs(mp))
-    holds = [peak <= limit if shape == "square" else r2 <= limit * limit
-             for shape, limit in BOUNDS.values()]
-    return InequalityReport(point, *holds,
-                            next(name for name, limit in CLASSES.items() if r2 <= limit))
+    r2 = m * m + mp * mp  # inf past float range, outside every bound
+    value = {"square": max(abs(m), abs(mp)), "circle": r2}
+    holds = {name: value[shape] - SLACK <= (limit * limit if shape == "circle" else limit)
+             for name, (shape, limit) in BOUNDS.items()}
+    if not holds["quantum"]:
+        raise ValueError(f"radius^2 = {r2} exceeds the quantum bound {BOUNDS['quantum'][1] ** 2:g}")
+    return InequalityReport(point, *holds.values(),
+                            next(name for name, limit in CLASSES.items() if r2 - SLACK <= limit))
 
 
 def figure1_regions(samples: int = 256) -> list:

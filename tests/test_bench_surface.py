@@ -9,10 +9,12 @@ Nothing under perfbench/ is modified.
 import contextlib
 import importlib
 import io
+import math
 import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -50,6 +52,31 @@ def test_states_pass_their_checks_on_more_inputs(kind, seed):
     run, check, inputs = child.Library().operations(kind, seed)
     for _, (inp, want) in zip(range(1000), inputs):
         assert check(inp, want, run(inp)) is None
+
+
+#: States on a limit, the pure ones scaled within StateVector's 1e-12 norm
+#: slack, so their points may lie a few ulps past it: GHZ (realism, quantum),
+#: |+++> (quantum-locality, separable class), cos 15°|000> + sin 15°|111>
+#: (locality), and white-noise GHZ at v = 1/4 and 1/2 (quantum-locality, locality).
+EDGE_STATES = {
+    "ghz": np.array([2 ** -0.5] + [0.0] * 6 + [2 ** -0.5]) * (1 + 4e-13),
+    "plus-plus-plus": np.full(8, 8 ** -0.5),
+    "locality-edge": np.array([math.cos(math.pi / 12)] + [0.0] * 6
+                              + [math.sin(math.pi / 12)]) * (1 + 1e-13),
+    "noisy-ghz-0.25": 0.25,
+    "noisy-ghz-0.5": 0.5,
+}
+
+
+@pytest.mark.parametrize("name", EDGE_STATES)
+def test_edge_states_pass_their_checks(name):
+    # check_state reads every flag and the class of report on the timed path.
+    lib, state = child.Library(), EDGE_STATES[name]
+    if isinstance(state, float):
+        inp = (lib.ghz, state)
+        assert lib.check_state(inp, 16.0, lib.run_mixed(inp)) is None
+    else:
+        assert lib.check_state(state, 16.0, lib.run_pure(state)) is None
 
 
 def test_cli_light_pass_passes_its_checks():

@@ -364,7 +364,7 @@ def test_negative_zero_imaginary_parts_read_as_zero(tmp_path, command, state):
 
 
 #: All the package raises: a failed self-check, refused input, and the TypeError
-#: of qcore.density_entries for an argument that is not a state.
+#: of qcore.density_entries and mermin.report for an argument of the wrong type.
 RAISABLE = {"SelfCheckFailed", "ValueError", "TypeError"}
 
 

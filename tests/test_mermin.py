@@ -1,6 +1,10 @@
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ghzlab import locality, mermin, optimize, qcore
 from ghzlab.mermin import MerminPoint
@@ -14,6 +18,22 @@ MPRIME = qcore.Observable(mermin.MPRIME_TERMS)
 
 def pair_matrices():
     return qcore.observable_matrix(M), qcore.observable_matrix(MPRIME)
+
+
+#: Each limit ``report`` compares a value with, as (shape, limit on that value):
+#: a square's on the peak max(|m|, |m'|), a circle's and a class's on r^2.
+EDGES = [(shape, limit if shape == "square" else limit * limit)
+         for shape, limit in mermin.BOUNDS.values()] + [
+    ("circle", limit) for limit in mermin.CLASSES.values() if limit < math.inf]
+
+
+def point_near(edge, offset, turn):
+    """A point whose value for ``edge`` is its limit plus ``offset``."""
+    shape, limit = edge
+    if shape == "square":
+        return limit + offset, (limit + offset) * math.cos(turn)
+    radius = math.sqrt(limit + offset)
+    return radius * math.cos(turn), radius * math.sin(turn)
 
 
 class TestPairStructure:
@@ -165,6 +185,22 @@ class TestReport:
         assert mermin.report(MerminPoint(2.0, 2.0)).entanglement_class == "two-entangled-compatible"
         assert mermin.report(MerminPoint(2.0, 0.0)).satisfies_locality_bound
 
+    @settings(derandomize=True, database=None)
+    @given(st.floats(-4e-13, 4e-13), st.lists(st.floats(0.0, 2 * math.pi), min_size=3, max_size=3))
+    def test_accepted_states_satisfy_the_bounds_they_sit_on(self, delta, phases):
+        # StateVector takes a norm within 1e-12, so each state scaled by 1 + delta
+        # is accepted, and its point may lie a few ulps past the limit it is on.
+        def bounds(amplitudes):
+            state = qcore.StateVector((1.0 + delta) * np.asarray(amplitudes, dtype=complex))
+            return mermin.report(mermin.evaluate_point(state)).to_json_dict()["bounds"]
+
+        ghz = bounds([2 ** -0.5] + [0.0] * 6 + [2 ** -0.5 * np.exp(1j * phases[0])])
+        assert ghz["realism"] and ghz["quantum"]
+        equatorial = qcore.tensor([np.array([1.0, np.exp(1j * phi)]) / math.sqrt(2.0)
+                                   for phi in phases])
+        assert bounds(equatorial)["quantum_locality"]
+        assert bounds([math.cos(math.pi / 12)] + [0.0] * 6 + [math.sin(math.pi / 12)])["locality"]
+
     def test_outside_quantum_region_raises(self):
         with pytest.raises(ValueError, match=r"^radius\^2 = 25.0 exceeds the quantum bound 16$"):
             mermin.report(MerminPoint(5.0, 0.0))
@@ -183,19 +219,47 @@ class TestReport:
         with pytest.raises(ValueError, match=r"^radius\^2 = inf exceeds the quantum bound 16$"):
             mermin.report(point)
 
+    @pytest.mark.parametrize("point", [None, (4.0, 0.0)], ids=["none", "tuple"])
+    def test_refuses_what_is_not_a_point(self, point):
+        with pytest.raises(TypeError, match=r"^expected MerminPoint, got <class '\w+'>$"):
+            mermin.report(point)
+
+    def test_radius_squared_past_float_range_is_inf(self):
+        assert MerminPoint(1e200, 0.0).radius_squared == math.inf
+
+    def test_one_slack_and_no_overflow_handler(self):
+        # Every verdict compares value - SLACK <= limit: no other tolerance is
+        # written, and r^2 past float range is inf, not an exception.
+        tree = ast.parse(Path(mermin.__file__).read_text())
+        floats = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                  and isinstance(node.value, float) and 0.0 < node.value < 1e-3]
+        handlers = [ast.unparse(node.type) for node in ast.walk(tree)
+                    if isinstance(node, ast.ExceptHandler)]
+        assert (floats, handlers, mermin.SLACK) == ([1e-9], [], 1e-9)
+
     @settings(derandomize=True, database=None)
-    @given(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
-    def test_report_follows_the_tables(self, m, mp):
-        r2 = m ** 2 + mp ** 2
-        assume(r2 <= 16.0)
+    @given(st.one_of(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                     st.builds(point_near, st.sampled_from(EDGES),
+                               st.floats(-3 * mermin.SLACK, 3 * mermin.SLACK),
+                               st.floats(0.0, 2 * math.pi))))
+    def test_report_follows_the_tables(self, point):
+        # Half the points lie within 3 SLACK of a limit, where the slack decides.
+        m, mp = point
+        r2, peak = m * m + mp * mp, max(abs(m), abs(mp))
+        if not r2 - mermin.SLACK <= mermin.BOUNDS["quantum"][1] ** 2:
+            with pytest.raises(ValueError, match="exceeds the quantum bound 16$"):
+                mermin.report(MerminPoint(m, mp))
+            return
         rep = mermin.report(MerminPoint(m, mp))
         bounds = rep.to_json_dict()["bounds"]
         for name, (shape, limit) in mermin.BOUNDS.items():
-            measure = max(abs(m), abs(mp)) if shape == "square" else r2
-            assert bounds[name] == (measure <= (limit if shape == "square" else limit * limit))
+            if shape == "square":
+                assert bounds[name] == (peak - mermin.SLACK <= limit)
+            else:
+                assert bounds[name] == (r2 - mermin.SLACK <= limit * limit)
             assert bounds[name] == getattr(rep, f"satisfies_{name}_bound")
         assert rep.entanglement_class == [
-            name for name, limit in mermin.CLASSES.items() if limit >= r2][0]
+            name for name, limit in mermin.CLASSES.items() if r2 - mermin.SLACK <= limit][0]
         # Inner bounds imply outer ones, and the quantum disc holds every point.
         assert bounds["quantum"]
         assert bounds["realism"] >= bounds["locality"] >= bounds["quantum_locality"]
