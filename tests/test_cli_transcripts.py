@@ -5,7 +5,7 @@ through ``cli.main`` with GHZLAB_SEED unset, so a change that alters any byte
 a user sees, or an exit code, fails here. The commands are the
 criterion-11 set, the benchmark's cli_light set at fixed flags, every
 ``bounds`` class with its defaults and with ``--restarts 4 --seed 7``,
-``figure1`` at two seeds, ``classify`` on four state files, the CSV and
+``figure1`` at two seeds, ``classify`` on six state files, the CSV and
 JSON forms of what the bounds table drives, and one
 refusal per rule of the README's "Errors". When a change of output is
 intended, regenerate the file and review its diff:
@@ -32,6 +32,15 @@ def state_doc(re: list) -> str:
     return json.dumps({"dim": 8, "re": re, "im": [0.0] * 8})
 
 
+def ghz_mixture_doc(coherence: float) -> str:
+    """A mixed state file: rho_00 = rho_77 = 1/2 and rho_07 = rho_70 = ``coherence``,
+    whose least eigenvalue is 1/2 - coherence."""
+    re = [[0.0] * 8 for _ in range(8)]
+    re[0][0] = re[7][7] = 0.5
+    re[0][7] = re[7][0] = coherence
+    return json.dumps({"dim": 8, "re": re, "im": [[0.0] * 8] * 8})
+
+
 #: State files the commands name by these placeholders, written where each test runs.
 STATE_FILES = {
     "<ghz-state>": state_doc([2 ** -0.5] + [0.0] * 6 + [2 ** -0.5]),
@@ -41,6 +50,10 @@ STATE_FILES = {
     # square, with its norm 2e-13 above 1 (inside StateVector's slack).
     "<locality-edge-state>": state_doc([math.cos(math.pi / 12) * (1 + 1e-13)] + [0.0] * 6
                                        + [math.sin(math.pi / 12) * (1 + 1e-13)]),
+    # GHZ's coherence raised by 0.9e-10, past the readers' slack, and by
+    # 0.9e-12, within it: a least eigenvalue of -0.9e-10 and of -0.9e-12.
+    "<edge-density-state>": ghz_mixture_doc(0.5 + 0.9e-10),
+    "<slack-edge-density-state>": ghz_mixture_doc(0.5 + 0.9e-12),
     "<nan-state>": state_doc([float("nan")] + [0.0] * 7),
 }
 
@@ -69,11 +82,14 @@ COMMANDS = [
     ["figure1", "--samples", "32", "--points", "10", "--seed", "0"],
     ["figure1", "--samples", "32", "--points", "10", "--seed", "7"],
     # classify on a state file: GHZ, sqrt(0.9)|000> + sqrt(0.1)|111>, |+++>,
-    # and a state on the locality square.
+    # a state on the locality square, and two mixed states at the edge of the
+    # density matrix reader.
     ["classify", "--state", "<ghz-state>"],
     ["classify", "--state", "<lopsided-ghz-state>"],
     ["classify", "--state", "<plus-plus-plus-state>"],
     ["classify", "--state", "<locality-edge-state>"],
+    ["classify", "--state", "<edge-density-state>"],
+    ["classify", "--state", "<slack-edge-density-state>"],
     # What the bounds table drives: the CSV row order of a report's bounds
     # (at v = 0.5 on the locality square), a threshold in CSV and figure1's
     # curves in JSON.
