@@ -64,13 +64,14 @@ class LocalModel:
         p_plus = qcore.read_numbers([cause.p_plus for cause in causes], "p_plus entry")
         if weights.ndim != 1:
             raise ValueError(f"cause weight must be a real number, got shape {weights.shape[1:]}")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        # Half the slack: a model's table adds a few ulps of rounding to each block sum.
+        if abs(weights.sum() - 1.0) > qcore.READ_SLACK / 2:
             raise ValueError(f"cause weights sum to {float(weights.sum())!r}, not 1")
         if np.any(weights < 0):
             raise ValueError("cause weight must be nonnegative and finite")
         if p_plus.shape[1:] != (3, 2):
             raise ValueError(f"p_plus must be 3x2, got shape {p_plus.shape[1:]}")
-        if not np.all((p_plus >= -1e-12) & (p_plus <= 1.0 + 1e-12)):
+        if not np.all((p_plus >= 0) & (p_plus <= 1)):
             raise ValueError("response probabilities must lie in [0, 1]")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "p_plus", p_plus)
@@ -96,9 +97,9 @@ class CorrelationTable:
             arr = qcore.read_numbers(self.blocks[pattern], f"block {pattern!r} entry")
             if arr.shape != (8,):
                 raise ValueError(f"block {pattern!r} must have 8 entries")
-            if np.any(arr < -1e-12):
+            if np.any(arr < -qcore.READ_SLACK):
                 raise ValueError(f"block {pattern!r} has a negative entry")
-            if abs(arr.sum() - 1.0) > 1e-12:
+            if abs(arr.sum() - 1.0) > qcore.READ_SLACK:
                 raise ValueError(f"block {pattern!r} sums to {float(arr.sum())!r}")
             clean[pattern] = arr
         object.__setattr__(self, "blocks", clean)

@@ -44,11 +44,18 @@ CLASSES = MappingProxyType({"separable-compatible": 1.0, "two-entangled-compatib
 
 @dataclass(frozen=True)
 class MerminPoint:
+    """(<M>, <M'>), each coordinate read by ``read_number`` as ``m`` and ``mprime``."""
+
     m_value: float
     mprime_value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "m_value", read_number(self.m_value, "m"))
+        object.__setattr__(self, "mprime_value", read_number(self.mprime_value, "mprime"))
+
     @property
     def radius_squared(self) -> float:
+        """m^2 + m'^2: inf past float range, outside every bound."""
         return self.m_value * self.m_value + self.mprime_value * self.mprime_value
 
 
@@ -95,9 +102,8 @@ def report(point: MerminPoint) -> InequalityReport:
     local model, not sufficient; ``locality.polytope_membership`` is the full test."""
     if not isinstance(point, MerminPoint):
         raise TypeError(f"expected MerminPoint, got {type(point)}")
-    m, mp = read_number(point.m_value, "m"), read_number(point.mprime_value, "mprime")
-    r2 = m * m + mp * mp  # inf past float range, outside every bound
-    value = {"square": max(abs(m), abs(mp)), "circle": r2}
+    r2 = point.radius_squared
+    value = {"square": max(abs(point.m_value), abs(point.mprime_value)), "circle": r2}
     holds = {name: value[shape] - SLACK <= (limit * limit if shape == "circle" else limit)
              for name, (shape, limit) in BOUNDS.items()}
     if not holds["quantum"]:

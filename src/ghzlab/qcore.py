@@ -8,8 +8,9 @@ Conventions used everywhere in the package:
   ``s``; no alternative phase, so amplitude tables are bit-reproducible.
 * Outcome probabilities are ``Re diag(U^H rho U)`` for pure
   (``rho = |psi><psi|``) and mixed states alike; see ``basis_change``.
-* Tolerances: 1e-12 for exact identities and normalization, EIGEN_TOL for
-  eigenchecks and 1e-10 per unit of coefficient for imaginary residuals.
+* Tolerances: READ_SLACK for every check a constructor makes, EIGEN_TOL for
+  eigenchecks, 1e-10 per unit of coefficient for imaginary residuals and
+  1e-12 for the exact identities of self-checks.
 * Every number handed to the package is read by ``read_numbers``, a count or
   seed by ``read_count``; both refuse, never coerce, what is not a finite
   number in float range (an integer from a least value, for a count).
@@ -28,6 +29,10 @@ import numpy as np
 from .errors import SelfCheckFailed
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
+
+#: The one slack of every constructor's checks. An accepted state has
+#: r^2 <= 16 (1 + 9 READ_SLACK)^2 < 16 + mermin.SLACK, so ``report`` takes it.
+READ_SLACK = 1e-12
 
 #: Largest ||O|psi> - lambda|psi>|| that eigencheck and verify accept.
 EIGEN_TOL = 1e-10
@@ -112,7 +117,7 @@ class StateVector:
         if amps.size != 8:
             raise ValueError(f"expected a three-qubit state (8 amplitudes), got {amps.size}")
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-12:
+        if abs(norm2 - 1.0) > READ_SLACK:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -128,13 +133,13 @@ class DensityMatrix:
         if mat.shape != (8, 8):
             raise ValueError("expected a three-qubit state (an 8x8 matrix), "
                              f"got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValueError("density matrix not Hermitian within 1e-12")
+        if np.max(np.abs(mat - mat.conj().T)) > READ_SLACK:
+            raise ValueError(f"density matrix not Hermitian within {READ_SLACK:g}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > 1e-12:
+        if abs(tr - 1.0) > READ_SLACK:
             raise ValueError(f"density matrix trace {tr!r} != 1")
         # White-noise mixing can leave eigenvalues a hair below zero.
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
+        if np.min(np.linalg.eigvalsh(mat)) < -READ_SLACK:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", mat)
 
@@ -188,6 +193,8 @@ def tensor(factors) -> np.ndarray:
 
 def observable_matrix(obs: Observable) -> np.ndarray:
     """The sum over terms of coefficient times the Pauli product."""
+    if not isinstance(obs, Observable):
+        raise TypeError(f"expected Observable, got {type(obs)}")
     return sum(coeff * tensor([PAULI[ch] for ch in settings]) for coeff, settings in obs.terms)
 
 
@@ -198,6 +205,13 @@ def density_entries(state) -> np.ndarray:
     if isinstance(state, DensityMatrix):
         return state.entries
     raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)}")
+
+
+def pure_amplitudes(state) -> np.ndarray:
+    """The amplitudes of a pure state; a mixed one has none."""
+    if not isinstance(state, StateVector):
+        raise TypeError(f"expected StateVector, got {type(state)}")
+    return state.amplitudes
 
 
 def expectation(state, obs: Observable) -> float:
@@ -215,8 +229,8 @@ def eigencheck(state: StateVector, obs: Observable, eigenvalue: float) -> bool:
 
 
 def eigen_residual(state: StateVector, obs: Observable, eigenvalue: float) -> float:
-    mat = observable_matrix(obs)
-    return float(np.linalg.norm(mat @ state.amplitudes - eigenvalue * state.amplitudes))
+    psi = pure_amplitudes(state)
+    return float(np.linalg.norm(observable_matrix(obs) @ psi - eigenvalue * psi))
 
 
 def basis_change(settings: str) -> np.ndarray:
@@ -230,7 +244,7 @@ def basis_change(settings: str) -> np.ndarray:
 def amplitude_table(state: StateVector, settings: str) -> np.ndarray:
     """Amplitudes of a pure state in a per-party x/y eigenbasis, U^H psi, in
     OUTCOMES order."""
-    return basis_change(settings).conj().T @ state.amplitudes
+    return basis_change(settings).conj().T @ pure_amplitudes(state)
 
 
 def outcome_probabilities(state, settings: str) -> np.ndarray:

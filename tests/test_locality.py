@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ghzlab import locality, mermin, optimize, qcore
 from ghzlab.errors import SelfCheckFailed
@@ -111,8 +111,10 @@ class TestLocalModel:
             LocalModel((Cause(0.5, np.full((3, 2), 0.5)),))
 
     def test_probabilities_in_range(self):
-        with pytest.raises(ValueError, match=r"^response probabilities must lie in \[0, 1\]$"):
-            LocalModel((Cause(1.0, np.full((3, 2), 1.5)),))
+        # Exactly [0, 1], like the weights' >= 0: a cause's table entries are then >= 0.
+        for entry in (1.5, 1.0 + 1e-12, -1e-12, -0.5):
+            with pytest.raises(ValueError, match=r"^response probabilities must lie in \[0, 1\]$"):
+                LocalModel((Cause(1.0, with_entry(entry)),))
 
     @pytest.mark.parametrize("p_plus,message", [
         (np.full((2, 3), 0.5), r"p_plus must be 3x2, got shape \(2, 3\)"),
@@ -532,6 +534,50 @@ def brute_force_table(model):
             block.append(total)
         blocks[pattern] = block
     return blocks
+
+
+@st.composite
+def edge_causes(draw):
+    """Causes at the edge of what LocalModel accepts: weights summing to
+    1 + u READ_SLACK, |u| <= 1, and response probabilities at 0 or 1 exactly or
+    in between, one of them perhaps moved a slack past 0 or 1."""
+    count = draw(st.integers(1, 4))
+    raw = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count)))
+    weights = raw / raw.sum() * (1.0 + draw(st.floats(-1.0, 1.0)) * qcore.READ_SLACK)
+    entries = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                       min_size=6 * count, max_size=6 * count)
+    p_plus = np.reshape(draw(entries), (count, 3, 2))
+    past = draw(st.sampled_from([None, None, -qcore.READ_SLACK, 1.0 + qcore.READ_SLACK]))
+    if past is not None:
+        p_plus.flat[draw(st.integers(0, p_plus.size - 1))] = past
+    return tuple(Cause(float(weight), entry) for weight, entry in zip(weights, p_plus))
+
+
+class TestAcceptedModels:
+    @settings(derandomize=True, database=None)
+    @given(edge_causes())
+    def test_an_accepted_model_has_an_accepted_table_inside(self, causes):
+        # Whatever LocalModel accepts, model_to_table, CorrelationTable and
+        # polytope_membership accept too; what it refuses is past an edge.
+        weights = np.array([cause.weight for cause in causes])
+        p_plus = np.array([cause.p_plus for cause in causes])
+        try:
+            model = LocalModel(causes)
+        except ValueError:
+            assert (np.any((p_plus < 0) | (p_plus > 1))
+                    or abs(weights.sum() - 1.0) > qcore.READ_SLACK / 2)
+            return
+        assert polytope_membership(model_to_table(model)).inside
+
+    def test_weights_leave_the_table_room_for_its_rounding(self):
+        # This weight is within READ_SLACK of 1, but its table's blocks sum to
+        # 1 + 1.00009e-12: a model keeps half the slack for the table's rounding.
+        weight, p_plus = 1.0000000000009999, np.full((3, 2), 0.1)
+        with pytest.raises(ValueError, match=r"^cause weights sum to 1.0000000000009999, not 1$"):
+            LocalModel((Cause(weight, p_plus),))
+        blocks = weight * locality._cause_probabilities(p_plus)
+        with pytest.raises(ValueError, match=r"^block 'xxx' sums to 1.000000000001$"):
+            CorrelationTable(dict(zip(qcore.PATTERNS, blocks)))
 
 
 class TestOneCorrelatorPath:

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,8 +187,10 @@ class TestReport:
         assert mermin.report(MerminPoint(2.0, 0.0)).satisfies_locality_bound
 
     @settings(derandomize=True, database=None)
-    @given(st.floats(-4e-13, 4e-13), st.lists(st.floats(0.0, 2 * math.pi), min_size=3, max_size=3))
-    def test_accepted_states_satisfy_the_bounds_they_sit_on(self, delta, phases):
+    @given(st.floats(-4e-13, 4e-13), st.lists(st.floats(0.0, 2 * math.pi), min_size=3, max_size=3),
+           st.floats(-qcore.READ_SLACK, qcore.READ_SLACK),
+           st.one_of(st.floats(0.0, qcore.READ_SLACK), st.floats(qcore.READ_SLACK, 1e-10)))
+    def test_accepted_states_satisfy_the_bounds_they_sit_on(self, delta, phases, t, s):
         # StateVector takes a norm within 1e-12, so each state scaled by 1 + delta
         # is accepted, and its point may lie a few ulps past the limit it is on.
         def bounds(amplitudes):
@@ -200,6 +203,19 @@ class TestReport:
                                    for phi in phases])
         assert bounds(equatorial)["quantum_locality"]
         assert bounds([math.cos(math.pi / 12)] + [0.0] * 6 + [math.sin(math.pi / 12)])["locality"]
+        # Trace 1 + t, the six other diagonal entries at -s and GHZ's coherence
+        # raised by s: the least eigenvalue is -s and r^2 = 16 (1 + t + 8 s)^2.
+        # A matrix DensityMatrix accepts is reported; one past the slack is refused there.
+        rho = np.diag([0.5 * (1.0 + t) + 3.0 * s] + [-s] * 6 + [0.5 * (1.0 + t) + 3.0 * s])
+        rho = rho.astype(complex)
+        rho[7, 0] = (0.5 * (1.0 + t) + 4.0 * s) * np.exp(1j * phases[1])
+        rho[0, 7] = np.conj(rho[7, 0])
+        try:
+            state = qcore.DensityMatrix(rho)
+        except ValueError as exc:
+            assert str(exc).startswith("density matrix") and max(abs(t), s) > qcore.READ_SLACK / 2
+            return
+        assert mermin.report(mermin.evaluate_point(state)).satisfies_quantum_bound
 
     def test_outside_quantum_region_raises(self):
         with pytest.raises(ValueError, match=r"^radius\^2 = 25.0 exceeds the quantum bound 16$"):
@@ -208,10 +224,10 @@ class TestReport:
     @pytest.mark.parametrize("coordinate", ["m", "mprime"])
     @pytest.mark.parametrize("bad,template", BAD_SCALARS)
     def test_refuses_what_is_not_a_finite_number(self, coordinate, bad, template):
-        # Read like every other number: a NaN is not classed, a string not compared.
-        point = MerminPoint(bad, 0.0) if coordinate == "m" else MerminPoint(0.0, bad)
+        # Read like every other number, where the point is built: a NaN is not
+        # classed, a string not compared.
         with pytest.raises(ValueError, match=refusal(template, coordinate)):
-            mermin.report(point)
+            MerminPoint(bad, 0.0) if coordinate == "m" else MerminPoint(0.0, bad)
 
     @pytest.mark.parametrize("point", [MerminPoint(1e200, 0.0), MerminPoint(0.0, -1e200),
                                        MerminPoint(-1e200, 1e200)], ids=["m", "mprime", "both"])
@@ -225,7 +241,13 @@ class TestReport:
             mermin.report(point)
 
     def test_radius_squared_past_float_range_is_inf(self):
-        assert MerminPoint(1e200, 0.0).radius_squared == math.inf
+        # A numpy coordinate is read as a Python float, so r^2 overflows without a warning.
+        for big in (1e200, np.float64(1e200)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                point = MerminPoint(big, 0.0)
+                assert point.radius_squared == math.inf
+            assert type(point.m_value) is float and type(point.mprime_value) is float
 
     def test_one_slack_and_no_overflow_handler(self):
         # Every verdict compares value - SLACK <= limit: no other tolerance is
@@ -236,6 +258,36 @@ class TestReport:
         handlers = [ast.unparse(node.type) for node in ast.walk(tree)
                     if isinstance(node, ast.ExceptHandler)]
         assert (floats, handlers, mermin.SLACK) == ([1e-9], [], 1e-9)
+
+    def test_one_read_slack_and_each_value_read_once(self):
+        # The five constructors write no tolerance of their own: the four that
+        # check one read READ_SLACK, and MerminPoint reads its coordinates with
+        # read_number, so report reads nothing more.
+        def post_init(module, name):
+            tree = ast.parse(Path(module.__file__).read_text())
+            cls = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == name)
+            return next(node for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+
+        constructors = {(qcore, "StateVector"): "READ_SLACK",
+                        (qcore, "DensityMatrix"): "READ_SLACK",
+                        (locality, "CorrelationTable"): "READ_SLACK",
+                        (locality, "LocalModel"): "READ_SLACK",
+                        (mermin, "MerminPoint"): "read_number"}
+        for (module, name), reader in constructors.items():
+            nodes = list(ast.walk(post_init(module, name)))
+            floats = [node.value for node in nodes if isinstance(node, ast.Constant)
+                      and isinstance(node.value, float) and node.value < 1e-3]
+            names = {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            assert (name, floats, reader in names) == (name, [], True)
+        tree = ast.parse(Path(mermin.__file__).read_text())
+        report = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "report")
+        calls = [ast.unparse(node.func) for node in ast.walk(report) if isinstance(node, ast.Call)]
+        assert not [call for call in calls if call.endswith("read_number")]
+        assert qcore.READ_SLACK == 1e-12
 
     @settings(derandomize=True, database=None)
     @given(st.one_of(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),

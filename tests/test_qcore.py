@@ -446,6 +446,20 @@ class TestOutcomeProbabilities:
         with pytest.raises(TypeError):
             qcore.density_entries(ghz.amplitudes)
 
+    @pytest.mark.parametrize("call,expected", [
+        (lambda: qcore.amplitude_table(WHITE_NOISE, "xxx"), "StateVector"),
+        (lambda: qcore.eigen_residual(WHITE_NOISE, obs("XXX"), 1.0), "StateVector"),
+        (lambda: qcore.eigencheck(WHITE_NOISE, obs("XXX"), 1.0), "StateVector"),
+        (lambda: qcore.expectation(qcore.make_ghz(), "XXX"), "Observable"),
+        (lambda: qcore.eigen_residual(qcore.make_ghz(), "XXX", 1.0), "Observable"),
+        (lambda: qcore.observable_matrix(None), "Observable"),
+    ], ids=["amplitude-table", "eigen-residual", "eigencheck", "expectation",
+            "eigen-residual-observable", "observable-matrix"])
+    def test_a_value_of_the_wrong_kind_is_a_type_error(self, call, expected):
+        # A mixed state has no amplitudes, and a string is not an observable.
+        with pytest.raises(TypeError, match=rf"^expected {expected}, got <class '[\w.]+'>$"):
+            call()
+
 
 class TestWhiteNoise:
     def test_pure_limit(self):
@@ -486,11 +500,15 @@ class TestValidation:
             DensityMatrix(np.eye(8, dtype=complex))
 
     def test_negative_eigenvalue_rejected(self):
-        mat = np.zeros((8, 8), dtype=complex)
-        mat[0, 0] = 1.5
-        mat[1, 1] = -0.5
-        with pytest.raises(ValueError):
-            DensityMatrix(mat)
+        # The second is GHZ's coherence raised by 0.9e-10, past READ_SLACK: its
+        # point would lie past the quantum bound.
+        for entries in ({(0, 0): 1.5, (1, 1): -0.5},
+                        {(0, 0): 0.5, (7, 7): 0.5, (0, 7): 0.5 + 0.9e-10, (7, 0): 0.5 + 0.9e-10}):
+            mat = np.zeros((8, 8), dtype=complex)
+            for index, value in entries.items():
+                mat[index] = value
+            with pytest.raises(ValueError, match="^density matrix has a negative eigenvalue$"):
+                DensityMatrix(mat)
 
 
 class TestStateFiles:
