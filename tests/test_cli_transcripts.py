@@ -6,8 +6,9 @@ a user sees, or an exit code, fails here. The commands are the
 criterion-11 set, the benchmark's cli_light set at fixed flags, every
 ``bounds`` class with its defaults and with ``--restarts 4 --seed 7``,
 ``figure1`` at two seeds, ``classify`` on six state files, the CSV and
-JSON forms of what the bounds table drives, and one
-refusal per rule of the README's "Errors". When a change of output is
+JSON forms of what the bounds table drives, one
+refusal per rule of the README's "Errors", and the ``--help`` of the program
+and of each subcommand, printed at COLUMNS wide. When a change of output is
 intended, regenerate the file and review its diff:
 
     PYTHONPATH=src python tests/test_cli_transcripts.py --write
@@ -25,6 +26,8 @@ import pytest
 from ghzlab import cli
 
 TRANSCRIPTS = Path(__file__).with_name("cli_transcripts.json")
+#: The terminal width argparse wraps help text to, fixed so the bytes are too.
+COLUMNS = "80"
 
 
 def state_doc(re: list) -> str:
@@ -58,6 +61,7 @@ STATE_FILES = {
 }
 
 BOUND_CLASSES = ("local", "realistic", "quantum_local", "biseparable", "quantum")
+SUBCOMMANDS = ("verify", "contradiction", "bounds", "figure1", "classify", "threshold")
 COMMANDS = [
     # The criterion-11 commands.
     ["verify"],
@@ -104,16 +108,23 @@ COMMANDS = [
     ["contradiction", "--tol", "0.5"],
     ["classify", "--state", "<nan-state>"],
     ["bounds", "--class", "quantum", "--restarts", "0"],
+    # The help of the program and of each subcommand.
+    ["--help"],
+    *([name, "--help"] for name in SUBCOMMANDS),
 ]
 
 
 def run(argv, tmp_dir: Path) -> int:
-    """``cli.main`` on argv, each state file placeholder the path of that file in tmp_dir."""
+    """``cli.main`` on argv, each state file placeholder the path of that file in
+    tmp_dir; argparse's exit after ``--help`` gives its code."""
     paths = {}
     for placeholder, doc in STATE_FILES.items():
         paths[placeholder] = tmp_dir / f"{placeholder.strip('<>')}.json"
         paths[placeholder].write_text(doc)
-    return cli.main([str(paths.get(arg, arg)) for arg in argv])
+    try:
+        return cli.main([str(paths.get(arg, arg)) for arg in argv])
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +139,7 @@ def test_transcripts_cover_the_commands(transcripts):
 @pytest.mark.parametrize("index", range(len(COMMANDS)), ids=[" ".join(a) for a in COMMANDS])
 def test_transcript_is_unchanged(index, transcripts, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("GHZLAB_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     expected = transcripts[index]
     code = run(expected["argv"], tmp_path)
     out, err = capsys.readouterr()
@@ -136,6 +148,7 @@ def test_transcript_is_unchanged(index, transcripts, tmp_path, capsys, monkeypat
 
 def write(tmp_dir: Path) -> None:
     os.environ.pop("GHZLAB_SEED", None)
+    os.environ["COLUMNS"] = COLUMNS
     entries = []
     for argv in COMMANDS:
         out, err = io.StringIO(), io.StringIO()
