@@ -25,8 +25,6 @@ import numpy as np
 from .errors import SelfCheckFailed
 from . import locality, mermin, optimize, qcore
 
-DEFAULT_TOL = 1e-6
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
@@ -36,6 +34,8 @@ EXIT_INPUT = 2
 MAX_COUNT = 100_000
 #: Lower end of each count flag.
 COUNT_MINIMUMS = {"restarts": 1, "points": 1, "samples": mermin.MIN_SAMPLES}
+#: Scatter points per class that figure1 draws when --points is absent.
+DEFAULT_POINTS = 50
 
 
 def _fmt(value) -> str:
@@ -99,7 +99,7 @@ def cmd_verify(args) -> dict:
             eigen[-1]["residual"] = qcore.eigen_residual(state, obs, expected)
         if asserted:
             eigen[-1]["pass"] = eigen[-1]["residual"] < qcore.EIGEN_TOL
-            signed[-1]["pass"] = abs(signed[-1]["value"] - expected) < 1e-12
+            signed[-1]["pass"] = abs(signed[-1]["value"] - expected) < qcore.SELF_CHECK_TOL
     checks = eigen + signed
     return {"checks": checks,
             "all_pass": all(entry["pass"] for entry in checks) if asserted else None}
@@ -185,7 +185,7 @@ def _default_seed() -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"GHZLAB_SEED must be an integer, got {env!r}")
-    return optimize.DEFAULT_SEED
+    return locality.DEFAULT_SEED
 
 
 def _check_counts(args) -> None:
@@ -200,14 +200,14 @@ def _common_parent(default_format: str = "json") -> argparse.ArgumentParser:
     # so a per-subcommand default would otherwise leak across commands.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default {optimize.DEFAULT_SEED}; "
+                        help=f"RNG seed (default {locality.DEFAULT_SEED}; "
                              "GHZLAB_SEED overrides)")
-    common.add_argument("--restarts", type=int, default=optimize.DEFAULT_RESTARTS,
-                        help=f"optimizer restarts (default {optimize.DEFAULT_RESTARTS})")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="numeric tolerance (default 1e-6)")
+    common.add_argument("--restarts", type=int, default=locality.DEFAULT_RESTARTS,
+                        help="optimizer restarts (default %(default)s)")
+    common.add_argument("--tol", type=float, default=qcore.DEFAULT_TOL,
+                        help="numeric tolerance (default %(default)s)")
     common.add_argument("--format", choices=("json", "csv"), default=default_format,
-                        help=f"output format (default {default_format})")
+                        help="output format (default %(default)s)")
     common.add_argument("--out", default=None, help="output file (default stdout)")
     return common
 
@@ -238,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure1", parents=[_common_parent("csv")],
                        help="boundary curves and per-class scatter in the (m, m') plane")
-    p.add_argument("--samples", type=int, default=256,
-                   help="vertices per circle (default 256)")
-    p.add_argument("--points", type=int, default=50,
-                   help="scatter points per class (default 50)")
+    p.add_argument("--samples", type=int, default=mermin.DEFAULT_SAMPLES,
+                   help="vertices per circle (default %(default)s)")
+    p.add_argument("--points", type=int, default=DEFAULT_POINTS,
+                   help="scatter points per class (default %(default)s)")
     p.set_defaults(func=cmd_figure1)
 
     p = sub.add_parser("classify", parents=[_common_parent()],

@@ -10,9 +10,9 @@ class SelfCheckFailed(RuntimeError):
     operators A -> -B -> -A) exactly, when a maximizer built from a seeded start
     (checked as a result, never read as input) is not 8 amplitudes of norm 1
     reaching its closed form, when the GHZ point behind the noise thresholds or
-    the HR pair witness at 1/2 misses its value (each within 1e-12), when a
-    seeded point of the discs violates an HR pair by less than 1/2, when the
-    parity identity or an analytic witness of ``locality`` fails its own check,
-    when the membership search runs out of pivots, or when an expectation
-    Tr(rho O) keeps an imaginary part above 1e-10 * sum |coeff|.
+    the HR pair witness at 1/2 misses its value (each within SELF_CHECK_TOL),
+    when a seeded point of the discs violates an HR pair by less than 1/2, when
+    the parity identity or an analytic witness of ``locality`` fails its own
+    check, when the membership search runs out of pivots, or when an expectation
+    Tr(rho O) keeps an imaginary part above IMAG_TOL * sum |coeff| (both qcore's).
     """

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
 from .errors import SelfCheckFailed
 from . import mermin, qcore
-from .qcore import OUTCOMES, PATTERNS
+from .qcore import PATTERNS
 
 #: Required triple-product values in PATTERNS order: the signs of M_TERMS.
 CONSTRAINT_TARGETS = tuple(int(sign) for sign, _ in mermin.M_TERMS)
@@ -41,6 +41,12 @@ MEMBERSHIP_TOL = 1e-9
 
 #: Iterations, adds and drops alike, a membership search may take before SelfCheckFailed.
 MEMBERSHIP_PIVOTS = 3 * len(SIGNS)
+#: The gradient at or below which it stops: rounding leaves about 1e-15, where a stop cycles.
+PIVOT_STOP = 1e-13
+
+#: Points a seeded check draws, and the seed it draws them from, when none is given.
+DEFAULT_RESTARTS = 32
+DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,13 +121,8 @@ class InfeasibilityReport:
     max_subset_witness: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "assignments_checked": self.assignments_checked,
-            "satisfying": self.satisfying,
-            "max_subset": self.max_subset,
-            "parity_lhs": self.parity_lhs,
-            "parity_rhs": self.parity_rhs,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "max_subset_witness"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +208,7 @@ def _hr_satisfied_count(bars, tolerance: float) -> int:
     return int(np.sum(np.abs(gaps) <= tolerance))
 
 
-def hr_constrained_satisfiability(tolerance: float = 1e-6):
+def hr_constrained_satisfiability(tolerance: float = qcore.DEFAULT_TOL):
     """Max constraints satisfiable under per-party bar_x^2 + bar_y^2 <= 1.
 
     Every pair of constraints shares a party through opposite settings, so
@@ -236,14 +237,15 @@ def seeded_rng(restarts: int, seed: int):
     return np.random.default_rng(qcore.read_count(seed, "seed", 0))
 
 
-def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float:
+def hr_pair_violation_minimum(pair, restarts: int = DEFAULT_RESTARTS,
+                              seed: int = DEFAULT_SEED) -> float:
     """Least joint violation of two constraints under per-party discs: 1/2.
 
     One party reads the same setting in both patterns and the other two
     opposite ones, so Cauchy-Schwarz gives |T1| + |T2| <= 1 for the triple
     products, nearest to the targets (t1, t2) in {+-1}^2 at (t1, t2)/2. A
-    witness there must reach 1/2 within 1e-12, and ``restarts`` seeded
-    points of the discs must violate by at least 1/2 - 1e-12.
+    witness there must reach 1/2 within SELF_CHECK_TOL, and ``restarts``
+    seeded points of the discs must violate by at least 1/2 less that.
     """
     rng = seeded_rng(restarts, seed)
     entries = pair if isinstance(pair, (tuple, list)) else ()
@@ -263,12 +265,12 @@ def hr_pair_violation_minimum(pair, restarts: int = 32, seed: int = 42) -> float
     witness[np.arange(3), settings] = 1.0
     witness[others] *= qcore.SQRT2_INV
     witness[others[1], settings[:, others[1]]] *= targets
-    if abs(violation(witness) - 0.5) > 1e-12:
+    if abs(violation(witness) - 0.5) > qcore.SELF_CHECK_TOL:
         raise SelfCheckFailed(f"HR witness reached {float(violation(witness))!r}, not 0.5")
     draws = rng.uniform(0.0, [[2.0 * np.pi], [1.0]], size=(restarts, 2, 3))
     angle, radius = draws[:, 0], draws[:, 1]
     points = radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-    if np.any(violation(points) < 0.5 - 1e-12):
+    if np.any(violation(points) < 0.5 - qcore.SELF_CHECK_TOL):
         raise SelfCheckFailed("a point of the discs violates an HR pair by less than 0.5")
     return 0.5
 
@@ -300,11 +302,6 @@ def ghz_correlation_table() -> CorrelationTable:
     """Outcome probabilities of the GHZ state for the four patterns."""
     ghz = qcore.make_ghz()
     return CorrelationTable({p: qcore.outcome_probabilities(ghz, p) for p in PATTERNS})
-
-
-def table_triple_correlations(table: CorrelationTable) -> tuple:
-    blocks = _table_vector(table).reshape(len(PATTERNS), len(OUTCOMES))
-    return tuple((blocks @ qcore.OUTCOME_SIGNS).tolist())
 
 
 def _table_vector(table: CorrelationTable) -> np.ndarray:
@@ -343,9 +340,8 @@ def _nearest_point(b_vec) -> tuple:
             w[idx] = s_p
             gradient = target - gram @ w
             gradient[idx] = -np.inf
-            # Rounding leaves about 1e-15 on the gradient; a stop at 1e-15 cycles.
             j = gradient.argmax()
-            if gradient[j] <= 1e-13:
+            if gradient[j] <= PIVOT_STOP:
                 return w, b_vec - a_mat @ w
             passive[j] = True
         else:
@@ -369,6 +365,5 @@ def polytope_membership(table: CorrelationTable) -> Membership:
     """
     w, r = _nearest_point(_table_vector(table))
     residual = float(np.max(np.abs(r)))
-    if residual <= MEMBERSHIP_TOL:
-        return Membership(True, w, residual)
-    return Membership(False, None, residual)
+    inside = residual <= MEMBERSHIP_TOL
+    return Membership(inside, w if inside else None, residual)

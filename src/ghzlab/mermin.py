@@ -26,8 +26,9 @@ M_TERMS = tuple((sign, pattern.upper())
                 for sign, pattern in zip((+1.0, -1.0, -1.0, -1.0), PATTERNS))
 MPRIME_TERMS = ((+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY"))
 
-#: Fewest vertices per circle of ``figure1_regions``.
+#: Fewest vertices per circle of ``figure1_regions``, and how many it draws by default.
 MIN_SAMPLES = 8
+DEFAULT_SAMPLES = 256
 
 #: A value at most SLACK above a limit is on it: rounding never makes a violation.
 SLACK = 1e-9
@@ -112,7 +113,7 @@ def report(point: MerminPoint) -> InequalityReport:
                             next(name for name, limit in CLASSES.items() if r2 - SLACK <= limit))
 
 
-def figure1_regions(samples: int = 256) -> list:
+def figure1_regions(samples: int = DEFAULT_SAMPLES) -> list:
     """Boundary polylines of the four bounds in the (m, m') plane, innermost first.
 
     Returns ("<bound>_<shape>", vertices) pairs, stably sorted by limit; circles

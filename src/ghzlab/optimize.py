@@ -15,7 +15,7 @@ on the equator, a pair in (e^{ia}|00> + e^{ib}|11>)/sqrt(2), or the state
 step onto the maximizer with its own phases. Each radius maximum leaves
 through ``_certify``, which builds the result only once the identity holds
 exactly on the operator matrices and every such witness is 8 amplitudes of
-norm 1 (so finite) reaching the value, both within 1e-12. The eigensolve
+norm 1 (so finite) reaching the value, both within SELF_CHECK_TOL. The eigensolve
 oracles are independent references: an exact quarter-turn check, then one
 eigensolve (one per cut).
 """
@@ -27,11 +27,8 @@ import numpy as np
 
 from .errors import SelfCheckFailed
 from . import locality, mermin, qcore
-from .qcore import Observable, make_ghz, observable_matrix
+from .qcore import SELF_CHECK_TOL, Observable, make_ghz, observable_matrix
 
-DEFAULT_RESTARTS = 32
-DEFAULT_SEED = 42
-WITNESS_TOL = 1e-12
 #: diag(1, i) on qubit 3 of three, and on the first qubit of a pair.
 QUBIT3_TURN = qcore.tensor([np.ones(2), np.ones(2), [1, 1j]])
 PAIR_TURN = qcore.tensor([[1, 1j], np.ones(2)])
@@ -100,7 +97,7 @@ def _certify(model_class: str, value: float, witnesses, argmax: dict,
             raise SelfCheckFailed(f"{model_class} witness has shape {np.shape(psi)}, not (8,)")
         norm2 = float(np.vdot(psi, psi).real)
         reached = float(abs(mermin.pure_mermin_values(psi)) ** 2)
-        if not (abs(norm2 - 1.0) <= WITNESS_TOL and abs(reached - value) <= WITNESS_TOL):
+        if not (abs(norm2 - 1.0) <= SELF_CHECK_TOL and abs(reached - value) <= SELF_CHECK_TOL):
             raise SelfCheckFailed(f"{model_class} witness with |psi|^2 = {norm2} "
                                   f"reached {reached}, closed form {value}")
     return OptimizationResult(model_class, float(value), argmax, int(restarts), int(seed))
@@ -177,8 +174,8 @@ def _phased_cat(amplitudes) -> np.ndarray:
     return cat
 
 
-def max_quantum_local_radius(restarts: int = DEFAULT_RESTARTS,
-                             seed: int = DEFAULT_SEED) -> OptimizationResult:
+def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
+                             seed: int = locality.DEFAULT_SEED) -> OptimizationResult:
     """Max of <M>^2 + <M'>^2 over pure product states.
 
     For a product state the point is prod_k (x_k + i y_k) over the qubits'
@@ -217,8 +214,8 @@ def biseparable_radius_eigen_oracle() -> float:
     return best
 
 
-def max_biseparable_radius(restarts: int = DEFAULT_RESTARTS,
-                           seed: int = DEFAULT_SEED) -> OptimizationResult:
+def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
+                           seed: int = locality.DEFAULT_SEED) -> OptimizationResult:
     """Max of <M>^2 + <M'>^2 over states product across at least one cut.
 
     The supremum 4 is attained on every cut (single qubit on the equator,
@@ -266,8 +263,8 @@ def quantum_radius_eigen_oracle() -> float:
     return float(np.linalg.eigvalsh(m_mat)[-1]) ** 2
 
 
-def max_quantum_radius(restarts: int = DEFAULT_RESTARTS,
-                       seed: int = DEFAULT_SEED) -> OptimizationResult:
+def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,
+                       seed: int = locality.DEFAULT_SEED) -> OptimizationResult:
     """Max of <M>^2 + <M'>^2 over all pure three-qubit states.
 
     Each start is moved to the phased GHZ state with its own first and
@@ -284,13 +281,13 @@ def max_quantum_radius(restarts: int = DEFAULT_RESTARTS,
     return _certify("quantum", 16.0, witnesses, argmax, restarts, seed)
 
 
-def noise_threshold(bound: str, tol: float = 1e-6) -> float:
+def noise_threshold(bound: str, tol: float = qcore.DEFAULT_TOL) -> float:
     """Smallest visibility at which white-noise-mixed GHZ violates a bound.
 
     White noise I/8 is traceless against every term of M and M', so
     v*GHZ + (1-v)*I/8 sits at v times the GHZ point (4, 0). The threshold
     is the bound's limit over 4, for a peak and a radius of 4v alike, returned
-    once the GHZ point is confirmed within 1e-12. Being exact, it meets any
+    once the GHZ point is confirmed within SELF_CHECK_TOL. Being exact, it meets any
     accuracy ``tol`` in (0, inf).
     """
     tol = qcore.read_number(tol, "tol")
@@ -299,6 +296,6 @@ def noise_threshold(bound: str, tol: float = 1e-6) -> float:
     if not isinstance(bound, str) or bound not in THRESHOLD_LIMITS:
         raise ValueError(f"unknown bound {bound!r}")
     ghz = mermin.evaluate_point(make_ghz())
-    if abs(complex(ghz.m_value, ghz.mprime_value) - 4.0) > WITNESS_TOL:
+    if abs(complex(ghz.m_value, ghz.mprime_value) - 4.0) > SELF_CHECK_TOL:
         raise SelfCheckFailed(f"GHZ point {ghz!r} is not (4, 0)")
     return THRESHOLD_LIMITS[bound] / 4.0

@@ -9,8 +9,9 @@ Conventions used everywhere in the package:
 * Outcome probabilities are ``Re diag(U^H rho U)`` for pure
   (``rho = |psi><psi|``) and mixed states alike; see ``basis_change``.
 * Tolerances: READ_SLACK for every check a constructor makes, EIGEN_TOL for
-  eigenchecks, 1e-10 per unit of coefficient for imaginary residuals and
-  1e-12 for the exact identities of self-checks.
+  eigenchecks, IMAG_TOL per unit of coefficient for imaginary residuals,
+  SELF_CHECK_TOL for the exact identities of self-checks, and DEFAULT_TOL
+  where a caller gives none.
 * Every number handed to the package is read by ``read_numbers``, a count or
   seed by ``read_count``; both refuse, never coerce, what is not a finite
   number in float range (an integer from a least value, for a count).
@@ -36,6 +37,12 @@ READ_SLACK = 1e-12
 
 #: Largest ||O|psi> - lambda|psi>|| that eigencheck and verify accept.
 EIGEN_TOL = 1e-10
+#: Largest imaginary part of Tr(rho O), per unit of sum |coeff|, that ``expectation`` drops.
+IMAG_TOL = 1e-10
+#: Tolerance of the exact identities that the self-checks confirm.
+SELF_CHECK_TOL = 1e-12
+#: Tolerance of --tol, and of each library call that takes one, when none is given.
+DEFAULT_TOL = 1e-6
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -215,10 +222,10 @@ def pure_amplitudes(state) -> np.ndarray:
 
 
 def expectation(state, obs: Observable) -> float:
-    """Tr(rho O); an imaginary part above 1e-10 * sum |coeff| is a code fault
-    (SelfCheckFailed): a state's 1e-12 Hermitian slack leaves 4e-12 at most."""
+    """Tr(rho O); an imaginary part above IMAG_TOL * sum |coeff| is a code fault
+    (SelfCheckFailed): a state's Hermitian READ_SLACK leaves 4 READ_SLACK at most."""
     value = complex(np.trace(density_entries(state) @ observable_matrix(obs)))
-    if abs(value.imag) > 1e-10 * sum(abs(coeff) for coeff, _ in obs.terms):
+    if abs(value.imag) > IMAG_TOL * sum(abs(coeff) for coeff, _ in obs.terms):
         raise SelfCheckFailed(f"imaginary residual {value.imag!r} in expectation")
     return value.real
 

@@ -34,9 +34,14 @@ def strategy_table(index):
     return CorrelationTable(dict(zip(qcore.PATTERNS, column.reshape(len(qcore.PATTERNS), 8))))
 
 
+def table_triple_correlations(table):
+    """Each pattern's triple correlation: its block weighed by the outcome signs."""
+    return tuple(float(qcore.OUTCOME_SIGNS @ table.blocks[p]) for p in qcore.PATTERNS)
+
+
 def table_mermin(table):
     """<M> of a table: its triple correlations weighed by CONSTRAINT_TARGETS."""
-    return float(np.dot(locality.CONSTRAINT_TARGETS, locality.table_triple_correlations(table)))
+    return float(np.dot(locality.CONSTRAINT_TARGETS, table_triple_correlations(table)))
 
 
 def joint_probability(model, pattern, outcomes):
@@ -228,7 +233,7 @@ class TestNonFiniteRejected:
 
 
 def triple_correlations(model):
-    return locality.table_triple_correlations(model_to_table(model))
+    return table_triple_correlations(model_to_table(model))
 
 
 class TestTripleCorrelations:
@@ -430,7 +435,7 @@ class TestCorrelationTable:
                 assert p == pytest.approx(expected, abs=1e-12)
 
     def test_triple_correlations_of_ghz(self):
-        assert locality.table_triple_correlations(ghz_correlation_table()) == pytest.approx(
+        assert table_triple_correlations(ghz_correlation_table()) == pytest.approx(
             (1.0, -1.0, -1.0, -1.0), abs=1e-12)
 
     def test_mermin_value_of_ghz(self):
@@ -588,13 +593,6 @@ class TestOneCorrelatorPath:
         for pattern in qcore.PATTERNS:
             assert np.max(np.abs(table.blocks[pattern] - reference[pattern])) <= 1e-15
 
-    @given(local_models())
-    def test_table_triple_correlations_match_the_outcome_loop(self, model):
-        table = model_to_table(model)
-        for pattern, value in zip(qcore.PATTERNS, locality.table_triple_correlations(table)):
-            reference = sum(np.prod(out) * p for out, p in zip(qcore.OUTCOMES, table.blocks[pattern]))
-            assert abs(value - reference) <= 8 * np.finfo(float).eps
-
     @given(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=48)
            .map(lambda raw: np.reshape(raw[:len(raw) // 6 * 6], (-1, 3, 2))),
            st.lists(st.sampled_from(["".join(s) for s in itertools.product("xy", repeat=3)]),
@@ -637,15 +635,23 @@ def noisy_ghz_table(visibility):
                              for p, b in blocks.items()})
 
 
-def haar_table(rng):
-    state = random_pure_state(rng)
+def state_table(state):
     return CorrelationTable({p: qcore.outcome_probabilities(state, p) for p in qcore.PATTERNS})
+
+
+def haar_table(rng):
+    return state_table(random_pure_state(rng))
+
+
+def seed_5_haar_states(count):
+    """The first ``count`` Haar-random pure states of seed 5."""
+    rng = np.random.default_rng(5)
+    return [random_pure_state(rng) for _ in range(count)]
 
 
 def seed_5_haar_tables(count):
     """The tables of the first ``count`` Haar-random pure states of seed 5."""
-    rng = np.random.default_rng(5)
-    return [haar_table(rng) for _ in range(count)]
+    return [state_table(state) for state in seed_5_haar_states(count)]
 
 
 #: Table families the search is compared with the reference on.
@@ -744,6 +750,16 @@ class TestNearestPoint:
                 assert_outside_certified(table, result)
             answers.append(result.inside)
         assert 0 < sum(answers) < len(answers)
+
+    def test_mermins_square_misses_most_outside_haar_tables(self):
+        # The README's count: of 2,000 Haar states of seed 5, 302 have a table
+        # Outside, and 286 of those satisfy max(|m|, |m'|) <= 2 all the same.
+        states, tables = seed_5_haar_states(2000), seed_5_haar_tables(2000)
+        outside = [state for state, table in zip(states, tables)
+                   if not polytope_membership(table).inside]
+        passing = [state for state in outside
+                   if mermin.report(mermin.evaluate_point(state)).satisfies_locality_bound]
+        assert (len(outside), len(passing)) == (302, 286)
 
     @pytest.mark.parametrize("tables", TABLE_FAMILIES.values(), ids=TABLE_FAMILIES)
     def test_weights_and_residual_match_the_reference_bit_for_bit(self, tables):
