@@ -13,6 +13,6 @@ class SelfCheckFailed(RuntimeError):
     the HR pair witness at 1/2 misses its value (each within SELF_CHECK_TOL),
     when a seeded point of the discs violates an HR pair by less than 1/2, when
     the parity identity or an analytic witness of ``locality`` fails its own
-    check, when the membership search runs out of pivots, or when an expectation
-    Tr(rho O) keeps an imaginary part above IMAG_TOL * sum |coeff| (both qcore's).
+    check, when the membership search runs out of pivots, or when Tr(rho O)
+    keeps an imaginary part above IMAG_TOL * sum |coeff| (constants of qcore).
     """

@@ -245,7 +245,7 @@ def hr_pair_violation_minimum(pair, restarts: int = DEFAULT_RESTARTS,
     opposite ones, so Cauchy-Schwarz gives |T1| + |T2| <= 1 for the triple
     products, nearest to the targets (t1, t2) in {+-1}^2 at (t1, t2)/2. A
     witness there must reach 1/2 within SELF_CHECK_TOL, and ``restarts``
-    seeded points of the discs must violate by at least 1/2 less that.
+    seeded points of the discs must violate by at least 1/2 - SELF_CHECK_TOL.
     """
     rng = seeded_rng(restarts, seed)
     entries = pair if isinstance(pair, (tuple, list)) else ()

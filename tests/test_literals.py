@@ -35,9 +35,10 @@ def functions(node, prefix=""):
             name = prefix + getattr(child, "name", "<lambda>")
             yield name, child
             yield from functions(child, name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from functions(child, prefix + child.name + ".")
         else:
-            yield from functions(child, prefix + child.name + "." if isinstance(child, ast.ClassDef)
-                                 else prefix)
+            yield from functions(child, prefix)
 
 
 def numeric_defaults() -> dict:
