@@ -105,6 +105,7 @@ COMMANDS = [
     # Refusals: a negative seed, a tolerance out of range, a non-finite
     # state and a count out of range.
     ["verify", "--seed", "-1"],
+    ["figure1", "--seed", "-1"],
     ["contradiction", "--tol", "0.5"],
     ["classify", "--state", "<nan-state>"],
     ["bounds", "--class", "quantum", "--restarts", "0"],
