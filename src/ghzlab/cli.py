@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: verify, contradiction, bounds, figure1, classify, threshold.
-Global flags: --seed, --restarts, --tol, --format json|csv, --out path.
-The environment variable GHZLAB_SEED overrides the default seed only when
---seed is absent; every subcommand refuses a negative seed (exit 2). Exit
-codes: 0 success, 1 a failed check, 2 input/IO error.
+Each takes --format json|csv and --out path; bounds and figure1 take --seed
+(GHZLAB_SEED overrides the default when --seed is absent; a negative seed is
+refused, exit 2), bounds --restarts, and contradiction and threshold --tol.
+Exit codes: 0 success, 1 a failed check, 2 input/IO error.
 A failed check is an internal self-check (one error line, no report) or an
 identity that verify asserts: its report is still written in full, with
 "all_pass": false, and only then is the exit code 1.
@@ -29,8 +29,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-#: Upper end of --restarts, --points and --samples; time and memory grow
-#: linearly in each, so a larger count is refused before any work starts.
+#: Upper end of each count flag, a cap on outside input checked before any work:
+#: figure1's time and memory grow linearly in --points and --samples, none in --restarts.
 MAX_COUNT = 100_000
 #: Lower end of each count flag.
 COUNT_MINIMUMS = {"restarts": 1, "points": 1, "samples": mermin.MIN_SAMPLES}
@@ -178,14 +178,14 @@ def cmd_threshold(args) -> dict:
 
 # --- parser and dispatch ---------------------------------------------------
 
-def _default_seed() -> int:
+def _read_seed(flag) -> int:
     env = os.environ.get("GHZLAB_SEED")
-    if env is not None:
+    if flag is None and env is not None:
         try:
-            return int(env)
+            flag = int(env)
         except ValueError:
             raise ValueError(f"GHZLAB_SEED must be an integer, got {env!r}")
-    return locality.DEFAULT_SEED
+    return qcore.read_count(locality.DEFAULT_SEED if flag is None else flag, "seed", 0)
 
 
 def _check_counts(args) -> None:
@@ -195,17 +195,21 @@ def _check_counts(args) -> None:
             raise ValueError(f"--{flag} must be in [{minimum}, {MAX_COUNT}], got {value}")
 
 
-def _common_parent(default_format: str = "json") -> argparse.ArgumentParser:
+def _common_parent(*flags: str, default_format: str = "json") -> argparse.ArgumentParser:
+    """--format and --out, after the named ones of --seed, --restarts and --tol."""
     # Fresh parser per subcommand: argparse parents share Action objects,
     # so a per-subcommand default would otherwise leak across commands.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default {locality.DEFAULT_SEED}; "
-                             "GHZLAB_SEED overrides)")
-    common.add_argument("--restarts", type=int, default=locality.DEFAULT_RESTARTS,
-                        help="optimizer restarts (default %(default)s)")
-    common.add_argument("--tol", type=float, default=qcore.DEFAULT_TOL,
-                        help="numeric tolerance (default %(default)s)")
+    if "seed" in flags:
+        common.add_argument("--seed", type=int, default=None,
+                            help=f"RNG seed (default {locality.DEFAULT_SEED}; "
+                                 "GHZLAB_SEED overrides)")
+    if "restarts" in flags:
+        common.add_argument("--restarts", type=int, default=locality.DEFAULT_RESTARTS,
+                            help="echoed; does not change the work (default %(default)s)")
+    if "tol" in flags:
+        common.add_argument("--tol", type=float, default=qcore.DEFAULT_TOL,
+                            help="numeric tolerance (default %(default)s)")
     common.add_argument("--format", choices=("json", "csv"), default=default_format,
                         help="output format (default %(default)s)")
     common.add_argument("--out", default=None, help="output file (default stdout)")
@@ -225,18 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default=None, help="state file (default: GHZ)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("contradiction", parents=[_common_parent()],
+    p = sub.add_parser("contradiction", parents=[_common_parent("tol")],
                        help="sign-assignment enumeration and HR-constrained conflict")
     p.add_argument("--mode", choices=("ghz", "epr"), default="ghz")
     p.set_defaults(func=cmd_contradiction)
 
-    p = sub.add_parser("bounds", parents=[_common_parent()],
+    p = sub.add_parser("bounds", parents=[_common_parent("seed", "restarts")],
                        help="maximum of the Mermin pair over a model class")
     p.add_argument("--class", dest="model_class", required=True,
                    choices=tuple(_BOUND_RUNNERS))
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("figure1", parents=[_common_parent("csv")],
+    p = sub.add_parser("figure1", parents=[_common_parent("seed", default_format="csv")],
                        help="boundary curves and per-class scatter in the (m, m') plane")
     p.add_argument("--samples", type=int, default=mermin.DEFAULT_SAMPLES,
                    help="vertices per circle (default %(default)s)")
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="visibility v of v*GHZ + (1-v)*I/8")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("threshold", parents=[_common_parent()],
+    p = sub.add_parser("threshold", parents=[_common_parent("tol")],
                        help="visibility at which a bound starts being violated")
     p.add_argument("--bound", choices=tuple(optimize.THRESHOLD_LIMITS), required=True)
     p.set_defaults(func=cmd_threshold)
@@ -265,7 +269,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_counts(args)
-        args.seed = qcore.read_count(_default_seed() if args.seed is None else args.seed, "seed", 0)
+        if hasattr(args, "seed"):
+            args.seed = _read_seed(args.seed)
         payload = args.func(args)
         _emit(_render(payload, args.format), args.out)
     except (SelfCheckFailed, OSError, ValueError) as exc:

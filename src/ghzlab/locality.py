@@ -232,7 +232,7 @@ def hr_constrained_satisfiability(tolerance: float = qcore.DEFAULT_TOL):
 
 
 def seeded_rng(restarts: int, seed: int):
-    """The generator of ``restarts`` (an integer >= 1) witnesses from ``seed`` (>= 0)."""
+    """The generator seeded by ``seed`` (>= 0); ``restarts`` must be an integer >= 1."""
     qcore.read_count(restarts, "restarts", 1)
     return np.random.default_rng(qcore.read_count(seed, "seed", 0))
 

@@ -11,13 +11,13 @@ Class maxima (certified targets):
 where r^2 = <M>^2 + <M'>^2. Since M + iM' = (X + iY)^{(x)3} = 8|000><111|,
 r^2 = 64 |psi_000|^2 |psi_111|^2 and AM-GM gives the maxima: every qubit
 on the equator, a pair in (e^{ia}|00> + e^{ib}|11>)/sqrt(2), or the state
-(e^{ia}|000> + e^{ib}|111>)/sqrt(2). Each seeded start moves in one exact
-step onto the maximizer with its own phases. Each radius maximum leaves
-through ``_certify``, which builds the result only once the identity holds
-exactly on the operator matrices and every such witness is 8 amplitudes of
-norm 1 (so finite) reaching the value, both within SELF_CHECK_TOL. The eigensolve
-oracles are independent references: an exact quarter-turn check, then one
-eigensolve (one per cut).
+(e^{ia}|000> + e^{ib}|111>)/sqrt(2). One seeded start (one per cut) moves in
+one exact step onto the maximizer with its own phases; ``restarts`` is only
+echoed. Each radius maximum leaves through ``_certify``, which builds the
+result only once the identity holds exactly on the operator matrices and
+every such witness is 8 amplitudes of norm 1 (so finite) reaching the value,
+both within SELF_CHECK_TOL. The eigensolve oracles are independent
+references: an exact quarter-turn check, then one eigensolve (one per cut).
 """
 from __future__ import annotations
 
@@ -180,14 +180,13 @@ def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
 
     For a product state the point is prod_k (x_k + i y_k) over the qubits'
     equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
-    Each seeded start is moved to the equator at its own azimuths.
+    One seeded start is moved to the equator at its own azimuths.
     """
     rng = locality.seeded_rng(restarts, seed)
-    starts = [random_bloch_angles(rng, 3) for _ in range(restarts)]
-    for params in starts:
-        params[0::2] = np.pi / 2.0
-    return _certify("quantum_local", 1.0, [product_state(p) for p in starts],
-                    {"bloch_angles": [float(v) for v in starts[0]]}, restarts, seed)
+    params = random_bloch_angles(rng, 3)
+    params[0::2] = np.pi / 2.0
+    return _certify("quantum_local", 1.0, [product_state(params)],
+                    {"bloch_angles": [float(v) for v in params]}, restarts, seed)
 
 
 def biseparable_radius_eigen_oracle() -> float:
@@ -219,22 +218,21 @@ def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
     """Max of <M>^2 + <M'>^2 over states product across at least one cut.
 
     The supremum 4 is attained on every cut (single qubit on the equator,
-    pair in a phased Bell state), well inside the membership bound 8.
+    pair in a phased Bell state), well inside the membership bound 8. One
+    seeded start per cut is moved there; the first is reported.
     """
     rng = locality.seeded_rng(restarts, seed)
     starts = []
-    for cut in range(3):
-        for _ in range(restarts):
-            params = np.concatenate([random_bloch_angles(rng, 1), rng.standard_normal(8)])
-            params[0] = np.pi / 2.0
-            pair = _phased_cat(params[2::2] + 1j * params[3::2])
-            params[2::2], params[3::2] = pair.real, pair.imag
-            starts.append((cut, params))
-    best_cut, best_params = starts[0]
-    argmax = {"cut": best_cut, "params": [float(v) for v in best_params],
+    for _ in range(3):
+        params = np.concatenate([random_bloch_angles(rng, 1), rng.standard_normal(8)])
+        params[0] = np.pi / 2.0
+        pair = _phased_cat(params[2::2] + 1j * params[3::2])
+        params[2::2], params[3::2] = pair.real, pair.imag
+        starts.append(params)
+    argmax = {"cut": 0, "params": [float(v) for v in starts[0]],
               "per_cut_maxima": {str(c): 4.0 for c in range(3)},
               "attained": True, "membership_bound": mermin.CLASSES["two-entangled-compatible"]}
-    return _certify("biseparable", 4.0, [biseparable_state(cut, p) for cut, p in starts],
+    return _certify("biseparable", 4.0, [biseparable_state(cut, p) for cut, p in enumerate(starts)],
                     argmax, restarts, seed)
 
 
@@ -267,18 +265,17 @@ def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,
                        seed: int = locality.DEFAULT_SEED) -> OptimizationResult:
     """Max of <M>^2 + <M'>^2 over all pure three-qubit states.
 
-    Each start is moved to the phased GHZ state with its own first and
-    last phases; the reported state has the global phase fixed so its
+    One seeded start is moved to the phased GHZ state with its own first
+    and last phases; the reported state has the global phase fixed so its
     |000> amplitude is real positive.
     """
     rng = locality.seeded_rng(restarts, seed)
-    raws = [rng.standard_normal(16) for _ in range(restarts)]
-    starts = [raw[0::2] + 1j * raw[1::2] for raw in raws]
-    witnesses = [_phased_cat(psi) for psi in starts]
-    best_psi = witnesses[0] * np.exp(-1j * np.angle(witnesses[0][0]))
+    raw = rng.standard_normal(16)
+    witness = _phased_cat(raw[0::2] + 1j * raw[1::2])
+    best_psi = witness * np.exp(-1j * np.angle(witness[0]))
     argmax = {"state_re": [float(v) for v in best_psi.real],
               "state_im": [float(v) for v in best_psi.imag]}
-    return _certify("quantum", 16.0, witnesses, argmax, restarts, seed)
+    return _certify("quantum", 16.0, [witness], argmax, restarts, seed)
 
 
 def noise_threshold(bound: str, tol: float = qcore.DEFAULT_TOL) -> float:

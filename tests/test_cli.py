@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -162,6 +163,16 @@ class TestBounds:
         code, out = run(capsys, ["bounds", "--class", "biseparable", "--restarts", "2"])
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(4.0, abs=1e-4)
+
+    @pytest.mark.parametrize("model_class", ["quantum_local", "biseparable", "quantum"])
+    def test_restarts_is_only_echoed(self, capsys, model_class):
+        docs = []
+        for restarts in ("1", "500"):
+            code, out = run(capsys, ["bounds", "--class", model_class, "--restarts", restarts])
+            assert code == 0
+            docs.append(json.loads(out))
+        assert [docs[0].pop("restarts"), docs[1].pop("restarts")] == [1, 500]
+        assert docs[0] == docs[1]
 
 
 class TestClassify:
@@ -568,10 +579,11 @@ class TestDeterminismAndSeeding:
         code, _ = run(capsys, ["bounds", "--class", "quantum_local", "--restarts", "2"])
         assert code == 2
 
-    #: Subcommands whose seed no search reads: the seed rule holds for them too.
-    UNSEEDED = {"verify": ["verify"], "contradiction": ["contradiction"],
-                "bounds-local": ["bounds", "--class", "local"],
-                "bounds-realistic": ["bounds", "--class", "realistic"],
+    #: Bounds classes whose seed no search reads: the seed rule holds for them too.
+    UNSEEDED = {"bounds-local": ["bounds", "--class", "local"],
+                "bounds-realistic": ["bounds", "--class", "realistic"]}
+    #: Subcommands that take no seed.
+    SEEDLESS = {"verify": ["verify"], "contradiction": ["contradiction"],
                 "classify": ["classify", "--noise", "0.6"],
                 "threshold": ["threshold", "--bound", "locality"]}
 
@@ -592,6 +604,23 @@ class TestDeterminismAndSeeding:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: seed must be >= 0, got {env or '-1'}\n"
+
+    @pytest.mark.parametrize("argv", SEEDLESS.values(), ids=list(SEEDLESS))
+    def test_seed_flag_is_unknown_without_a_seed(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "-1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            "ghzlab: error: unrecognized arguments: --seed -1"]
+
+    @pytest.mark.parametrize("argv", SEEDLESS.values(), ids=list(SEEDLESS))
+    def test_seed_env_is_not_read_without_a_seed(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("GHZLAB_SEED", raising=False)
+        unset = (cli.main(argv), capsys.readouterr())
+        monkeypatch.setenv("GHZLAB_SEED", "-3")
+        assert (cli.main(argv), capsys.readouterr()) == unset
+        assert unset[0] == 0
 
 
 class TestCountFlags:
@@ -756,6 +785,47 @@ def test_class_maxima_leave_through_one_certified_exit():
     assert readers == set()
 
 
+#: Option dests that every subcommand takes and cli.main reads for each alike.
+SHARED_DESTS = {"help", "format", "out"}
+
+
+def _reads_of_args(node) -> set:
+    """The attributes that each function or lambda in ``node`` reads off its
+    first parameter, the parsed args."""
+    reads = set()
+    for func in ast.walk(node):
+        if isinstance(func, (ast.FunctionDef, ast.Lambda)) and func.args.args:
+            args = func.args.args[0].arg
+            reads |= {sub.attr for sub in ast.walk(func)
+                      if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                      and getattr(sub.value, "id", None) == args}
+    return reads
+
+
+def test_every_flag_is_read_by_its_subcommand():
+    # A subcommand takes only the flags that change what it does: each option
+    # dest beside the shared ones is read off the parsed args in its cmd_*
+    # function or in a module-level table that function dispatches through
+    # (bounds' _BOUND_RUNNERS).
+    definitions = {}
+    for node in ast.parse(Path(cli.__file__).read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            definitions[node.name] = node
+        elif isinstance(node, ast.Assign):
+            definitions.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    unread = {}
+    for name, sub in subparsers.choices.items():
+        func = definitions[sub.get_default("func").__name__]
+        tables = [definitions[node.id] for node in ast.walk(func)
+                  if isinstance(node, ast.Name) and isinstance(definitions.get(node.id), ast.Assign)]
+        reads = set().union(*map(_reads_of_args, [func, *tables]))
+        dests = {action.dest for action in sub._actions if action.option_strings}
+        unread[name] = sorted(dests - SHARED_DESTS - reads)
+    assert unread == {name: [] for name in subparsers.choices}
+
+
 class TestOutputFile:
     def test_out_flag_writes_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -773,14 +843,14 @@ class TestOutputFile:
 
 # --- bounded fuzz of the whole command line ---------------------------------
 
-FUZZ_COMMON_FLAGS = ("--seed", "--restarts", "--tol", "--format", "--out")
+FUZZ_COMMON_FLAGS = ("--format", "--out")
 FUZZ_COMMAND_FLAGS = {
     "verify": ("--state",),
-    "contradiction": ("--mode",),
-    "bounds": ("--class",),
-    "figure1": ("--samples", "--points"),
+    "contradiction": ("--mode", "--tol"),
+    "bounds": ("--class", "--seed", "--restarts"),
+    "figure1": ("--samples", "--points", "--seed"),
     "classify": ("--state", "--noise"),
-    "threshold": ("--bound",),
+    "threshold": ("--bound", "--tol"),
 }
 FUZZ_UNKNOWN_FLAGS = ("--bogus", "--trace", "-x")
 #: A valid start per command, so that many drawn lines get past argparse.

@@ -102,8 +102,8 @@ COMMANDS = [
     ["classify", "--state", "<lopsided-ghz-state>", "--format", "csv"],
     ["threshold", "--bound", "quantum_locality", "--format", "csv"],
     ["figure1", "--samples", "8", "--points", "2", "--format", "json"],
-    # Refusals: a negative seed, a tolerance out of range, a non-finite
-    # state and a count out of range.
+    # Refusals: a seed on a subcommand that takes none, a negative seed, a
+    # tolerance out of range, a non-finite state and a count out of range.
     ["verify", "--seed", "-1"],
     ["figure1", "--seed", "-1"],
     ["contradiction", "--tol", "0.5"],

@@ -4,11 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghzlab import errors, locality, mermin, optimize, qcore
 
-# Small restart budgets keep the suite fast; the landscapes here are
-# benign enough that even a handful of restarts hits the optimum.
+# The radius maxima echo their restarts; the work does not depend on it.
 FAST_RESTARTS = 4
 
 
@@ -245,6 +245,49 @@ class TestQuarterTurnCertificates:
 RADIUS_MAXIMA = {"quantum_local": optimize.max_quantum_local_radius,
                  "biseparable": optimize.max_biseparable_radius,
                  "quantum": optimize.max_quantum_radius}
+
+#: Each radius maximum's r^2 and the witnesses it certifies: one seeded start,
+#: one per cut for biseparable.
+RADIUS_SQUARED = {"quantum_local": 1.0, "biseparable": 4.0, "quantum": 16.0}
+WITNESS_COUNTS = {"quantum_local": 1, "biseparable": 3, "quantum": 1}
+
+
+def recording_certify(calls: list):
+    """optimize._certify that first appends each call's class, value and witnesses."""
+    certify = optimize._certify
+
+    def record(model_class, value, witnesses, *rest):
+        calls.append((model_class, value, list(witnesses)))
+        return certify(model_class, value, witnesses, *rest)
+    return record
+
+
+@pytest.mark.parametrize("restarts", [1, 50])
+@pytest.mark.parametrize("model_class", RADIUS_MAXIMA)
+def test_work_does_not_grow_with_restarts(monkeypatch, model_class, restarts):
+    calls = []
+    monkeypatch.setattr(optimize, "_certify", recording_certify(calls))
+    result = RADIUS_MAXIMA[model_class](restarts, 0)
+    assert [len(witnesses) for _, _, witnesses in calls] == [WITNESS_COUNTS[model_class]]
+    assert result.restarts_used == restarts
+
+
+@settings(derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_every_seed_certifies_unit_witnesses_at_the_maximum(seed):
+    # At any seed, each witness that a radius maximum certifies is a unit
+    # vector that reaches its class's r^2.
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_certify", recording_certify(calls))
+        for maximize in RADIUS_MAXIMA.values():
+            maximize(1, seed)
+    assert [(name, value) for name, value, _ in calls] == list(RADIUS_SQUARED.items())
+    for name, value, witnesses in calls:
+        assert len(witnesses) == WITNESS_COUNTS[name]
+        for psi in witnesses:
+            assert abs(np.vdot(psi, psi).real - 1.0) <= qcore.SELF_CHECK_TOL
+            assert abs(abs(mermin.pure_mermin_values(psi)) ** 2 - value) <= qcore.SELF_CHECK_TOL
 
 
 class TestCertify:
