@@ -103,12 +103,14 @@ COMMANDS = [
     ["threshold", "--bound", "quantum_locality", "--format", "csv"],
     ["figure1", "--samples", "8", "--points", "2", "--format", "json"],
     # Refusals: a seed on a subcommand that takes none, a negative seed, a
-    # tolerance out of range, a non-finite state and a count out of range.
+    # tolerance out of range, a non-finite state, a count out of range and
+    # an empty output path.
     ["verify", "--seed", "-1"],
     ["figure1", "--seed", "-1"],
     ["contradiction", "--tol", "0.5"],
     ["classify", "--state", "<nan-state>"],
     ["bounds", "--class", "quantum", "--restarts", "0"],
+    ["verify", "--out", ""],
     # The help of the program and of each subcommand.
     ["--help"],
     *([name, "--help"] for name in SUBCOMMANDS),
