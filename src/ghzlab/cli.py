@@ -2,8 +2,7 @@
 
 Subcommands: verify, contradiction, bounds, figure1, classify, threshold.
 Each takes --format json|csv and --out path; bounds and figure1 take --seed
-(GHZLAB_SEED overrides the default when --seed is absent; a negative seed is
-refused, exit 2), bounds --restarts, and contradiction and threshold --tol.
+(a negative seed is refused, exit 2), and bounds --restarts.
 Exit codes: 0 success, 1 a failed check, 2 input/IO error.
 A failed check is an internal self-check (one error line, no report) or an
 identity that verify asserts: its report is still written in full, with
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 
 import numpy as np
@@ -73,7 +71,7 @@ def _render(payload, output_format: str) -> str:
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
     else:
@@ -112,7 +110,7 @@ def cmd_contradiction(args) -> dict:
              "assignment": dict(zip(("ix", "iy", "jx", "jy"), locality.epr_contrast(c1, c2)))}
             for c1, c2 in itertools.product((+1, -1), repeat=2)]}
     report = locality.ghz_sign_feasibility().to_json_dict()
-    return {**report, "hr_max": locality.hr_constrained_satisfiability(args.tol)[0]}
+    return {**report, "hr_max": locality.hr_constrained_satisfiability()[0]}
 
 
 _BOUND_RUNNERS = {
@@ -172,21 +170,11 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_threshold(args) -> dict:
-    visibility = optimize.noise_threshold(args.bound, args.tol)
-    return {"bound": args.bound, "visibility": visibility, "tol": args.tol}
+    visibility = optimize.noise_threshold(args.bound)
+    return {"bound": args.bound, "visibility": visibility, "tol": qcore.DEFAULT_TOL}
 
 
 # --- parser and dispatch ---------------------------------------------------
-
-def _read_seed(flag) -> int:
-    env = os.environ.get("GHZLAB_SEED")
-    if flag is None and env is not None:
-        try:
-            flag = int(env)
-        except ValueError:
-            raise ValueError(f"GHZLAB_SEED must be an integer, got {env!r}")
-    return qcore.read_count(locality.DEFAULT_SEED if flag is None else flag, "seed", 0)
-
 
 def _check_counts(args) -> None:
     for flag, minimum in COUNT_MINIMUMS.items():
@@ -196,20 +184,16 @@ def _check_counts(args) -> None:
 
 
 def _common_parent(*flags: str, default_format: str = "json") -> argparse.ArgumentParser:
-    """--format and --out, after the named ones of --seed, --restarts and --tol."""
+    """--format and --out, after the named ones of --seed and --restarts."""
     # Fresh parser per subcommand: argparse parents share Action objects,
     # so a per-subcommand default would otherwise leak across commands.
     common = argparse.ArgumentParser(add_help=False)
     if "seed" in flags:
-        common.add_argument("--seed", type=int, default=None,
-                            help=f"RNG seed (default {locality.DEFAULT_SEED}; "
-                                 "GHZLAB_SEED overrides)")
+        common.add_argument("--seed", type=int, default=locality.DEFAULT_SEED,
+                            help="RNG seed (default %(default)s)")
     if "restarts" in flags:
         common.add_argument("--restarts", type=int, default=locality.DEFAULT_RESTARTS,
                             help="echoed; does not change the work (default %(default)s)")
-    if "tol" in flags:
-        common.add_argument("--tol", type=float, default=qcore.DEFAULT_TOL,
-                            help="numeric tolerance (default %(default)s)")
     common.add_argument("--format", choices=("json", "csv"), default=default_format,
                         help="output format (default %(default)s)")
     common.add_argument("--out", default=None, help="output file (default stdout)")
@@ -229,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default=None, help="state file (default: GHZ)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("contradiction", parents=[_common_parent("tol")],
+    p = sub.add_parser("contradiction", parents=[_common_parent()],
                        help="sign-assignment enumeration and HR-constrained conflict")
     p.add_argument("--mode", choices=("ghz", "epr"), default="ghz")
     p.set_defaults(func=cmd_contradiction)
@@ -255,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="visibility v of v*GHZ + (1-v)*I/8")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("threshold", parents=[_common_parent("tol")],
+    p = sub.add_parser("threshold", parents=[_common_parent()],
                        help="visibility at which a bound starts being violated")
     p.add_argument("--bound", choices=tuple(optimize.THRESHOLD_LIMITS), required=True)
     p.set_defaults(func=cmd_threshold)
@@ -270,7 +254,7 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         if hasattr(args, "seed"):
-            args.seed = _read_seed(args.seed)
+            args.seed = qcore.read_count(args.seed, "seed", 0)
         payload = args.func(args)
         _emit(_render(payload, args.format), args.out)
     except (SelfCheckFailed, OSError, ValueError) as exc:

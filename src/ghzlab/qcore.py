@@ -41,7 +41,7 @@ EIGEN_TOL = 1e-10
 IMAG_TOL = 1e-10
 #: Tolerance of the exact identities that the self-checks confirm.
 SELF_CHECK_TOL = 1e-12
-#: Tolerance of --tol, and of each library call that takes one, when none is given.
+#: Tolerance of each library call that takes one when none is given; threshold echoes it.
 DEFAULT_TOL = 1e-6
 
 PAULI = {

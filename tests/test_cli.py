@@ -474,25 +474,16 @@ class TestThreshold:
         assert code == 0
         assert json.loads(out)["visibility"] == pytest.approx(0.25, abs=1e-6)
 
-    def test_tolerance_flag(self, capsys):
-        code, out = run(capsys, ["threshold", "--bound", "locality", "--tol", "1e-3"])
-        assert code == 0
-        assert json.loads(out)["visibility"] == pytest.approx(0.5, abs=1e-3)
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-    def test_rejects_bad_tolerance(self, capsys, tol):
-        code = cli.main(["threshold", "--bound", "locality", "--tol", tol])
+    @pytest.mark.parametrize("argv", [["contradiction"], ["threshold", "--bound", "locality"]],
+                             ids=["contradiction", "threshold"])
+    def test_tol_flag_is_unknown(self, capsys, argv):
+        # Both results are exact, so no subcommand takes a tolerance.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--tol", "1e-3"])
         captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-
-    @pytest.mark.parametrize("bound,exact", [("locality", 0.5),
-                                             ("quantum_locality", 0.25)])
-    def test_tolerance_below_one_ulp(self, capsys, bound, exact):
-        code, out = run(capsys, ["threshold", "--bound", bound, "--tol", "1e-20"])
-        assert code == 0
-        assert json.loads(out)["visibility"] == exact
+        assert (exc.value.code, captured.out) == (2, "")
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            "ghzlab: error: unrecognized arguments: --tol 1e-3"]
 
 
 class TestFigure1:
@@ -558,26 +549,24 @@ class TestDeterminismAndSeeding:
             assert cli.main(argv + ["--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("GHZLAB_SEED", "123")
-        _, out = run(capsys, ["bounds", "--class", "quantum_local", "--restarts", "2"])
-        assert json.loads(out)["seed"] == 123
-
-    def test_explicit_seed_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("GHZLAB_SEED", "123")
-        _, out = run(capsys, ["bounds", "--class", "quantum_local",
-                              "--restarts", "2", "--seed", "9"])
-        assert json.loads(out)["seed"] == 9
-
     def test_default_seed_is_42(self, capsys, monkeypatch):
         monkeypatch.delenv("GHZLAB_SEED", raising=False)
         _, out = run(capsys, ["bounds", "--class", "quantum_local", "--restarts", "2"])
         assert json.loads(out)["seed"] == 42
 
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("GHZLAB_SEED", "not-an-int")
-        code, _ = run(capsys, ["bounds", "--class", "quantum_local", "--restarts", "2"])
-        assert code == 2
+    #: Subcommands that take --seed, run without it.
+    SEEDED = {"bounds": ["bounds", "--class", "quantum"],
+              "figure1": ["figure1", "--samples", "8", "--points", "2"]}
+
+    @pytest.mark.parametrize("env", ["123", "-3", "abc"])
+    @pytest.mark.parametrize("argv", SEEDED.values(), ids=list(SEEDED))
+    def test_seed_env_is_not_read(self, capsys, monkeypatch, argv, env):
+        # --seed is the one way to set the seed: the environment changes nothing.
+        monkeypatch.delenv("GHZLAB_SEED", raising=False)
+        unset = (cli.main(argv), capsys.readouterr())
+        monkeypatch.setenv("GHZLAB_SEED", env)
+        assert (cli.main(argv), capsys.readouterr()) == unset
+        assert unset[0] == 0
 
     #: Bounds classes whose seed no search reads: the seed rule holds for them too.
     UNSEEDED = {"bounds-local": ["bounds", "--class", "local"],
@@ -587,23 +576,14 @@ class TestDeterminismAndSeeding:
                 "classify": ["classify", "--noise", "0.6"],
                 "threshold": ["threshold", "--bound", "locality"]}
 
-    @pytest.mark.parametrize("argv,env", [
-        (["bounds", "--class", "quantum", "--seed", "-1"], None),
-        (["figure1", "--seed", "-1"], None),
-        (["figure1"], "-3"),
-    ] + [(argv + ["--seed", "-1"], None) for argv in UNSEEDED.values()]
-      + [(argv, "-3") for argv in UNSEEDED.values()],
-        ids=["bounds", "figure1", "figure1-env"] + list(UNSEEDED)
-        + [f"{name}-env" for name in UNSEEDED])
-    def test_negative_seed_is_named(self, capsys, monkeypatch, argv, env):
-        if env is None:
-            monkeypatch.delenv("GHZLAB_SEED", raising=False)
-        else:
-            monkeypatch.setenv("GHZLAB_SEED", env)
-        code = cli.main(argv)
+    @pytest.mark.parametrize("argv", [["bounds", "--class", "quantum"], ["figure1"],
+                                      *UNSEEDED.values()],
+                             ids=["bounds", "figure1", *UNSEEDED])
+    def test_negative_seed_is_named(self, capsys, argv):
+        code = cli.main(argv + ["--seed", "-1"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == f"error: seed must be >= 0, got {env or '-1'}\n"
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("argv", SEEDLESS.values(), ids=list(SEEDLESS))
     def test_seed_flag_is_unknown_without_a_seed(self, capsys, argv):
@@ -789,6 +769,12 @@ def test_class_maxima_leave_through_one_certified_exit():
 SHARED_DESTS = {"help", "format", "out"}
 
 
+def _subparsers() -> dict:
+    """Subcommand name -> its parser in ``cli.build_parser()``."""
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def _reads_of_args(node) -> set:
     """The attributes that each function or lambda in ``node`` reads off its
     first parameter, the parsed args."""
@@ -813,17 +799,69 @@ def test_every_flag_is_read_by_its_subcommand():
             definitions[node.name] = node
         elif isinstance(node, ast.Assign):
             definitions.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
-    subparsers = next(action for action in cli.build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
     unread = {}
-    for name, sub in subparsers.choices.items():
+    for name, sub in _subparsers().items():
         func = definitions[sub.get_default("func").__name__]
         tables = [definitions[node.id] for node in ast.walk(func)
                   if isinstance(node, ast.Name) and isinstance(definitions.get(node.id), ast.Assign)]
         reads = set().union(*map(_reads_of_args, [func, *tables]))
         dests = {action.dest for action in sub._actions if action.option_strings}
         unread[name] = sorted(dests - SHARED_DESTS - reads)
-    assert unread == {name: [] for name in subparsers.choices}
+    assert unread == {name: [] for name in _subparsers()}
+
+
+#: Per subcommand and option dest beside the shared ones: the other arguments
+#: and two accepted values whose outputs differ. A --state value names a
+#: FLAG_STATES entry.
+FLAG_VALUES = {
+    ("verify", "state"): ([], "ghz", "mixed"),
+    ("contradiction", "mode"): ([], "ghz", "epr"),
+    ("bounds", "model_class"): ([], "local", "quantum"),
+    ("bounds", "seed"): (["--class", "quantum"], "0", "7"),
+    ("figure1", "seed"): (["--samples", "8", "--points", "2"], "0", "7"),
+    ("figure1", "samples"): (["--points", "2"], "8", "16"),
+    ("figure1", "points"): (["--samples", "8"], "1", "2"),
+    ("classify", "state"): ([], "ghz", "mixed"),
+    ("classify", "noise"): ([], "0.3", "0.8"),
+    ("threshold", "bound"): ([], "locality", "quantum_locality"),
+}
+#: Flags that are only echoed, each with the reason it stays.
+ECHOED_FLAGS = {
+    ("bounds", "restarts"): "acceptance criterion 11 passes it",
+}
+FLAG_STATES = {"ghz": qcore.make_ghz(), "mixed": WHITE_NOISE}
+
+
+def _option_flags() -> dict:
+    """(subcommand, dest) -> flag for each option beside the shared ones."""
+    return {(name, action.dest): action.option_strings[0]
+            for name, sub in _subparsers().items() for action in sub._actions
+            if action.option_strings and action.dest not in SHARED_DESTS}
+
+
+def test_flag_table_names_every_flag():
+    assert set(FLAG_VALUES).isdisjoint(ECHOED_FLAGS)
+    assert set(FLAG_VALUES) | set(ECHOED_FLAGS) == set(_option_flags())
+
+
+@pytest.mark.parametrize("command,dest", FLAG_VALUES, ids=[" ".join(k) for k in FLAG_VALUES])
+def test_each_flag_changes_the_output(capsys, tmp_path, command, dest):
+    # The echo of a value is no change: a JSON key named after the dest is dropped.
+    base, *values = FLAG_VALUES[command, dest]
+    flag = _option_flags()[command, dest]
+    outputs = []
+    for value in values:
+        if dest == "state":
+            path = tmp_path / f"{value}.json"
+            path.write_text(json.dumps(qcore.state_to_json_dict(FLAG_STATES[value])))
+            value = str(path)
+        code, out = run(capsys, [command, *base, flag, value])
+        assert code == 0
+        if out.startswith("{"):
+            out = json.loads(out)
+            out.pop(dest, None)
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
 
 
 class TestOutputFile:
@@ -846,13 +884,13 @@ class TestOutputFile:
 FUZZ_COMMON_FLAGS = ("--format", "--out")
 FUZZ_COMMAND_FLAGS = {
     "verify": ("--state",),
-    "contradiction": ("--mode", "--tol"),
+    "contradiction": ("--mode",),
     "bounds": ("--class", "--seed", "--restarts"),
     "figure1": ("--samples", "--points", "--seed"),
     "classify": ("--state", "--noise"),
-    "threshold": ("--bound", "--tol"),
+    "threshold": ("--bound",),
 }
-FUZZ_UNKNOWN_FLAGS = ("--bogus", "--trace", "-x")
+FUZZ_UNKNOWN_FLAGS = ("--bogus", "--trace", "--tol", "-x")
 #: A valid start per command, so that many drawn lines get past argparse.
 FUZZ_BASES = {
     "verify": [], "contradiction": [], "bounds": ["--class", "quantum"],
@@ -866,7 +904,7 @@ FUZZ_GOOD_VALUES = {
     "--samples": ("8", "16", "100"), "--points": ("1", "5", "100"),
     "--format": ("json", "csv"), "--mode": ("ghz", "epr"),
     "--class": tuple(cli._BOUND_RUNNERS), "--bound": ("locality", "quantum_locality"),
-    "--noise": ("0", "0.3", "1", "-0"), "--tol": ("1e-6", "0.5", "1e-20"),
+    "--noise": ("0", "0.3", "1", "-0"),
     "--out": ("replaced by the test",),
 }
 #: State files for --state: valid ones and each kind the reader must refuse.

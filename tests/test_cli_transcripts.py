@@ -1,8 +1,9 @@
 """Golden CLI transcripts: argv, exit code, stdout and stderr of each command.
 
 ``tests/cli_transcripts.json`` holds one entry per command, run in-process
-through ``cli.main`` with GHZLAB_SEED unset, so a change that alters any byte
-a user sees, or an exit code, fails here. The commands are the
+through ``cli.main``, so a change that alters any byte a user sees, or an
+exit code, fails here. Each runs with GHZLAB_SEED set to a seed that would be
+refused, so the transcripts also pin that nothing reads the variable. The commands are the
 criterion-11 set, the benchmark's cli_light set at fixed flags, every
 ``bounds`` class with its defaults and with ``--restarts 4 --seed 7``,
 ``figure1`` at two seeds, ``classify`` on six state files, the CSV and
@@ -28,6 +29,8 @@ from ghzlab import cli
 TRANSCRIPTS = Path(__file__).with_name("cli_transcripts.json")
 #: The terminal width argparse wraps help text to, fixed so the bytes are too.
 COLUMNS = "80"
+#: GHZLAB_SEED during each run: a negative seed, which --seed refuses.
+IGNORED_SEED = "-3"
 
 
 def state_doc(re: list) -> str:
@@ -103,8 +106,8 @@ COMMANDS = [
     ["threshold", "--bound", "quantum_locality", "--format", "csv"],
     ["figure1", "--samples", "8", "--points", "2", "--format", "json"],
     # Refusals: a seed on a subcommand that takes none, a negative seed, a
-    # tolerance out of range, a non-finite state, a count out of range and
-    # an empty output path.
+    # tolerance (no subcommand takes one), a non-finite state, a count out of
+    # range and an empty output path.
     ["verify", "--seed", "-1"],
     ["figure1", "--seed", "-1"],
     ["contradiction", "--tol", "0.5"],
@@ -141,7 +144,7 @@ def test_transcripts_cover_the_commands(transcripts):
 
 @pytest.mark.parametrize("index", range(len(COMMANDS)), ids=[" ".join(a) for a in COMMANDS])
 def test_transcript_is_unchanged(index, transcripts, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("GHZLAB_SEED", raising=False)
+    monkeypatch.setenv("GHZLAB_SEED", IGNORED_SEED)
     monkeypatch.setenv("COLUMNS", COLUMNS)
     expected = transcripts[index]
     code = run(expected["argv"], tmp_path)
@@ -150,7 +153,7 @@ def test_transcript_is_unchanged(index, transcripts, tmp_path, capsys, monkeypat
 
 
 def write(tmp_dir: Path) -> None:
-    os.environ.pop("GHZLAB_SEED", None)
+    os.environ["GHZLAB_SEED"] = IGNORED_SEED
     os.environ["COLUMNS"] = COLUMNS
     entries = []
     for argv in COMMANDS:
