@@ -474,6 +474,32 @@ class TestThreshold:
         assert code == 0
         assert json.loads(out)["visibility"] == pytest.approx(0.25, abs=1e-6)
 
+    def test_tolerance_flag(self, capsys):
+        # No flag sets the tolerance: the JSON names the one the threshold meets.
+        code, out = run(capsys, ["threshold", "--bound", "locality"])
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["tol"] == qcore.DEFAULT_TOL
+        assert abs(doc["visibility"] - 0.5) < doc["tol"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_rejects_bad_tolerance(self, capsys, tol):
+        # Every tolerance is refused now, the ones the flag once refused too.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["threshold", "--bound", "locality", "--tol", tol])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"ghzlab: error: unrecognized arguments: --tol {tol}"]
+
+    @pytest.mark.parametrize("bound,exact", [("locality", 0.5),
+                                             ("quantum_locality", 0.25)])
+    def test_tolerance_below_one_ulp(self, capsys, bound, exact):
+        # The printed threshold is exact, so it meets a tolerance below one ulp.
+        code, out = run(capsys, ["threshold", "--bound", bound])
+        assert code == 0
+        assert json.loads(out)["visibility"] == exact
+
     @pytest.mark.parametrize("argv", [["contradiction"], ["threshold", "--bound", "locality"]],
                              ids=["contradiction", "threshold"])
     def test_tol_flag_is_unknown(self, capsys, argv):
@@ -576,10 +602,20 @@ class TestDeterminismAndSeeding:
                 "classify": ["classify", "--noise", "0.6"],
                 "threshold": ["threshold", "--bound", "locality"]}
 
-    @pytest.mark.parametrize("argv", [["bounds", "--class", "quantum"], ["figure1"],
-                                      *UNSEEDED.values()],
-                             ids=["bounds", "figure1", *UNSEEDED])
-    def test_negative_seed_is_named(self, capsys, argv):
+    @pytest.mark.parametrize("argv,env", [
+        (["bounds", "--class", "quantum"], None),
+        (["figure1"], None),
+        (["figure1"], "-3"),
+    ] + [(argv, None) for argv in UNSEEDED.values()]
+      + [(argv, "-3") for argv in UNSEEDED.values()],
+        ids=["bounds", "figure1", "figure1-env"] + list(UNSEEDED)
+        + [f"{name}-env" for name in UNSEEDED])
+    def test_negative_seed_is_named(self, capsys, monkeypatch, argv, env):
+        # An -env case sets GHZLAB_SEED too: the refusal still names --seed's value.
+        if env is None:
+            monkeypatch.delenv("GHZLAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GHZLAB_SEED", env)
         code = cli.main(argv + ["--seed", "-1"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
