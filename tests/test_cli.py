@@ -1029,3 +1029,16 @@ def test_fuzzed_command_line_ends_cleanly(fuzz_dir, argv):
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] in (["key", "value"], ["curve", "m", "mprime"])
         assert all(len(row) == len(rows[0]) for row in rows)
+
+
+@pytest.mark.parametrize("name", _subparsers())
+def test_unknown_flag_prints_its_subcommands_usage(capsys, name):
+    # Past a valid start, the one fault is the unknown flag: the subcommand's
+    # own parser refuses it, with that subcommand's usage line.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, *FUZZ_BASES[name], "--bogus", "1"])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert lines[0].startswith(f"usage: ghzlab {name} ")
+    assert lines[-1] == f"ghzlab {name}: error: unrecognized arguments: --bogus 1"

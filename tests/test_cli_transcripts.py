@@ -107,13 +107,17 @@ COMMANDS = [
     ["figure1", "--samples", "8", "--points", "2", "--format", "json"],
     # Refusals: a seed on a subcommand that takes none, a negative seed, a
     # tolerance (no subcommand takes one), a non-finite state, a count out of
-    # range and an empty output path.
+    # range, an empty output path, an unknown flag after a required one, and
+    # classify with neither and with both of its inputs.
     ["verify", "--seed", "-1"],
     ["figure1", "--seed", "-1"],
     ["contradiction", "--tol", "0.5"],
     ["classify", "--state", "<nan-state>"],
     ["bounds", "--class", "quantum", "--restarts", "0"],
     ["verify", "--out", ""],
+    ["bounds", "--class", "local", "--tol", "1"],
+    ["classify"],
+    ["classify", "--noise", "0.3", "--state", "<ghz-state>"],
     # The help of the program and of each subcommand.
     ["--help"],
     *([name, "--help"] for name in SUBCOMMANDS),
