@@ -10,7 +10,8 @@ criterion-11 set, the benchmark's cli_light set at fixed flags, every
 JSON forms of what the bounds table drives, one
 refusal per rule of the README's "Errors", and the ``--help`` of the program
 and of each subcommand, printed at COLUMNS wide. When a change of output is
-intended, regenerate the file and review its diff:
+intended, regenerate the file, which prints each entry that changed, and
+review its diff:
 
     PYTHONPATH=src python tests/test_cli_transcripts.py --write
 """
@@ -19,6 +20,7 @@ import io
 import json
 import math
 import os
+import shlex
 import sys
 from pathlib import Path
 
@@ -157,16 +159,23 @@ def test_transcript_is_unchanged(index, transcripts, tmp_path, capsys, monkeypat
 
 
 def write(tmp_dir: Path) -> None:
+    """Rewrite the file, printing each entry whose code, stdout or stderr
+    differs from the committed one (or that is new), then the count."""
     os.environ["GHZLAB_SEED"] = IGNORED_SEED
     os.environ["COLUMNS"] = COLUMNS
-    entries = []
+    committed = {tuple(entry["argv"]): entry for entry in json.loads(TRANSCRIPTS.read_text())}
+    entries, changed = [], 0
     for argv in COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv, tmp_dir)
         entries.append({"argv": argv, "code": code,
                         "stdout": out.getvalue(), "stderr": err.getvalue()})
+        if committed.get(tuple(argv)) != entries[-1]:
+            changed += 1
+            print(f"changed: {shlex.join(argv)}")
     TRANSCRIPTS.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"{changed} of {len(entries)} entries changed")
 
 
 if __name__ == "__main__":
