@@ -2,7 +2,9 @@
 
 Subcommands: verify, contradiction, bounds, figure1, classify, threshold.
 Each takes --format json|csv and --out path; bounds and figure1 take --seed
-(a negative seed is refused, exit 2), and bounds --restarts.
+(a negative seed is refused, exit 2), and bounds --restarts; classify takes
+exactly one of --state and --noise. Each subcommand's parser reports its own
+usage errors (an unknown, missing or conflicting flag) under its usage line.
 Exit codes: 0 success, 1 a failed check, 2 input/IO error.
 A failed check is an internal self-check (one error line, no report) or an
 identity that verify asserts: its report is still written in full, with
@@ -160,8 +162,6 @@ def cmd_figure1(args) -> list:
 
 
 def cmd_classify(args) -> dict:
-    if (args.state is None) == (args.noise is None):
-        raise ValueError("provide exactly one of --state or --noise")
     if args.noise is not None:
         state = qcore.mix_with_white_noise(qcore.make_ghz(), args.noise)
     else:
@@ -183,23 +183,6 @@ def _check_counts(args) -> None:
             raise ValueError(f"--{flag} must be in [{minimum}, {MAX_COUNT}], got {value}")
 
 
-def _common_parent(*flags: str, default_format: str = "json") -> argparse.ArgumentParser:
-    """--format and --out, after the named ones of --seed and --restarts."""
-    # Fresh parser per subcommand: argparse parents share Action objects,
-    # so a per-subcommand default would otherwise leak across commands.
-    common = argparse.ArgumentParser(add_help=False)
-    if "seed" in flags:
-        common.add_argument("--seed", type=int, default=locality.DEFAULT_SEED,
-                            help="RNG seed (default %(default)s)")
-    if "restarts" in flags:
-        common.add_argument("--restarts", type=int, default=locality.DEFAULT_RESTARTS,
-                            help="echoed; does not change the work (default %(default)s)")
-    common.add_argument("--format", choices=("json", "csv"), default=default_format,
-                        help="output format (default %(default)s)")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzlab",
@@ -208,49 +191,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[_common_parent()],
-                       help="check the four eigenvalue identities and signed sums")
+    def command(name, func, summary, *flags, default_format="json"):
+        """The subcommand's parser, which reports its own usage errors: --format
+        and --out, after the named ones of --seed and --restarts."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, parser=p)
+        if "seed" in flags:
+            p.add_argument("--seed", type=int, default=locality.DEFAULT_SEED,
+                           help="RNG seed (default %(default)s)")
+        if "restarts" in flags:
+            p.add_argument("--restarts", type=int, default=locality.DEFAULT_RESTARTS,
+                           help="echoed; does not change the work (default %(default)s)")
+        p.add_argument("--format", choices=("json", "csv"), default=default_format,
+                       help="output format (default %(default)s)")
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        return p
+
+    p = command("verify", cmd_verify, "check the four eigenvalue identities and signed sums")
     p.add_argument("--state", default=None, help="state file (default: GHZ)")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("contradiction", parents=[_common_parent()],
-                       help="sign-assignment enumeration and HR-constrained conflict")
+    p = command("contradiction", cmd_contradiction,
+                "sign-assignment enumeration and HR-constrained conflict")
     p.add_argument("--mode", choices=("ghz", "epr"), default="ghz")
-    p.set_defaults(func=cmd_contradiction)
 
-    p = sub.add_parser("bounds", parents=[_common_parent("seed", "restarts")],
-                       help="maximum of the Mermin pair over a model class")
+    p = command("bounds", cmd_bounds, "maximum of the Mermin pair over a model class",
+                "seed", "restarts")
     p.add_argument("--class", dest="model_class", required=True,
                    choices=tuple(_BOUND_RUNNERS))
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("figure1", parents=[_common_parent("seed", default_format="csv")],
-                       help="boundary curves and per-class scatter in the (m, m') plane")
+    p = command("figure1", cmd_figure1,
+                "boundary curves and per-class scatter in the (m, m') plane", "seed",
+                default_format="csv")
     p.add_argument("--samples", type=int, default=mermin.DEFAULT_SAMPLES,
                    help="vertices per circle (default %(default)s)")
     p.add_argument("--points", type=int, default=DEFAULT_POINTS,
                    help="scatter points per class (default %(default)s)")
-    p.set_defaults(func=cmd_figure1)
 
-    p = sub.add_parser("classify", parents=[_common_parent()],
-                       help="inequality report for a state or noisy GHZ")
-    p.add_argument("--state", default=None, help="state file")
-    p.add_argument("--noise", type=float, default=None,
-                   help="visibility v of v*GHZ + (1-v)*I/8")
-    p.set_defaults(func=cmd_classify)
+    p = command("classify", cmd_classify, "inequality report for a state or noisy GHZ")
+    inputs = p.add_mutually_exclusive_group(required=True)
+    inputs.add_argument("--state", help="state file")
+    inputs.add_argument("--noise", type=float, help="visibility v of v*GHZ + (1-v)*I/8")
 
-    p = sub.add_parser("threshold", parents=[_common_parent()],
-                       help="visibility at which a bound starts being violated")
+    p = command("threshold", cmd_threshold, "visibility at which a bound starts being violated")
     p.add_argument("--bound", choices=tuple(optimize.THRESHOLD_LIMITS), required=True)
-    p.set_defaults(func=cmd_threshold)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one subcommand, then render and write its payload: the one place
     output is written. Exit 1 when the payload reports ``all_pass`` false."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         _check_counts(args)
         if hasattr(args, "seed"):

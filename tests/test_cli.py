@@ -206,12 +206,15 @@ class TestClassify:
         assert json.loads(out)["m"] == pytest.approx(4.0, abs=1e-10)
 
     def test_requires_exactly_one_input(self, capsys, tmp_path):
-        code, _ = run(capsys, ["classify"])
-        assert code == 2
+        # --state and --noise are a required group of classify's own parser.
         path = tmp_path / "ghz.json"
         path.write_text(json.dumps(qcore.state_to_json_dict(qcore.make_ghz())))
-        code, _ = run(capsys, ["classify", "--state", str(path), "--noise", "0.5"])
-        assert code == 2
+        for argv in (["classify"], ["classify", "--state", str(path), "--noise", "0.5"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert captured.err.splitlines()[-1].startswith("ghzlab classify: error: ")
 
     def test_two_qubit_state_file(self, capsys, tmp_path):
         path = tmp_path / "pair.json"
@@ -490,7 +493,7 @@ class TestThreshold:
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out) == (2, "")
         assert [line for line in captured.err.splitlines() if "error:" in line] == [
-            f"ghzlab: error: unrecognized arguments: --tol {tol}"]
+            f"ghzlab threshold: error: unrecognized arguments: --tol {tol}"]
 
     @pytest.mark.parametrize("bound,exact", [("locality", 0.5),
                                              ("quantum_locality", 0.25)])
@@ -509,7 +512,7 @@ class TestThreshold:
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out) == (2, "")
         assert [line for line in captured.err.splitlines() if "error:" in line] == [
-            "ghzlab: error: unrecognized arguments: --tol 1e-3"]
+            f"ghzlab {argv[0]}: error: unrecognized arguments: --tol 1e-3"]
 
 
 class TestFigure1:
@@ -628,7 +631,7 @@ class TestDeterminismAndSeeding:
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out) == (2, "")
         assert [line for line in captured.err.splitlines() if "error:" in line] == [
-            "ghzlab: error: unrecognized arguments: --seed -1"]
+            f"ghzlab {argv[0]}: error: unrecognized arguments: --seed -1"]
 
     @pytest.mark.parametrize("argv", SEEDLESS.values(), ids=list(SEEDLESS))
     def test_seed_env_is_not_read_without_a_seed(self, capsys, monkeypatch, argv):
