@@ -285,6 +285,9 @@ def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
 # Pure state:    {"dim": 8, "re": [8 reals], "im": [8 reals]}
 # Mixed state:   {"dim": 8, "re": [[...]], "im": [[...]]}
 
+#: Most characters ``load_state`` reads; a full-precision mixed state takes under 5,000.
+MAX_STATE_CHARS = 1 << 20
+
 def state_to_json_dict(state) -> dict:
     arr = state.amplitudes if isinstance(state, StateVector) else density_entries(state)
     return {"dim": arr.shape[0], "re": arr.real.tolist(), "im": arr.imag.tolist()}
@@ -307,7 +310,10 @@ def state_from_json_dict(doc: dict):
 
 def load_state(path):
     with open(path) as fh:
-        try:
-            return state_from_json_dict(json.load(fh))
-        except RecursionError as exc:  # arrays nested deeper than the parser goes
-            raise ValueError(f"malformed state document: {exc}") from exc
+        text = fh.read(MAX_STATE_CHARS + 1)
+    if len(text) > MAX_STATE_CHARS:
+        raise ValueError(f"state file longer than {MAX_STATE_CHARS} characters")
+    try:
+        return state_from_json_dict(json.loads(text))
+    except RecursionError as exc:  # arrays nested deeper than the parser goes
+        raise ValueError(f"malformed state document: {exc}") from exc

@@ -361,6 +361,16 @@ def test_deeply_nested_state_file_is_refused(capsys, tmp_path, command, fmt, doc
     assert captured.err.startswith("error: malformed state document")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_endless_state_file_is_refused(capsys, command):
+    # The reader stops one character past the limit instead of reading to EOF.
+    code = cli.main([command, "--state", "/dev/zero"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: state file longer than {qcore.MAX_STATE_CHARS} characters\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "classify"])
 @pytest.mark.parametrize("state", [qcore.make_ghz(), WHITE_NOISE],
                          ids=["pure", "mixed"])

@@ -535,6 +535,19 @@ class TestStateFiles:
         assert doc["dim"] == 8
         assert len(doc["re"]) == 8 and len(doc["im"]) == 8
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-limit", "past-limit"])
+    def test_file_length_is_bounded(self, tmp_path, extra):
+        # GHZ padded with spaces to the limit loads; one character more is refused.
+        doc = json.dumps(qcore.state_to_json_dict(qcore.make_ghz()))
+        path = tmp_path / "padded.json"
+        path.write_text(doc + " " * (qcore.MAX_STATE_CHARS - len(doc) + extra))
+        if extra:
+            with pytest.raises(ValueError, match=f"^state file longer than "
+                                                 f"{qcore.MAX_STATE_CHARS} characters$"):
+                qcore.load_state(path)
+        else:
+            assert isinstance(qcore.load_state(path), StateVector)
+
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 8, "re": [1, 2]}')
