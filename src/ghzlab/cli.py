@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -77,7 +78,12 @@ def _emit(text: str, out_path) -> None:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # fd 1 on the null device: the exit flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(str(exc)) from exc
 
 
 # --- subcommands: each returns its payload ---------------------------------

@@ -681,6 +681,20 @@ def test_module_entry_point_warns_nothing():
     assert json.loads(proc.stdout)["visibility"] == 0.5
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["verify"], ["threshold", "--bound", "locality"]],
+                         ids=["verify", "threshold"])
+def test_failed_stdout_write_exits_2(argv):
+    # Buffered stdout, the default: the write only fills the buffer, so the
+    # failure shows at the flush, which must come before the run ends.
+    env = dict(os.environ, PYTHONPATH=str(Path(ghzlab.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "ghzlab.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
 def test_scipy_is_never_imported():
     # Membership is plain numpy; a stray scipy import costs every process.
     code = ("import contextlib, io, json, sys\n"
