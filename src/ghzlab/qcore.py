@@ -288,6 +288,7 @@ def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
 #: Most characters ``load_state`` reads; a full-precision mixed state takes under 5,000.
 MAX_STATE_CHARS = 1 << 20
 
+
 def state_to_json_dict(state) -> dict:
     arr = state.amplitudes if isinstance(state, StateVector) else density_entries(state)
     return {"dim": arr.shape[0], "re": arr.real.tolist(), "im": arr.imag.tolist()}
