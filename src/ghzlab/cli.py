@@ -78,8 +78,12 @@ def _emit(text: str, out_path) -> None:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
     else:
-        try:
-            sys.stdout.write(text)
+        try:  # unbuffered, the raw stream takes what it can: write until it took every byte
+            sys.stdout.flush()
+            out = getattr(sys.stdout, "buffer", sys.stdout)  # a StringIO has no bytes below
+            data = text if out is sys.stdout else text.encode(sys.stdout.encoding)
+            while data:
+                data = data[out.write(data):]
             sys.stdout.flush()
         except OSError as exc:  # fd 1 on the null device: the exit flush cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

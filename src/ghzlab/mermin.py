@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .qcore import PATTERNS, density_entries, read_count, read_number
+from .qcore import PATTERNS, anti_diagonal, read_count, read_number
 
 #: Each pattern of PATTERNS weighed by GHZ's perfect correlation on it, the
 #: one place these four signs are written.
@@ -83,10 +83,10 @@ class InequalityReport:
 def evaluate_point(state) -> MerminPoint:
     """(<M>, <M'>) for a pure or mixed three-qubit state.
 
-    M + iM' = (X + iY)^{(x)3} = 8|000><111|, so <M> + i<M'> is one matrix
-    element: 8 conj(psi_000) psi_111, or 8 rho_{111,000} for a mixed state.
+    M + iM' = (X + iY)^{(x)3} = 8|000><111|, so <M> + i<M'> = 8 rho_{111,000}, or
+    8 conj(psi_000) psi_111: entry 7 of ``qcore.anti_diagonal``, which every signed sum reads.
     """
-    value = 8.0 * density_entries(state)[7, 0]
+    value = 8.0 * anti_diagonal(state)[7]
     return MerminPoint(float(value.real), float(value.imag))
 
 

@@ -8,6 +8,8 @@ Conventions used everywhere in the package:
   ``s``; no alternative phase, so amplitude tables are bit-reproducible.
 * Outcome probabilities are ``Re diag(U^H rho U)`` for pure
   (``rho = |psi><psi|``) and mixed states alike; see ``basis_change``.
+* An x/y Pauli product P flips all three qubits, P|j> = phase_j |7-j>, so x/y
+  correlators are ``Re sum_j phase_j rho[j, 7-j]``; see ``anti_diagonal``.
 * Tolerances: READ_SLACK for every check a constructor makes, EIGEN_TOL for
   eigenchecks, IMAG_TOL per unit of coefficient for imaginary residuals,
   SELF_CHECK_TOL for the exact identities of self-checks, and DEFAULT_TOL
@@ -214,6 +216,13 @@ def density_entries(state) -> np.ndarray:
     raise TypeError(f"expected StateVector or DensityMatrix, got {type(state)}")
 
 
+def anti_diagonal(state) -> np.ndarray:
+    """c_j = rho[j, 7-j], what every x/y correlator reads: psi_j conj(psi_{7-j}) if pure."""
+    if isinstance(state, StateVector):
+        return state.amplitudes * state.amplitudes[::-1].conj()
+    return density_entries(state)[:, ::-1].diagonal()
+
+
 def pure_amplitudes(state) -> np.ndarray:
     """The amplitudes of a pure state; a mixed one has none."""
     if not isinstance(state, StateVector):
@@ -240,12 +249,25 @@ def eigen_residual(state: StateVector, obs: Observable, eigenvalue: float) -> fl
     return float(np.linalg.norm(observable_matrix(obs) @ psi - eigenvalue * psi))
 
 
-def basis_change(settings: str) -> np.ndarray:
-    """U: joint x/y eigenvectors, one setting per qubit, as columns in OUTCOMES order."""
+def read_settings(settings) -> str:
+    """Three x/y settings, one per qubit, lower-cased."""
     settings = settings.lower() if isinstance(settings, str) else settings
     if not isinstance(settings, str) or len(settings) != 3 or not set(settings) <= set(EIGENBASES):
         raise ValueError(f"one setting per qubit required (x or y): {settings!r}")
-    return tensor([EIGENBASES[ch] for ch in settings])
+    return settings
+
+
+def basis_change(settings: str) -> np.ndarray:
+    """U: joint x/y eigenvectors, one setting per qubit, as columns in OUTCOMES order."""
+    return tensor([EIGENBASES[ch] for ch in read_settings(settings)])
+
+
+@functools.cache
+def _flip_phases(settings: str) -> np.ndarray:
+    """Read-only phase_j with P|j> = phase_j |7-j>: X|b> = |1-b>, Y|b> = (i, -i)[b] |1-b>."""
+    phases = tensor([np.array([1, 1] if ch == "x" else [1j, -1j], complex) for ch in settings])
+    phases.setflags(write=False)
+    return phases
 
 
 def amplitude_table(state: StateVector, settings: str) -> np.ndarray:
@@ -261,14 +283,13 @@ def outcome_probabilities(state, settings: str) -> np.ndarray:
 
 
 def signed_probability_sum(amplitudes) -> float:
-    """Sum over outcomes of (product of outcomes) * |amplitude|^2, for the
-    amplitudes of ``amplitude_table``."""
+    """Sum over outcomes of (product of outcomes) * |amplitude|^2 over an ``amplitude_table``."""
     return float(OUTCOME_SIGNS @ np.abs(amplitudes) ** 2)
 
 
 def signed_sum_for_state(state, settings: str) -> float:
-    """Sum over outcomes of (product of outcomes) * probability."""
-    return float(OUTCOME_SIGNS @ outcome_probabilities(state, settings))
+    """Sum over outcomes of (product of outcomes) * probability: Re sum_j phase_j rho[j, 7-j]."""
+    return float((_flip_phases(read_settings(settings)) @ anti_diagonal(state)).real)
 
 
 def mix_with_white_noise(state, visibility: float) -> DensityMatrix:

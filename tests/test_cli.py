@@ -695,6 +695,49 @@ def test_failed_stdout_write_exits_2(argv):
     assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
 
 
+def test_unbuffered_stdout_whose_reader_leaves_exits_2():
+    # Unbuffered, stdout writes through to the raw pipe, which takes what fits
+    # before its reader leaves after 1 byte: the rest must fail as it does
+    # buffered, not vanish with exit 0. figure1 at 2000 points is about 0.4 MB.
+    env = dict(os.environ, PYTHONPATH=str(Path(ghzlab.__file__).parents[1]), PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-m", "ghzlab.cli", "figure1", "--points", "2000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    assert (code, proc.stderr.read().decode()) == (2, "error: [Errno 32] Broken pipe\n")
+    proc.stderr.close()
+
+
+class ShortWriter(io.RawIOBase):
+    """A raw stream that takes at most 7 bytes per write, as a pipe or a signal may."""
+
+    def __init__(self):
+        super().__init__()
+        self.taken = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.taken += bytes(data[:7])
+        return min(len(data), 7)
+
+
+def test_a_raw_stdout_that_takes_part_of_each_write_gets_every_byte(capsys, monkeypatch):
+    # What python -u gives: a text layer writing through to the raw stream,
+    # which drops whatever a write leaves over.
+    assert cli.main(["verify"]) == 0
+    expected = capsys.readouterr().out
+    raw = ShortWriter()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    assert cli.main(["verify"]) == 0
+    assert raw.taken.decode() == expected
+
+
 def test_scipy_is_never_imported():
     # Membership is plain numpy; a stray scipy import costs every process.
     code = ("import contextlib, io, json, sys\n"

@@ -4,14 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ghzlab import mermin, optimize, qcore
 from ghzlab.errors import SelfCheckFailed
 from ghzlab.qcore import Observable, StateVector, DensityMatrix
 
-from conftest import (BAD_ENTRIES, BAD_REAL_ENTRIES, BAD_SCALARS, WHITE_NOISE, random_pure_state,
-                      refusal)
+from conftest import (BAD_ENTRIES, BAD_REAL_ENTRIES, BAD_SCALARS, WHITE_NOISE, random_product_state,
+                      random_pure_state, refusal)
 
 
 def obs(settings, coeff=1.0):
@@ -459,6 +459,129 @@ class TestOutcomeProbabilities:
         # A mixed state has no amplitudes, and a string is not an observable.
         with pytest.raises(TypeError, match=rf"^expected {expected}, got <class '[\w.]+'>$"):
             call()
+
+
+#: The eight x/y setting triples, xxx first.
+XY_SETTINGS = ["".join(s) for s in itertools.product("xy", repeat=3)]
+EPS = np.finfo(float).eps
+
+
+def outcome_route_signed_sum(state, settings) -> float:
+    """The signed sum read from the outcome probabilities Re diag(U^H rho U)."""
+    return float(qcore.OUTCOME_SIGNS @ qcore.outcome_probabilities(state, settings))
+
+
+@st.composite
+def drawn_states(draw):
+    """A pure state, white-noise mixed one, or rho = A A^H / Tr(A A^H) for an 8 x k
+    complex A (rank k)."""
+    def complex_entries(count):
+        raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * count,
+                                     max_size=2 * count)))
+        return raw[0::2] + 1j * raw[1::2]
+    kind = draw(st.sampled_from(["pure", "noisy", "rank"]))
+    if kind == "rank":
+        a = complex_entries(8 * draw(st.integers(1, 8))).reshape(8, -1)
+        rho = a @ a.conj().T
+        assume(np.trace(rho).real > 1e-3)
+        rho = rho / np.trace(rho).real
+        return DensityMatrix((rho + rho.conj().T) / 2)
+    amps = complex_entries(8)
+    assume(np.linalg.norm(amps) > 1e-3)
+    pure = StateVector(amps / np.linalg.norm(amps))
+    return pure if kind == "pure" else qcore.mix_with_white_noise(pure, draw(st.floats(0.0, 1.0)))
+
+
+def seeded_states(rng) -> list:
+    """Haar, product, biseparable, GHZ and white-noise states, pure and mixed."""
+    single, pair = (random_pure_state(rng).amplitudes[:n] for n in (2, 4))
+    biseparable = np.multiply.outer(single / np.linalg.norm(single),
+                                    pair / np.linalg.norm(pair)).reshape(-1)
+    phased = qcore.make_ghz().amplitudes * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
+    pure = [random_pure_state(rng), random_product_state(rng), StateVector(biseparable),
+            qcore.make_ghz(), StateVector(phased)]
+    return pure + [qcore.mix_with_white_noise(state, rng.uniform()) for state in pure]
+
+
+class TestAntiDiagonal:
+    """Every x/y product P flips all three qubits, P|j> = phase_j |7-j>, so its
+    correlator is Re sum_j phase_j rho[j, 7-j]; no U and no rho is built per call."""
+
+    @given(drawn_states())
+    def test_signed_sums_are_the_correlators(self, state):
+        # Both sum the same 8 exact products in their own order: each rounds
+        # by at most 7 u sum_j |rho[j, 7-j]| <= 3.5 eps.
+        for settings in XY_SETTINGS:
+            reference = qcore.expectation(state, obs(settings.upper()))
+            assert abs(qcore.signed_sum_for_state(state, settings) - reference) <= 8 * EPS
+
+    @given(drawn_states())
+    def test_mermin_point_is_the_sum_of_its_signed_sums(self, state):
+        point = mermin.evaluate_point(state)
+        for value, terms in ((point.m_value, mermin.M_TERMS),
+                             (point.mprime_value, mermin.MPRIME_TERMS)):
+            total = sum(sign * qcore.signed_sum_for_state(state, settings)
+                        for sign, settings in terms)
+            assert abs(value - total) <= 1e-14
+
+    def test_signed_sums_match_the_outcome_probability_route(self, rng):
+        for _ in range(40):
+            for state in seeded_states(rng):
+                for settings in XY_SETTINGS:
+                    value = qcore.signed_sum_for_state(state, settings)
+                    assert abs(value - outcome_route_signed_sum(state, settings)) <= 8 * EPS
+
+    def test_mermin_point_is_the_density_entry_bit_for_bit(self, rng):
+        for _ in range(40):
+            for state in seeded_states(rng):
+                point = mermin.evaluate_point(state)
+                value = 8.0 * qcore.density_entries(state)[7, 0]
+                assert np.array_equal([point.m_value, point.mprime_value],
+                                      [value.real, value.imag])
+
+    def test_anti_diagonal_is_rhos(self, rng):
+        flip = (np.arange(8), 7 - np.arange(8))
+        for state in seeded_states(rng):
+            assert np.array_equal(qcore.anti_diagonal(state), qcore.density_entries(state)[flip])
+        with pytest.raises(TypeError, match=r"^expected StateVector or DensityMatrix, got "
+                                            r"<class 'numpy.ndarray'>$"):
+            qcore.anti_diagonal(qcore.make_ghz().amplitudes)
+
+    @pytest.mark.parametrize("settings", XY_SETTINGS)
+    def test_phases_are_the_products_flip_entries_cached_read_only(self, settings):
+        phases = qcore._flip_phases(qcore.read_settings(settings.upper()))
+        product = qcore.observable_matrix(obs(settings.upper()))
+        assert np.array_equal(phases, product[7 - np.arange(8), np.arange(8)])
+        assert phases is qcore._flip_phases(settings)
+        assert not phases.flags.writeable
+
+    @pytest.mark.parametrize("state,counted", [
+        (qcore.make_ghz(), ("tensor", "density_entries")),
+        (qcore.mix_with_white_noise(qcore.make_ghz(), 0.5), ("tensor",))], ids=["pure", "mixed"])
+    def test_no_product_and_no_rho_is_built_per_call(self, monkeypatch, state, counted):
+        # A guard without timings: a per-call basis change or |psi><psi| shows as calls.
+        calls = dict.fromkeys(("tensor", "density_entries"), 0)
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            original = getattr(qcore, name)
+            for module in (qcore, mermin, optimize):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+
+        def one_round():
+            for pattern in qcore.PATTERNS:
+                qcore.signed_sum_for_state(state, pattern)
+            mermin.evaluate_point(state)
+        one_round()  # a pattern's first call may build its phases
+        calls.update(dict.fromkeys(calls, 0))
+        for _ in range(250):
+            one_round()
+        assert {name: calls[name] for name in counted} == dict.fromkeys(counted, 0)
 
 
 class TestWhiteNoise:
