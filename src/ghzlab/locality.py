@@ -36,8 +36,11 @@ CONSTRAINT_TARGETS = tuple(int(sign) for sign, _ in mermin.M_TERMS)
 SIGNS = np.array(list(itertools.product((+1, -1), repeat=6))).reshape(64, 3, 2)
 SIGNS.setflags(write=False)
 
-#: Largest max |A w - b| at the nearest local point of a table inside.
-MEMBERSHIP_TOL = 1e-9
+#: Largest max|r| of a table inside, r = b - A w at its nearest local point. As |m| <= 2 on each
+#: strategy, |m(r)| <= 32 max|r| and sum w <= 1 + READ_SLACK + 8 max|r|, m(b) <= 2 + 2 READ_SLACK +
+#: 48 max|r|: below (SLACK - 2 READ_SLACK)/48 a Mermin-nonlocal table is Outside, and above
+#: sqrt(32) READ_SLACK a member whose entries move by READ_SLACK stays Inside; SLACK/64 is both.
+MEMBERSHIP_TOL = mermin.SLACK / 64
 
 #: Iterations, adds and drops alike, a membership search may take before SelfCheckFailed.
 MEMBERSHIP_PIVOTS = 3 * len(SIGNS)
@@ -137,7 +140,9 @@ def at_patterns(values, patterns=PATTERNS) -> np.ndarray:
 
     The one place a setting character (x or y, either case) picks a setting.
     """
-    index = [["xy".index(ch) for ch in p.lower()] for p in patterns]
+    if np.shape(values)[-2:] != (3, 2):
+        raise ValueError(f"local values must end in axes (3, 2), got shape {np.shape(values)}")
+    index = [["xy".index(ch) for ch in qcore.read_settings(p)] for p in patterns]
     return np.asarray(values)[..., np.arange(3), index]
 
 
@@ -294,6 +299,8 @@ def epr_contrast(c1: int = -1, c2: int = -1) -> tuple:
 # --- deterministic strategies and polytope membership ----------------------
 
 def model_to_table(model: LocalModel) -> CorrelationTable:
+    if not isinstance(model, LocalModel):
+        raise TypeError(f"expected LocalModel, got {type(model)}")
     blocks = np.tensordot(model.weights, _cause_probabilities(model.p_plus), axes=1)
     return CorrelationTable(dict(zip(PATTERNS, blocks)))
 
@@ -356,13 +363,13 @@ def _nearest_point(b_vec) -> tuple:
 
 
 def polytope_membership(table: CorrelationTable) -> Membership:
-    """Decide whether a table is a mixture of deterministic strategies.
-
-    Inside iff max |A w - b| <= MEMBERSHIP_TOL at the nearest point A w (w >= 0)
-    to the table b, the strategy tables being the columns of A; both have four
-    blocks summing to 1, so A w = b forces sum w = 1. Outside, r = b - A w is a
-    Bell inequality that the table violates: A^T r <= 0 < b^T r.
+    """Decide whether a table is a mixture of deterministic strategies: Inside iff
+    max |r| <= MEMBERSHIP_TOL, r = b - A w at the nearest point A w (w >= 0) to the
+    table b, the strategy tables being the columns of A. Outside, r is a Bell
+    inequality that the table violates: A^T r <= 0 < b^T r.
     """
+    if not isinstance(table, CorrelationTable):
+        raise TypeError(f"expected CorrelationTable, got {type(table)}")
     w, r = _nearest_point(_table_vector(table))
     residual = float(np.max(np.abs(r)))
     inside = residual <= MEMBERSHIP_TOL

@@ -10,10 +10,9 @@ Conventions used everywhere in the package:
   (``rho = |psi><psi|``) and mixed states alike; see ``basis_change``.
 * An x/y Pauli product P flips all three qubits, P|j> = phase_j |7-j>, so x/y
   correlators are ``Re sum_j phase_j rho[j, 7-j]``; see ``anti_diagonal``.
-* Tolerances: READ_SLACK for every check a constructor makes, EIGEN_TOL for
-  eigenchecks, IMAG_TOL per unit of coefficient for imaginary residuals,
-  SELF_CHECK_TOL for the exact identities of self-checks, and DEFAULT_TOL
-  where a caller gives none.
+* Tolerances: READ_SLACK for every constructor's check, EIGEN_TOL for eigenchecks,
+  IMAG_TOL (derived from READ_SLACK) per unit of coefficient for imaginary residuals,
+  SELF_CHECK_TOL for the self-checks' exact identities, DEFAULT_TOL where none is given.
 * Every number handed to the package is read by ``read_numbers``, a count or
   seed by ``read_count``; both refuse, never coerce, what is not a finite
   number in float range (an integer from a least value, for a count).
@@ -39,8 +38,9 @@ READ_SLACK = 1e-12
 
 #: Largest ||O|psi> - lambda|psi>|| that eigencheck and verify accept.
 EIGEN_TOL = 1e-10
-#: Largest imaginary part of Tr(rho O), per unit of sum |coeff|, that ``expectation`` drops.
-IMAG_TOL = 1e-10
+#: Largest Im Tr(rho O) per unit of sum |coeff| that ``expectation`` drops: rho's anti-Hermitian
+#: part (<= READ_SLACK/2) meets a Pauli product's 8 unit entries: 4 READ_SLACK, + 16 eps rounding.
+IMAG_TOL = 4 * READ_SLACK + 16 * float(np.finfo(float).eps)
 #: Tolerance of the exact identities that the self-checks confirm.
 SELF_CHECK_TOL = 1e-12
 #: Tolerance of each library call that takes one when none is given; threshold echoes it.
@@ -231,8 +231,7 @@ def pure_amplitudes(state) -> np.ndarray:
 
 
 def expectation(state, obs: Observable) -> float:
-    """Tr(rho O); an imaginary part above IMAG_TOL * sum |coeff| is a code fault
-    (SelfCheckFailed): a state's Hermitian READ_SLACK leaves 4 READ_SLACK at most."""
+    """Tr(rho O); an imaginary part past IMAG_TOL * sum |coeff| raises SelfCheckFailed."""
     value = complex(np.trace(density_entries(state) @ observable_matrix(obs)))
     if abs(value.imag) > IMAG_TOL * sum(abs(coeff) for coeff, _ in obs.terms):
         raise SelfCheckFailed(f"imaginary residual {value.imag!r} in expectation")
@@ -245,7 +244,7 @@ def eigencheck(state: StateVector, obs: Observable, eigenvalue: float) -> bool:
 
 
 def eigen_residual(state: StateVector, obs: Observable, eigenvalue: float) -> float:
-    psi = pure_amplitudes(state)
+    psi, eigenvalue = pure_amplitudes(state), read_number(eigenvalue, "eigenvalue")
     return float(np.linalg.norm(observable_matrix(obs) @ psi - eigenvalue * psi))
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -462,6 +463,17 @@ class TestPolytopeMembership:
         assert not result.inside
         assert result.max_residual > 1e-3
 
+    @pytest.mark.parametrize("call,expected", [
+        (lambda: polytope_membership({}), "CorrelationTable"),
+        (lambda: polytope_membership(ghz_correlation_table().blocks), "CorrelationTable"),
+        (lambda: model_to_table(None), "LocalModel"),
+        (lambda: model_to_table((Cause(1.0, np.ones((3, 2))),)), "LocalModel"),
+    ], ids=["membership-dict", "membership-blocks", "model-none", "model-causes"])
+    def test_a_value_of_the_wrong_kind_is_a_type_error(self, call, expected):
+        # Named as mermin.report names its class, never an AttributeError.
+        with pytest.raises(TypeError, match=rf"^expected {expected}, got <class '\w+'>$"):
+            call()
+
     def test_deterministic_strategy_recovered(self):
         index = 23
         table = strategy_table(index)
@@ -605,6 +617,22 @@ class TestOneCorrelatorPath:
             for pattern, product in zip(patterns, row):
                 ix, jx, kx = ("xy".index(ch) for ch in pattern)
                 assert product == values[0][ix] * values[1][jx] * values[2][kx]
+
+    @pytest.mark.parametrize("values,patterns,message", [
+        (np.ones((3, 2)), ["xxz"], "one setting per qubit required (x or y): 'xxz'"),
+        (np.ones((3, 2)), ["xx"], "one setting per qubit required (x or y): 'xx'"),
+        (np.ones((3, 2)), [5], "one setting per qubit required (x or y): 5"),
+        (np.ones((3, 2)), [None], "one setting per qubit required (x or y): None"),
+        (np.ones((3, 3)), qcore.PATTERNS, "local values must end in axes (3, 2), got shape (3, 3)"),
+        (np.ones((2, 3)), qcore.PATTERNS, "local values must end in axes (3, 2), got shape (2, 3)"),
+        (np.ones(6), qcore.PATTERNS, "local values must end in axes (3, 2), got shape (6,)"),
+        (1.0, qcore.PATTERNS, "local values must end in axes (3, 2), got shape ()"),
+    ], ids=["setting-z", "two-settings", "int-pattern", "none-pattern", "three-settings",
+            "two-parties", "flat", "scalar"])
+    def test_a_refused_pattern_or_shape_is_one_value_error(self, values, patterns, message):
+        # Each pattern is read by qcore.read_settings, as the signed sums read theirs.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            locality.triple_products(values, patterns)
 
     @pytest.mark.parametrize("which,terms", [("m", mermin.M_TERMS),
                                              ("mprime", mermin.MPRIME_TERMS)])

@@ -211,6 +211,13 @@ class TestEigencheck:
         assert qcore.eigen_residual(ghz, obs("XXX"), 1.0) < 1e-12
         assert qcore.eigen_residual(ghz, obs("XXX"), -1.0) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad,message", BAD_SCALARS)
+    def test_eigenvalue_is_read_as_one_number(self, bad, message):
+        # A NaN eigenvalue once gave a nan residual, so eigencheck was silently False.
+        for check in (qcore.eigen_residual, qcore.eigencheck):
+            with pytest.raises(ValueError, match=refusal(message, "eigenvalue")):
+                check(qcore.make_ghz(), obs("XXX"), bad)
+
 
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
