@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
@@ -69,6 +70,10 @@ class LocalModel:
     p_plus: np.ndarray = field(init=False)
 
     def __post_init__(self, causes):
+        wrong = [causes] if not isinstance(causes, (tuple, list)) else [
+            cause for cause in causes if not isinstance(cause, Cause)]
+        if wrong:
+            raise TypeError(f"expected a tuple of Cause, got {type(wrong[0])}")
         weights = qcore.read_numbers([cause.weight for cause in causes], "cause weight")
         p_plus = qcore.read_numbers([cause.p_plus for cause in causes], "p_plus entry")
         if weights.ndim != 1:
@@ -96,6 +101,8 @@ class CorrelationTable:
     blocks: dict
 
     def __post_init__(self):
+        if not isinstance(self.blocks, Mapping):
+            raise TypeError(f"expected a mapping of blocks, got {type(self.blocks)}")
         unexpected = [key for key in self.blocks if key not in PATTERNS]
         if unexpected:
             raise ValueError(f"unexpected block {unexpected[0]!r}")

@@ -68,6 +68,11 @@ OUTCOME_SIGNS.setflags(write=False)
 
 #: Settings patterns appearing in the four perfect-correlation identities.
 PATTERNS = ("xxx", "xyy", "yxy", "yyx")
+#: The 8 x/y setting triples ``read_settings`` takes, lower-cased.
+SETTINGS = frozenset(map("".join, itertools.product(EIGENBASES, repeat=3)))
+#: I/8, read-only: scaling by 1/8 is exact, so the noise term keeps the bits of (1 - v) I / 8.
+WHITE_NOISE = np.eye(8) / 8
+WHITE_NOISE.setflags(write=False)
 
 
 def read_numbers(values, what: str, dtype=float) -> np.ndarray:
@@ -76,7 +81,7 @@ def read_numbers(values, what: str, dtype=float) -> np.ndarray:
     must hold only real (complex) numbers, never bools. ``what`` names one entry."""
     number = numbers.Complex if dtype is complex else numbers.Real
     noun = f"a {number.__name__.lower()} number"
-    if not (isinstance(values, np.ndarray) and values.dtype != bool
+    if not (isinstance(values, np.ndarray) and values.dtype.kind != "b"
             and np.can_cast(values.dtype, dtype)):
         try:
             values = np.array(values, dtype=object)
@@ -89,7 +94,7 @@ def read_numbers(values, what: str, dtype=float) -> np.ndarray:
         arr = np.array(values, dtype=dtype)
     except OverflowError as exc:
         raise ValueError(f"{what} is too large for a float") from exc
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} is non-finite")
     arr.setflags(write=False)
     return arr
@@ -122,9 +127,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = read_numbers(self.amplitudes, "amplitude", complex).reshape(-1)
-        if amps.size != 8:
-            raise ValueError(f"expected a three-qubit state (8 amplitudes), got {amps.size}")
+        amps = read_numbers(self.amplitudes, "amplitude", complex)
+        if amps.shape != (8,):
+            got = amps.size if amps.ndim == 1 else f"shape {amps.shape}"
+            raise ValueError(f"expected a three-qubit state (8 amplitudes), got {got}")
         norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > READ_SLACK:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2!r}")
@@ -140,15 +146,14 @@ class DensityMatrix:
     def __post_init__(self):
         mat = read_numbers(self.entries, "density matrix entry", complex)
         if mat.shape != (8, 8):
-            raise ValueError("expected a three-qubit state (an 8x8 matrix), "
-                             f"got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > READ_SLACK:
+            raise ValueError(f"expected a three-qubit state (an 8x8 matrix), got shape {mat.shape}")
+        if abs(mat - mat.conj().T).max() > READ_SLACK:
             raise ValueError(f"density matrix not Hermitian within {READ_SLACK:g}")
-        tr = complex(np.trace(mat))
+        tr = complex(mat.trace())
         if abs(tr - 1.0) > READ_SLACK:
             raise ValueError(f"density matrix trace {tr!r} != 1")
-        # White-noise mixing can leave eigenvalues a hair below zero.
-        if np.min(np.linalg.eigvalsh(mat)) < -READ_SLACK:
+        # White-noise mixing can leave eigenvalues a hair below zero; eigvalsh ascends.
+        if np.linalg.eigvalsh(mat)[0] < -READ_SLACK:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", mat)
 
@@ -166,12 +171,16 @@ class Observable:
     terms: tuple
 
     def __post_init__(self):
-        if not self.terms:
+        terms = self.terms if isinstance(self.terms, (tuple, list)) else (self.terms,)
+        if not terms:
             raise ValueError("an observable needs at least one term")
-        coeffs = read_numbers([coeff for coeff, _ in self.terms], "coefficient")
+        for term in terms:
+            if not isinstance(term, (tuple, list)) or len(term) != 2:
+                raise ValueError(f"expected a (coefficient, settings) pair, got {term!r}")
+        coeffs = read_numbers([coeff for coeff, _ in terms], "coefficient")
         if coeffs.ndim != 1:
             raise ValueError(f"coefficient must be a real number, got shape {coeffs.shape[1:]}")
-        settings = [s.upper() if isinstance(s, str) else s for _, s in self.terms]
+        settings = [s.upper() if isinstance(s, str) else s for _, s in terms]
         for s in settings:
             if not isinstance(s, str) or len(s) != 3 or any(ch not in PAULI for ch in s):
                 raise ValueError(f"expected three Pauli settings, got {s!r}")
@@ -251,7 +260,7 @@ def eigen_residual(state: StateVector, obs: Observable, eigenvalue: float) -> fl
 def read_settings(settings) -> str:
     """Three x/y settings, one per qubit, lower-cased."""
     settings = settings.lower() if isinstance(settings, str) else settings
-    if not isinstance(settings, str) or len(settings) != 3 or not set(settings) <= set(EIGENBASES):
+    if not isinstance(settings, str) or settings not in SETTINGS:
         raise ValueError(f"one setting per qubit required (x or y): {settings!r}")
     return settings
 
@@ -296,8 +305,7 @@ def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
     visibility = read_number(visibility, "visibility")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility {visibility!r} outside [0, 1]")
-    rho = density_entries(state)
-    return DensityMatrix(visibility * rho + (1.0 - visibility) * np.eye(8) / 8)
+    return DensityMatrix(visibility * density_entries(state) + (1.0 - visibility) * WHITE_NOISE)
 
 
 # --- state file format -----------------------------------------------------

@@ -451,6 +451,22 @@ class TestCorrelationTable:
             CorrelationTable({p: np.full(8, 0.125) for p in (*qcore.PATTERNS, "zzz")})
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: CorrelationTable(None), "a mapping of blocks, got <class 'NoneType'>"),
+    (lambda: CorrelationTable("xxx"), "a mapping of blocks, got <class 'str'>"),
+    (lambda: CorrelationTable(list(qcore.PATTERNS)), "a mapping of blocks, got <class 'list'>"),
+    (lambda: LocalModel(5), "a tuple of Cause, got <class 'int'>"),
+    (lambda: LocalModel([None]), "a tuple of Cause, got <class 'NoneType'>"),
+    (lambda: LocalModel(Cause(1.0, HALF)), "a tuple of Cause, got <class 'ghzlab.locality.Cause'>"),
+    (lambda: LocalModel((Cause(1.0, HALF), (0.0, HALF))), "a tuple of Cause, got <class 'tuple'>"),
+], ids=["table-none", "table-str", "table-list", "model-int", "model-none", "model-bare-cause",
+        "model-pair"])
+def test_a_constructor_given_the_wrong_kind_is_a_type_error(call, message):
+    # These once gave "is not iterable", "unexpected block 'x'" or an AttributeError.
+    with pytest.raises(TypeError, match=f"^expected {re.escape(message)}$"):
+        call()
+
+
 class TestPolytopeMembership:
     def test_uniform_table_inside(self):
         table = model_to_table(uniform_model())

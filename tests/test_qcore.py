@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ class TestExpectation:
     def test_empty_observable_rejected(self):
         with pytest.raises(ValueError, match="^an observable needs at least one term$"):
             Observable(())
+
+    @pytest.mark.parametrize("terms,shown", [
+        (5, "5"), ("XXX", "'XXX'"), ([(1.0, "XXX", 2)], "(1.0, 'XXX', 2)"), ([(1.0,)], "(1.0,)"),
+        ((1.0, "XXX"), "1.0"), ([(1.0, "XXX"), "YYY"], "'YYY'"), ([None], "None"),
+        ((term for term in [(1.0, "XXX")]), "<generator object"),
+    ], ids=["int", "str", "triple", "single", "bare-pair", "bare-settings", "none", "generator"])
+    def test_a_term_that_is_not_a_pair_is_refused(self, terms, shown):
+        # These once raised unpacking errors; a generator gave an observable of no terms.
+        with pytest.raises(ValueError) as info:
+            Observable(terms)
+        assert str(info.value).startswith(f"expected a (coefficient, settings) pair, got {shown}")
+        assert "\n" not in str(info.value)
 
 
 class TestEigencheck:
@@ -618,6 +631,17 @@ class TestValidation:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
             StateVector(np.ones(8))
+
+    @pytest.mark.parametrize("shape,got", [
+        ((2, 4), "shape (2, 4)"), ((1, 8), "shape (1, 8)"), ((8, 1), "shape (8, 1)"),
+        ((2, 2, 2), "shape (2, 2, 2)"), ((), "shape ()"), ((4,), "4"), ((16,), "16"), ((0,), "0"),
+    ])
+    def test_state_vector_takes_only_shape_8(self, shape, got):
+        # 8 unit-norm amplitudes in any other shape were once flattened without a word.
+        amps = np.full(shape, 1.0 / np.sqrt(max(np.prod(shape), 1)), dtype=complex)
+        message = f"expected a three-qubit state (8 amplitudes), got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StateVector(amps)
 
     def test_non_hermitian_density_rejected(self):
         mat = np.eye(8, dtype=complex) / 8.0
