@@ -2,9 +2,10 @@
 
 Subcommands: verify, contradiction, bounds, figure1, classify, threshold.
 Each takes --format json|csv and --out path; bounds and figure1 take --seed
-(a negative seed is refused, exit 2), and bounds --restarts; classify takes
-exactly one of --state and --noise. Each subcommand's parser reports its own
-usage errors (an unknown, missing or conflicting flag) under its usage line.
+(a negative seed is refused, exit 2), and bounds --restarts (bounds refuses
+both for --class local and realistic); classify takes exactly one of --state
+and --noise. Each subcommand's parser reports its own usage errors (an
+unknown, missing or conflicting flag) under its usage line.
 Exit codes: 0 success, 1 a failed check, 2 input/IO error.
 A failed check is an internal self-check (one error line, no report) or an
 identity that verify asserts: its report is still written in full, with
@@ -126,16 +127,20 @@ def cmd_contradiction(args) -> dict:
 
 
 _BOUND_RUNNERS = {
-    "local": lambda a: optimize.max_local_mermin(),
-    "realistic": lambda a: optimize.max_realistic_mermin(),
-    "quantum_local": lambda a: optimize.max_quantum_local_radius(a.restarts, a.seed),
-    "biseparable": lambda a: optimize.max_biseparable_radius(a.restarts, a.seed),
-    "quantum": lambda a: optimize.max_quantum_radius(a.restarts, a.seed),
+    "local": optimize.max_local_mermin,
+    "realistic": optimize.max_realistic_mermin,
+    "quantum_local": optimize.max_quantum_local_radius,
+    "biseparable": optimize.max_biseparable_radius,
+    "quantum": optimize.max_quantum_radius,
 }
 
 
 def cmd_bounds(args) -> dict:
-    return _BOUND_RUNNERS[args.model_class](args).to_json_dict()
+    """The class's maximum; a given --restarts or --seed goes to its maximizer."""
+    given = {k: v for k, v in (("restarts", args.restarts), ("seed", args.seed)) if v is not None}
+    if given and args.model_class in ("local", "realistic"):
+        raise ValueError(f"--{next(iter(given))} does not apply to --class {args.model_class}")
+    return _BOUND_RUNNERS[args.model_class](**given).to_json_dict()
 
 
 def _scatter_points(seed: int, count: int) -> dict:
@@ -206,12 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
         and --out, after the named ones of --seed and --restarts."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func, parser=p)
+        # Absent, either reads None, so bounds can tell a given one from its default.
         if "seed" in flags:
-            p.add_argument("--seed", type=int, default=locality.DEFAULT_SEED,
-                           help="RNG seed (default %(default)s)")
+            p.add_argument("--seed", type=int, help=f"RNG seed (default {locality.DEFAULT_SEED})")
         if "restarts" in flags:
-            p.add_argument("--restarts", type=int, default=locality.DEFAULT_RESTARTS,
-                           help="echoed; does not change the work (default %(default)s)")
+            p.add_argument("--restarts", type=int, help="echoed; does not change the work "
+                           f"(default {locality.DEFAULT_RESTARTS})")
         p.add_argument("--format", choices=("json", "csv"), default=default_format,
                        help="output format (default %(default)s)")
         p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -232,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("figure1", cmd_figure1,
                 "boundary curves and per-class scatter in the (m, m') plane", "seed",
                 default_format="csv")
+    p.set_defaults(seed=locality.DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=mermin.DEFAULT_SAMPLES,
                    help="vertices per circle (default %(default)s)")
     p.add_argument("--points", type=int, default=DEFAULT_POINTS,
@@ -255,7 +261,7 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         _check_counts(args)
-        if hasattr(args, "seed"):
+        if getattr(args, "seed", None) is not None:
             args.seed = qcore.read_count(args.seed, "seed", 0)
         payload = args.func(args)
         _emit(_render(payload, args.format), args.out)

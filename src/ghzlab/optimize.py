@@ -265,16 +265,15 @@ def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,
                        seed: int = locality.DEFAULT_SEED) -> OptimizationResult:
     """Max of <M>^2 + <M'>^2 over all pure three-qubit states.
 
-    One seeded start is moved to the phased GHZ state with its own first
-    and last phases; the reported state has the global phase fixed so its
-    |000> amplitude is real positive.
+    One seeded start, with first and last phases a and b, is moved to
+    (|000> + e^{i(b-a)}|111>)/sqrt(2): its |000> amplitude is SQRT2_INV
+    exactly. That state is certified and reported.
     """
     rng = locality.seeded_rng(restarts, seed)
     raw = rng.standard_normal(16)
-    witness = _phased_cat(raw[0::2] + 1j * raw[1::2])
-    best_psi = witness * np.exp(-1j * np.angle(witness[0]))
-    argmax = {"state_re": [float(v) for v in best_psi.real],
-              "state_im": [float(v) for v in best_psi.imag]}
+    phases = np.angle(raw[0::2] + 1j * raw[1::2])
+    witness = _phased_cat(np.exp(1j * (phases - phases[0])))
+    argmax = {"state_re": witness.real.tolist(), "state_im": witness.imag.tolist()}
     return _certify("quantum", 16.0, [witness], argmax, restarts, seed)
 
 

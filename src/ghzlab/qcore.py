@@ -199,14 +199,8 @@ def make_ghz() -> StateVector:
 
 
 def tensor(factors) -> np.ndarray:
-    """Kronecker product of the factors, qubit 1's the leftmost, all vectors or all
-    matrices: each fold is np.kron's one broadcast multiply, without its shape work."""
-    def fold(a, b):
-        outer = np.multiply.outer(a, b)
-        if outer.ndim == 2:
-            return outer.reshape(-1)
-        return outer.swapaxes(1, 2).reshape(outer.shape[0] * outer.shape[2], -1)
-    return functools.reduce(fold, factors)
+    """Kronecker product of the factors, qubit 1's the leftmost."""
+    return functools.reduce(np.kron, factors)
 
 
 def observable_matrix(obs: Observable) -> np.ndarray:
@@ -272,8 +266,9 @@ def basis_change(settings: str) -> np.ndarray:
 
 @functools.cache
 def _flip_phases(settings: str) -> np.ndarray:
-    """Read-only phase_j with P|j> = phase_j |7-j>: X|b> = |1-b>, Y|b> = (i, -i)[b] |1-b>."""
-    phases = tensor([np.array([1, 1] if ch == "x" else [1j, -1j], complex) for ch in settings])
+    """Read-only phase_j with P|j> = phase_j |7-j>: P[7-j, j], copied out of P because
+    a dot product with the strided view rounds differently."""
+    phases = tensor([PAULI[ch] for ch in settings.upper()])[::-1].diagonal().copy()
     phases.setflags(write=False)
     return phases
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -173,6 +174,44 @@ class TestBounds:
             docs.append(json.loads(out))
         assert [docs[0].pop("restarts"), docs[1].pop("restarts")] == [1, 500]
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("model_class", ["local", "realistic"])
+    @pytest.mark.parametrize("flag,value", [("--seed", "0"), ("--seed", "42"),
+                                            ("--restarts", "1"), ("--restarts", "32")])
+    def test_class_without_a_seed_refuses_seed_and_restarts(self, capsys, model_class,
+                                                             flag, value):
+        # Neither class reads either flag, so a given one, its default too, is refused.
+        code = cli.main(["bounds", "--class", model_class, flag, value])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {flag} does not apply to --class {model_class}\n"
+
+    @pytest.mark.parametrize("model_class", ["quantum_local", "biseparable", "quantum"])
+    def test_seed_changes_each_radius_class(self, capsys, model_class):
+        docs = [json.loads(run(capsys, ["bounds", "--class", model_class, "--seed", seed])[1])
+                for seed in ("0", "7")]
+        assert [docs[0].pop("seed"), docs[1].pop("seed")] == [0, 7]
+        assert docs[0] != docs[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_printed_quantum_state_is_the_certified_one(seed):
+    # |000> is SQRT2_INV exactly, no entry is -0.0, and what is printed is the
+    # witness _certify checked, at r^2 = 16 through the state reader.
+    out = io.StringIO()
+    with mock.patch.object(optimize, "_certify", wraps=optimize._certify) as certify, \
+            contextlib.redirect_stdout(out):
+        assert cli.main(["bounds", "--class", "quantum", "--seed", str(seed)]) == 0
+    (witness,) = certify.call_args.args[2]
+    state = json.loads(out.getvalue())["argmax"]
+    re, im = np.array(state["state_re"]), np.array(state["state_im"])
+    assert (re[0], im[0]) == (qcore.SQRT2_INV, 0.0)
+    entries = np.concatenate([re, im])
+    assert not np.signbit(entries[entries == 0]).any()
+    assert re.tobytes() == witness.real.tobytes() and im.tobytes() == witness.imag.tobytes()
+    point = mermin.evaluate_point(qcore.StateVector(witness))
+    assert abs(point.m_value ** 2 + point.mprime_value ** 2 - 16.0) <= qcore.SELF_CHECK_TOL
 
 
 class TestClassify:
@@ -797,9 +836,9 @@ def test_numbers_are_read_in_one_place():
 
 
 def test_kronecker_products_are_built_in_one_place():
-    # qcore.tensor is the one Kronecker fold and the one place that multiplies
-    # by broadcast outer product: no code names kron, and nothing builds a
-    # product by tiling or repeating.
+    # qcore.tensor is the one Kronecker fold: the one kron in the package is
+    # inside it, and nothing builds a product by broadcast outer product, by
+    # tiling or by repeating.
     sites, in_tensor = [], []
     for path in Path(ghzlab.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
@@ -810,12 +849,12 @@ def test_kronecker_products_are_built_in_one_place():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Attribute):
                 continue
-            if node.attr == "kron" or (getattr(node.value, "id", None) == "np"
-                                       and node.attr in ("tile", "repeat")):
-                sites.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
-            elif node.attr == "outer" and getattr(node.value, "attr", None) == "multiply":
-                (in_tensor if id(node) in fold else sites).append(
-                    f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            site = f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            if node.attr == "kron":
+                (in_tensor if id(node) in fold else sites).append(site)
+            elif (getattr(node.value, "id", None) == "np" and node.attr in ("tile", "repeat")
+                  or node.attr == "outer" and getattr(node.value, "attr", None) == "multiply"):
+                sites.append(site)
     assert sites == []
     assert len(in_tensor) == 1
 
@@ -946,6 +985,7 @@ def _option_flags() -> dict:
 
 
 def test_flag_table_names_every_flag():
+    assert list(ECHOED_FLAGS) == [("bounds", "restarts")]
     assert set(FLAG_VALUES).isdisjoint(ECHOED_FLAGS)
     assert set(FLAG_VALUES) | set(ECHOED_FLAGS) == set(_option_flags())
 

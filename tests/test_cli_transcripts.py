@@ -5,7 +5,8 @@ through ``cli.main``, so a change that alters any byte a user sees, or an
 exit code, fails here. Each runs with GHZLAB_SEED set to a seed that would be
 refused, so the transcripts also pin that nothing reads the variable. The commands are the
 criterion-11 set, the benchmark's cli_light set at fixed flags, every
-``bounds`` class with its defaults and with ``--restarts 4 --seed 7``,
+``bounds`` class with its defaults and with ``--restarts 4 --seed 7`` (which
+``local`` and ``realistic`` refuse),
 ``figure1`` at two seeds, ``classify`` on six state files, the CSV and
 JSON forms of what the bounds table drives, one
 refusal per rule of the README's "Errors", and the ``--help`` of the program

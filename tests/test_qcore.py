@@ -1,4 +1,6 @@
+import ast
 import functools
+import inspect
 import itertools
 import json
 import re
@@ -84,9 +86,9 @@ def kron_factors(draw) -> list:
 
 
 class TestTensor:
-    """``tensor`` drops the 1x1 identity seed of the folds it replaced; a
-    Kronecker product with a one is exact, so every product is unchanged.
-    Each fold is the one multiply ``np.kron`` makes, so the bits are its bits."""
+    """``tensor`` is ``np.kron`` folded over the factors, without the 1x1 identity
+    seed of the folds it replaced; a Kronecker product with a one is exact, so
+    every product keeps its bits."""
 
     @given(kron_factors())
     def test_matches_np_kron(self, factors):
@@ -574,6 +576,23 @@ class TestAntiDiagonal:
         assert np.array_equal(phases, product[7 - np.arange(8), np.arange(8)])
         assert phases is qcore._flip_phases(settings)
         assert not phases.flags.writeable
+
+    @pytest.mark.parametrize("settings", XY_SETTINGS)
+    def test_phases_keep_the_bits_of_the_per_qubit_construction(self, settings):
+        # The reference is how the phases were built before they were read off
+        # PAULI's product: X|b> = |1-b> and Y|b> = (i, -i)[b] |1-b>, per qubit.
+        factors = [np.array([1, 1] if ch == "x" else [1j, -1j], complex) for ch in settings]
+        assert same_bits(qcore._flip_phases(settings), functools.reduce(np.kron, factors))
+
+    def test_phases_are_read_from_pauli_alone(self):
+        # Y's phases (i, -i) are written once, in qcore.PAULI: _flip_phases holds
+        # no imaginary literal.
+        func = next(node for node in ast.parse(inspect.getsource(qcore)).body
+                    if getattr(node, "name", "") == "_flip_phases")
+        names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+        phases = [ast.unparse(node) for node in ast.walk(func)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, complex)]
+        assert "PAULI" in names and phases == []
 
     @pytest.mark.parametrize("state,counted", [
         (qcore.make_ghz(), ("tensor", "density_entries")),
