@@ -11,7 +11,7 @@ class SelfCheckFailed(RuntimeError):
     (checked as a result, never read as input) is not 8 amplitudes of norm 1
     reaching its closed form, when the GHZ point behind the noise thresholds or
     the HR pair witness at 1/2 misses its value (each within SELF_CHECK_TOL),
-    when a seeded point of the discs violates an HR pair by less than 1/2, when
+    when two patterns of an HR pair do not share exactly one party's setting, when
     the parity identity or an analytic witness of ``locality`` fails its own
     check, when the membership search runs out of pivots, or when Tr(rho O) keeps an
     imaginary part above IMAG_TOL * sum |coeff|: 4 READ_SLACK plus rounding (qcore).

@@ -48,7 +48,7 @@ MEMBERSHIP_PIVOTS = 3 * len(SIGNS)
 #: The gradient at or below which it stops: rounding leaves about 1e-15, where a stop cycles.
 PIVOT_STOP = 1e-13
 
-#: Points a seeded check draws, and the seed it draws them from, when none is given.
+#: The restarts count and seed of a seeded search, and of the CLI, when none is given.
 DEFAULT_RESTARTS = 32
 DEFAULT_SEED = 42
 
@@ -223,12 +223,12 @@ def _hr_satisfied_count(bars, tolerance: float) -> int:
 def hr_constrained_satisfiability(tolerance: float = qcore.DEFAULT_TOL):
     """Max constraints satisfiable under per-party bar_x^2 + bar_y^2 <= 1.
 
-    Every pair of constraints shares a party through opposite settings, so
-    Cauchy-Schwarz bounds their triple products by |T1| + |T2| <= 1 (see
-    ``hr_pair_violation_minimum``). Two constraints met within ``tolerance``
-    need 2 (1 - tolerance) <= 1, so below 1/2 no two hold at once; one alone
-    is achievable (e.g. all x-correlators 1, all y 0). At 1/2 two do: bars
-    (1, 0), (1, 1)/sqrt(2), (1, -1)/sqrt(2) give xxx = 1/2 and xyy = -1/2.
+    Each of the six pairs of constraints is violated jointly by at least 1/2,
+    checked by ``hr_pair_violation_minimum``, and two met within ``tolerance``
+    violate their pair by at most 2 tolerance^2, so below 1/2 no two hold at
+    once; one alone is achievable (e.g. all x-correlators 1, all y 0). At 1/2
+    two do: bars (1, 0), (1, 1)/sqrt(2), (1, -1)/sqrt(2) give xxx = 1/2 and
+    xyy = -1/2.
     The tolerance must therefore lie in (0, 0.5).
 
     Returns ``(max_satisfied, witness)`` with witness the six reals
@@ -240,50 +240,42 @@ def hr_constrained_satisfiability(tolerance: float = qcore.DEFAULT_TOL):
     witness = (1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
     if _hr_satisfied_count(witness, tolerance) != 1:
         raise SelfCheckFailed("analytic witness failed its own check")
+    for pair in itertools.combinations(range(len(PATTERNS)), 2):
+        hr_pair_violation_minimum(pair)
     return 1, witness
-
-
-def seeded_rng(restarts: int, seed: int):
-    """The generator seeded by ``seed`` (>= 0); ``restarts`` must be an integer >= 1."""
-    qcore.read_count(restarts, "restarts", 1)
-    return np.random.default_rng(qcore.read_count(seed, "seed", 0))
 
 
 def hr_pair_violation_minimum(pair, restarts: int = DEFAULT_RESTARTS,
                               seed: int = DEFAULT_SEED) -> float:
     """Least joint violation of two constraints under per-party discs: 1/2.
 
-    One party reads the same setting in both patterns and the other two
-    opposite ones, so Cauchy-Schwarz gives |T1| + |T2| <= 1 for the triple
-    products, nearest to the targets (t1, t2) in {+-1}^2 at (t1, t2)/2. A
-    witness there must reach 1/2 within SELF_CHECK_TOL, and ``restarts``
-    seeded points of the discs must violate by at least 1/2 - SELF_CHECK_TOL.
+    Exactly one party reads the same setting in both patterns, checked here, and
+    the other two opposite ones, so Cauchy-Schwarz gives |T1| + |T2| <= 1 for the
+    triple products, nearest to the targets (t1, t2) in {+-1}^2 at (t1, t2)/2. A
+    witness there must reach 1/2 within SELF_CHECK_TOL. ``restarts`` (>= 1) and
+    ``seed`` (>= 0) are read and change nothing else, as ``bounds --restarts``.
     """
-    rng = seeded_rng(restarts, seed)
+    qcore.read_count(restarts, "restarts", 1)
+    qcore.read_count(seed, "seed", 0)
     entries = pair if isinstance(pair, (tuple, list)) else ()
     indices = {n for n in entries if isinstance(n, (int, np.integer)) and type(n) is not bool}
     if len(entries) != 2 or len(indices & set(range(len(PATTERNS)))) != 2:
         raise ValueError(f"pair must be two distinct indices in 0..3, got {pair!r}")
     targets = np.take(CONSTRAINT_TARGETS, pair)
     patterns = [PATTERNS[n] for n in pair]
-
-    def violation(bars):
-        return np.sum((triple_products(bars, patterns) - targets) ** 2, axis=-1)
-
     # Party k reads settings[n, k] in pattern n. Witness: 1, (1, 1)/sqrt(2), (t1, t2)/sqrt(2).
     settings = at_patterns([(0, 1)] * 3, patterns)
     others = np.flatnonzero(settings[0] != settings[1])
+    if len(others) != 2:
+        raise SelfCheckFailed(f"patterns {patterns[0]!r} and {patterns[1]!r} share "
+                              f"{3 - len(others)} parties' settings, not 1")
     witness = np.zeros((3, 2))
     witness[np.arange(3), settings] = 1.0
     witness[others] *= qcore.SQRT2_INV
     witness[others[1], settings[:, others[1]]] *= targets
-    if abs(violation(witness) - 0.5) > qcore.SELF_CHECK_TOL:
-        raise SelfCheckFailed(f"HR witness reached {float(violation(witness))!r}, not 0.5")
-    draws = rng.uniform(0.0, [[2.0 * np.pi], [1.0]], size=(restarts, 2, 3))
-    angle, radius = draws[:, 0], draws[:, 1]
-    points = radius[..., None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-    if np.any(violation(points) < 0.5 - qcore.SELF_CHECK_TOL):
-        raise SelfCheckFailed("a point of the discs violates an HR pair by less than 0.5")
+    reached = np.sum((triple_products(witness, patterns) - targets) ** 2)
+    if abs(reached - 0.5) > qcore.SELF_CHECK_TOL:
+        raise SelfCheckFailed(f"HR witness reached {float(reached)!r}, not 0.5")
     return 0.5
 
 

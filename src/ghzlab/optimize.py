@@ -139,6 +139,12 @@ def _bloch_qubit(theta: float, phi: float) -> np.ndarray:
     return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
 
 
+def seeded_rng(restarts: int, seed: int):
+    """The generator seeded by ``seed`` (>= 0); ``restarts`` must be an integer >= 1."""
+    qcore.read_count(restarts, "restarts", 1)
+    return np.random.default_rng(qcore.read_count(seed, "seed", 0))
+
+
 def random_bloch_angles(rng, count: int) -> np.ndarray:
     """``count`` uniform points on the Bloch sphere as (theta, phi) pairs."""
     # Uniform on the sphere: cos(theta) uniform in [-1, 1].
@@ -182,7 +188,7 @@ def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
     equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
     One seeded start is moved to the equator at its own azimuths.
     """
-    rng = locality.seeded_rng(restarts, seed)
+    rng = seeded_rng(restarts, seed)
     params = random_bloch_angles(rng, 3)
     params[0::2] = np.pi / 2.0
     return _certify("quantum_local", 1.0, [product_state(params)],
@@ -221,7 +227,7 @@ def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
     pair in a phased Bell state), well inside the membership bound 8. One
     seeded start per cut is moved there; the first is reported.
     """
-    rng = locality.seeded_rng(restarts, seed)
+    rng = seeded_rng(restarts, seed)
     starts = []
     for _ in range(3):
         params = np.concatenate([random_bloch_angles(rng, 1), rng.standard_normal(8)])
@@ -269,7 +275,7 @@ def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,
     (|000> + e^{i(b-a)}|111>)/sqrt(2): its |000> amplitude is SQRT2_INV
     exactly. That state is certified and reported.
     """
-    rng = locality.seeded_rng(restarts, seed)
+    rng = seeded_rng(restarts, seed)
     raw = rng.standard_normal(16)
     phases = np.angle(raw[0::2] + 1j * raw[1::2])
     witness = _phased_cat(np.exp(1j * (phases - phases[0])))

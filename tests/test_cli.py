@@ -859,6 +859,34 @@ def test_kronecker_products_are_built_in_one_place():
     assert len(in_tensor) == 1
 
 
+def test_random_draws_live_in_the_seeded_searches():
+    # locality draws nothing, and each generator in the package is made by
+    # optimize.seeded_rng or by cli._scatter_points.
+    owners = {"optimize.py": "seeded_rng", "cli.py": "_scatter_points"}
+    in_locality, stray, owned = [], [], []
+    for path in Path(ghzlab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {id(node) for top in tree.body if getattr(top, "name", "") == owners.get(path.name)
+                 for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                name = node.module or ""
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                name = ast.unparse(node)
+            else:
+                continue
+            site = f"{path.name}:{node.lineno}: {name}"
+            if path.name == "locality.py" and (
+                    "np.random" in name or "numpy.random" in name
+                    or name.rpartition(".")[2] in ("default_rng", "uniform", "standard_normal")):
+                in_locality.append(site)
+            if name.rpartition(".")[2] == "default_rng":
+                (owned if id(node) in owner else stray).append(site)
+    assert in_locality == []
+    assert stray == []
+    assert len(owned) == 2
+
+
 def test_output_is_written_in_one_place():
     # Each subcommand returns its payload; cli.main alone renders and writes
     # it, and cli._emit is the one writer to stdout.

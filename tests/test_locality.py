@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzlab import locality, mermin, optimize, qcore
+from ghzlab import cli, locality, mermin, optimize, qcore
 from ghzlab.errors import SelfCheckFailed
 from ghzlab.locality import (
     Cause,
@@ -337,9 +337,11 @@ class TestHrConstrained:
 
     @pytest.mark.parametrize("pair", PAIRS)
     def test_pair_minimum_is_exactly_one_half(self, pair):
+        # restarts and seed are read, and change nothing else.
         assert locality.hr_pair_violation_minimum(pair) == 0.5
-        assert locality.hr_pair_violation_minimum(pair, restarts=6, seed=4) == 0.5
-        assert locality.hr_pair_violation_minimum(pair[::-1], restarts=1, seed=0) == 0.5
+        for restarts, seed in [(1, 0), (6, 4), (32, 42), (np.int64(1000), 2 ** 40)]:
+            assert locality.hr_pair_violation_minimum(pair, restarts=restarts, seed=seed) == 0.5
+            assert locality.hr_pair_violation_minimum(pair[::-1], restarts, seed) == 0.5
 
     @pytest.mark.parametrize("pair,restarts,message", [
         ((0, 1), 0, "^restarts must be >= 1, got 0$"),
@@ -365,13 +367,18 @@ class TestHrConstrained:
         with pytest.raises(SelfCheckFailed, match="^HR witness reached 0.52"):
             locality.hr_pair_violation_minimum((0, 1))
 
-    def test_disc_point_below_one_half_is_refused(self, monkeypatch):
-        # The seeded points (a batch) are made to meet both targets exactly.
-        exact = locality.triple_products
-        monkeypatch.setattr(locality, "triple_products", lambda bars, patterns: (
-            exact(bars, patterns) if np.ndim(bars) == 2 else np.array([1.0, -1.0])))
-        with pytest.raises(SelfCheckFailed, match="^a point of the discs violates"):
-            locality.hr_pair_violation_minimum((0, 1))
+    def test_pair_not_sharing_one_setting_is_refused(self, capsys, monkeypatch):
+        # With yyy in place of yyx, xxx and yyy share no party's setting and
+        # xyy and yyy share two: the Cauchy-Schwarz premise fails for both.
+        monkeypatch.setattr(locality, "PATTERNS", ("xxx", "xyy", "yxy", "yyy"))
+        none = "patterns 'xxx' and 'yyy' share 0 parties' settings, not 1"
+        with pytest.raises(SelfCheckFailed, match=f"^{none}$"):
+            locality.hr_pair_violation_minimum((0, 3))
+        with pytest.raises(SelfCheckFailed, match="^patterns 'xyy' and 'yyy' share 2 parties'"):
+            locality.hr_pair_violation_minimum((1, 3))
+        assert cli.main(["contradiction"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {none}\n")
 
 
 class TestEprContrast:

@@ -3,14 +3,18 @@
 ``locality.MEMBERSHIP_TOL`` is ``mermin.SLACK / 64`` and ``qcore.IMAG_TOL`` is
 ``4 READ_SLACK`` plus rounding; the comments on both constants derive them. Each
 test prints the realized value, the derived bound and the constant, so
-``python -m pytest -s tests/test_tolerances.py`` gives every number at once.
+``python -m pytest -s tests/test_tolerances.py`` gives every number at once. The
+last tests pin two self-checks on the limit: a miss equal to SELF_CHECK_TOL passes.
 """
+import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzlab import locality, mermin, qcore
+from ghzlab import locality, mermin, optimize, qcore
+from ghzlab.errors import SelfCheckFailed
 from ghzlab.locality import CorrelationTable, model_to_table, polytope_membership
 
 from conftest import random_pure_state
@@ -152,3 +156,30 @@ def test_imag_tol_covers_the_worst_accepted_anti_hermitian_part():
         assert realized <= derived <= qcore.IMAG_TOL <= 1e-10
         assert realized / READ_SLACK == 4.0
         assert qcore.expectation(state, obs) == value.real
+
+
+@pytest.mark.parametrize("pair", list(itertools.combinations(range(4), 2)))
+def test_hr_witness_decides_on_its_tolerance(monkeypatch, pair):
+    # The witness misses 1/2 by exactly 2^-52 on every pair: a miss equal to the
+    # tolerance passes, and one above it is refused.
+    monkeypatch.setattr(qcore, "SELF_CHECK_TOL", 2.0 ** -52)
+    assert locality.hr_pair_violation_minimum(pair) == 0.5
+    monkeypatch.setattr(qcore, "SELF_CHECK_TOL", 2.0 ** -53)
+    with pytest.raises(SelfCheckFailed, match="^HR witness reached 0.5000000000000002, not 0.5$"):
+        locality.hr_pair_violation_minimum(pair)
+
+
+def test_certify_decides_on_its_tolerance(monkeypatch):
+    # The printed quantum witness is the certified one; its larger miss, of
+    # |psi|^2 from 1 or of r^2 from 16, is the tolerance it passes with nothing to spare.
+    argmax = optimize.max_quantum_radius().argmax
+    psi = np.array(argmax["state_re"]) + 1j * np.array(argmax["state_im"])
+    gap = max(abs(float(np.vdot(psi, psi).real) - 1.0),
+              abs(float(abs(mermin.pure_mermin_values(psi)) ** 2) - 16.0))
+    show("quantum witness miss", gap, gap, qcore.SELF_CHECK_TOL)
+    assert 0.0 < gap < qcore.SELF_CHECK_TOL
+    monkeypatch.setattr(optimize, "SELF_CHECK_TOL", gap)
+    assert optimize.max_quantum_radius().best_value == 16.0
+    monkeypatch.setattr(optimize, "SELF_CHECK_TOL", gap / 2)
+    with pytest.raises(SelfCheckFailed, match="^quantum witness with"):
+        optimize.max_quantum_radius()
