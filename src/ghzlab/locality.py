@@ -281,7 +281,7 @@ def hr_pair_violation_minimum(pair, restarts: int = DEFAULT_RESTARTS,
 
 # --- the EPR two-party contrast --------------------------------------------
 
-def epr_contrast(c1: int = -1, c2: int = -1) -> tuple:
+def epr_contrast(c1: int, c2: int) -> tuple:
     """Signs (ix, iy, jx, jy) realizing i_x j_x = c1 and i_y j_y = c2.
 
     Exists for every sign pattern: with only two parties and two settings

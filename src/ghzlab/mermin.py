@@ -62,7 +62,7 @@ class MerminPoint:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """The point, whether it satisfies each bound (fields in BOUNDS order), its class."""
+    """The point, whether it satisfies each bound (``satisfies_<name>_bound``), its class."""
 
     point: MerminPoint
     satisfies_locality_bound: bool
@@ -105,12 +105,12 @@ def report(point: MerminPoint) -> InequalityReport:
         raise TypeError(f"expected MerminPoint, got {type(point)}")
     r2 = point.radius_squared
     value = {"square": max(abs(point.m_value), abs(point.mprime_value)), "circle": r2}
-    holds = {name: value[shape] - SLACK <= (limit * limit if shape == "circle" else limit)
-             for name, (shape, limit) in BOUNDS.items()}
-    if not holds["quantum"]:
+    holds = {f"satisfies_{name}_bound": value[shape] - SLACK <= (
+        limit * limit if shape == "circle" else limit) for name, (shape, limit) in BOUNDS.items()}
+    if not holds["satisfies_quantum_bound"]:
         raise ValueError(f"radius^2 = {r2} exceeds the quantum bound {BOUNDS['quantum'][1] ** 2:g}")
-    return InequalityReport(point, *holds.values(),
-                            next(name for name, limit in CLASSES.items() if r2 - SLACK <= limit))
+    return InequalityReport(point, entanglement_class=next(
+        name for name, limit in CLASSES.items() if r2 - SLACK <= limit), **holds)
 
 
 def figure1_regions(samples: int = DEFAULT_SAMPLES) -> list:

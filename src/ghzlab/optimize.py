@@ -16,8 +16,9 @@ one exact step onto the maximizer with its own phases; ``restarts`` is only
 echoed. Each radius maximum leaves through ``_certify``, which builds the
 result only once the identity holds exactly on the operator matrices and
 every such witness is 8 amplitudes of norm 1 (so finite) reaching the value,
-both within SELF_CHECK_TOL. The eigensolve oracles are independent
-references: an exact quarter-turn check, then one eigensolve (one per cut).
+both within SELF_CHECK_TOL, and writes the first witness as the argmax. The
+eigensolve oracles are independent references: an exact quarter-turn check,
+then one eigensolve (one per cut).
 """
 from __future__ import annotations
 
@@ -83,10 +84,11 @@ def _check_quarter_turn(first, second, phases) -> None:
                               "operator code corrupt")
 
 
-def _certify(model_class: str, value: float, witnesses, argmax: dict,
+def _certify(model_class: str, value: float, witnesses,
              restarts: int, seed: int) -> OptimizationResult:
-    """The result at ``value`` once the pair identity and every witness confirm it: a
-    witness is this module's own maximizer, not input, so it is checked as a result."""
+    """The result at ``value``, with the first witness's amplitudes as its argmax, once the
+    pair identity and every witness confirm it: a witness is this module's own maximizer,
+    not input, so it is checked as a result."""
     m_mat, mp_mat = _mermin_matrices()
     corner = np.zeros((8, 8), dtype=complex)
     corner[0, 7] = 8.0
@@ -100,6 +102,7 @@ def _certify(model_class: str, value: float, witnesses, argmax: dict,
         if not (abs(norm2 - 1.0) <= SELF_CHECK_TOL and abs(reached - value) <= SELF_CHECK_TOL):
             raise SelfCheckFailed(f"{model_class} witness with |psi|^2 = {norm2} "
                                   f"reached {reached}, closed form {value}")
+    argmax = {"state_re": witnesses[0].real.tolist(), "state_im": witnesses[0].imag.tolist()}
     return OptimizationResult(model_class, float(value), argmax, int(restarts), int(seed))
 
 
@@ -191,8 +194,7 @@ def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
     rng = seeded_rng(restarts, seed)
     params = random_bloch_angles(rng, 3)
     params[0::2] = np.pi / 2.0
-    return _certify("quantum_local", 1.0, [product_state(params)],
-                    {"bloch_angles": [float(v) for v in params]}, restarts, seed)
+    return _certify("quantum_local", 1.0, [product_state(params)], restarts, seed)
 
 
 def biseparable_radius_eigen_oracle() -> float:
@@ -224,8 +226,8 @@ def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
     """Max of <M>^2 + <M'>^2 over states product across at least one cut.
 
     The supremum 4 is attained on every cut (single qubit on the equator,
-    pair in a phased Bell state), well inside the membership bound 8. One
-    seeded start per cut is moved there; the first is reported.
+    pair in a phased Bell state). One seeded start per cut is moved there;
+    all three are certified, and the cut-0 witness is the argmax.
     """
     rng = seeded_rng(restarts, seed)
     starts = []
@@ -235,11 +237,8 @@ def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
         pair = _phased_cat(params[2::2] + 1j * params[3::2])
         params[2::2], params[3::2] = pair.real, pair.imag
         starts.append(params)
-    argmax = {"cut": 0, "params": [float(v) for v in starts[0]],
-              "per_cut_maxima": {str(c): 4.0 for c in range(3)},
-              "attained": True, "membership_bound": mermin.CLASSES["two-entangled-compatible"]}
     return _certify("biseparable", 4.0, [biseparable_state(cut, p) for cut, p in enumerate(starts)],
-                    argmax, restarts, seed)
+                    restarts, seed)
 
 
 def operator_square_sum_top_eigenvalue() -> float:
@@ -278,9 +277,8 @@ def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,
     rng = seeded_rng(restarts, seed)
     raw = rng.standard_normal(16)
     phases = np.angle(raw[0::2] + 1j * raw[1::2])
-    witness = _phased_cat(np.exp(1j * (phases - phases[0])))
-    argmax = {"state_re": witness.real.tolist(), "state_im": witness.imag.tolist()}
-    return _certify("quantum", 16.0, [witness], argmax, restarts, seed)
+    return _certify("quantum", 16.0, [_phased_cat(np.exp(1j * (phases - phases[0])))],
+                    restarts, seed)
 
 
 def noise_threshold(bound: str, tol: float = qcore.DEFAULT_TOL) -> float:

@@ -187,8 +187,8 @@ class Observable:
         object.__setattr__(self, "terms", tuple(zip(coeffs.tolist(), settings)))
 
     @classmethod
-    def single(cls, settings: str, coeff: float = 1.0) -> "Observable":
-        return cls(((coeff, settings),))
+    def single(cls, settings: str) -> "Observable":
+        return cls(((1.0, settings),))
 
 
 def make_ghz() -> StateVector:

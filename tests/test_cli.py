@@ -197,20 +197,27 @@ class TestBounds:
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_printed_quantum_state_is_the_certified_one(seed):
-    # |000> is SQRT2_INV exactly, no entry is -0.0, and what is printed is the
-    # witness _certify checked, at r^2 = 16 through the state reader.
-    out = io.StringIO()
-    with mock.patch.object(optimize, "_certify", wraps=optimize._certify) as certify, \
-            contextlib.redirect_stdout(out):
-        assert cli.main(["bounds", "--class", "quantum", "--seed", str(seed)]) == 0
-    (witness,) = certify.call_args.args[2]
-    state = json.loads(out.getvalue())["argmax"]
-    re, im = np.array(state["state_re"]), np.array(state["state_im"])
+    # For each radius class the printed argmax is, byte for byte, the first witness
+    # _certify checked, and it reaches the class's r^2 = 64 |psi_000|^2 |psi_111|^2.
+    # For quantum, |000> is SQRT2_INV exactly and no entry is -0.0.
+    for model_class in ("quantum_local", "biseparable", "quantum"):
+        out = io.StringIO()
+        with mock.patch.object(optimize, "_certify", wraps=optimize._certify) as certify, \
+                contextlib.redirect_stdout(out):
+            assert cli.main(["bounds", "--class", model_class, "--seed", str(seed)]) == 0
+        _, value, witnesses = certify.call_args.args[:3]
+        doc = json.loads(out.getvalue())
+        assert (doc["value"], sorted(doc["argmax"])) == (value, ["state_im", "state_re"])
+        re, im = np.array(doc["argmax"]["state_re"]), np.array(doc["argmax"]["state_im"])
+        assert re.tobytes() == witnesses[0].real.tobytes(), model_class
+        assert im.tobytes() == witnesses[0].imag.tobytes(), model_class
+        psi = re + 1j * im
+        assert abs(64 * abs(psi[0]) ** 2 * abs(psi[7]) ** 2 - value) <= qcore.SELF_CHECK_TOL
+    # The loop ends at quantum: its state, read as input, is at r^2 = 16 too.
     assert (re[0], im[0]) == (qcore.SQRT2_INV, 0.0)
     entries = np.concatenate([re, im])
     assert not np.signbit(entries[entries == 0]).any()
-    assert re.tobytes() == witness.real.tobytes() and im.tobytes() == witness.imag.tobytes()
-    point = mermin.evaluate_point(qcore.StateVector(witness))
+    point = mermin.evaluate_point(qcore.StateVector(psi))
     assert abs(point.m_value ** 2 + point.mprime_value ** 2 - 16.0) <= qcore.SELF_CHECK_TOL
 
 
@@ -915,9 +922,9 @@ def test_output_is_written_in_one_place():
 
 def test_class_maxima_leave_through_one_certified_exit():
     # optimize._certify checks every radius maximum's witnesses and builds its
-    # result; only the two exact maxima build their own. No witness is read
-    # through the input reader StateVector.
-    builders, readers = set(), set()
+    # result, its argmax written from the first witness; only the two exact maxima
+    # build their own. No witness is read through the input reader StateVector.
+    builders, writers, readers = set(), set(), set()
     for path in Path(ghzlab.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         owner = {}
@@ -929,12 +936,17 @@ def test_class_maxima_leave_through_one_certified_exit():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 if name == "OptimizationResult":
                     builders.add(f"{path.name}:{owner.get(id(node))}")
+                if any(k.arg == "argmax" for k in node.keywords):
+                    writers.add(f"{path.name}:{owner.get(id(node))}")
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "argmax" for t in node.targets):
+                writers.add(f"{path.name}:{owner.get(id(node))}")
             names = {getattr(node, "id", None), getattr(node, "attr", None),
                      getattr(node, "name", None)}
             if path.name == "optimize.py" and "StateVector" in names:
                 readers.add(f"{path.name}:{node.lineno}")
-    assert builders == {"optimize.py:_certify", "optimize.py:max_local_mermin",
-                        "optimize.py:max_realistic_mermin"}
+    assert builders == writers == {"optimize.py:_certify", "optimize.py:max_local_mermin",
+                                   "optimize.py:max_realistic_mermin"}
     assert readers == set()
 
 

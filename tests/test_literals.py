@@ -2,20 +2,14 @@
 
 A float literal below 1e-3 (a tolerance, a slack or a stop) may appear in src/
 only in the value of a module-level constant, and no function parameter or
-argparse flag takes a bare number as its default; each reads a constant. The
-only exceptions are the unit defaults, +1 or -1, of UNIT_DEFAULTS.
+argparse flag takes a bare number as its default; each reads a constant.
 """
 import ast
 from pathlib import Path
 
-import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ghzlab"
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-
-#: (module, function, parameter) whose default is the bare unit value +1 or -1.
-UNIT_DEFAULTS = {("qcore", "Observable.single", "coeff"),
-                 ("locality", "epr_contrast", "c1"), ("locality", "epr_contrast", "c2")}
 
 
 def number(node):
@@ -76,11 +70,4 @@ def test_no_small_float_literal_outside_a_module_constant():
 
 
 def test_no_bare_numeric_default():
-    found = {key: value for key, value in numeric_defaults().items()
-             if not (key in UNIT_DEFAULTS and abs(value) == 1)}
-    assert found == {}
-
-
-@pytest.mark.parametrize("key", sorted(UNIT_DEFAULTS), ids=".".join)
-def test_a_unit_default_exists(key):
-    assert abs(numeric_defaults()[key]) == 1
+    assert numeric_defaults() == {}

@@ -2,6 +2,7 @@ import ast
 import math
 import warnings
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -217,6 +218,15 @@ class TestReport:
             return
         assert mermin.report(mermin.evaluate_point(state)).satisfies_quantum_bound
 
+    def test_flags_follow_the_bound_names_not_their_order(self, monkeypatch):
+        # r^2 = 9: outside both locality bounds, inside realism and quantum, in any order.
+        monkeypatch.setattr(mermin, "BOUNDS", MappingProxyType(dict(reversed(mermin.BOUNDS.items()))))
+        got = mermin.report(MerminPoint(3.0, 0.0))
+        assert (got.satisfies_locality_bound, got.satisfies_quantum_locality_bound,
+                got.satisfies_realism_bound, got.satisfies_quantum_bound) == (False, False, True, True)
+        assert list(got.to_json_dict()["bounds"].items()) == [
+            ("quantum", True), ("realism", True), ("quantum_locality", False), ("locality", False)]
+
     def test_outside_quantum_region_raises(self):
         with pytest.raises(ValueError, match=r"^radius\^2 = 25.0 exceeds the quantum bound 16$"):
             mermin.report(MerminPoint(5.0, 0.0))
@@ -357,8 +367,6 @@ class TestTables:
         shape, limit = mermin.BOUNDS["quantum"]
         assert (shape, limit ** 2) == ("circle", optimize.max_quantum_radius(2).best_value)
         assert limit ** 2 == optimize.quantum_radius_eigen_oracle()
-        assert optimize.max_biseparable_radius(2).argmax["membership_bound"] == (
-            mermin.CLASSES["two-entangled-compatible"])
 
     def test_thresholds_are_the_bounds_ghz_violates(self):
         bounds = mermin.report(mermin.evaluate_point(qcore.make_ghz())).to_json_dict()["bounds"]

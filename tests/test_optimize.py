@@ -115,14 +115,18 @@ class TestBiseparable:
         assert result.best_value == pytest.approx(oracle, abs=1e-4)
         assert oracle == pytest.approx(4.0, abs=1e-9)
 
-    def test_cut_symmetry(self):
-        result = optimize.max_biseparable_radius(FAST_RESTARTS, seed=5)
-        maxima = list(result.argmax["per_cut_maxima"].values())
-        assert max(maxima) - min(maxima) < 1e-4
-
-    def test_within_membership_bound(self):
-        result = optimize.max_biseparable_radius(FAST_RESTARTS, seed=5)
-        assert result.best_value <= result.argmax["membership_bound"]
+    def test_cut_symmetry(self, monkeypatch):
+        # Witness c is a product across cut c (its qubit c against the other two
+        # is a rank-1 matrix) and reaches r^2 = 4, so every cut attains the maximum.
+        calls = []
+        monkeypatch.setattr(optimize, "_certify", recording_certify(calls))
+        optimize.max_biseparable_radius(FAST_RESTARTS, seed=5)
+        [(_, value, witnesses)] = calls
+        assert (value, len(witnesses)) == (4.0, 3)
+        for cut, psi in enumerate(witnesses):
+            split = np.moveaxis(psi.reshape(2, 2, 2), cut, 0).reshape(2, 4)
+            assert np.linalg.svd(split, compute_uv=False)[1] <= qcore.SELF_CHECK_TOL
+            assert abs(abs(mermin.pure_mermin_values(psi)) ** 2 - 4.0) <= qcore.SELF_CHECK_TOL
 
     def test_product_states_are_nested_inside(self):
         qlocal = optimize.max_quantum_local_radius(FAST_RESTARTS, seed=5)
@@ -317,7 +321,7 @@ class TestCertify:
                              ids=["nan", "inf", "four", "two-rows"])
     def test_witness_that_is_not_a_finite_unit_8_vector_is_refused(self, witness):
         with pytest.raises(errors.SelfCheckFailed, match="^quantum witness "):
-            optimize._certify("quantum", 16.0, [witness], {}, 1, 0)
+            optimize._certify("quantum", 16.0, [witness], 1, 0)
 
 
 class TestNesting:

@@ -18,7 +18,7 @@ from conftest import (BAD_ENTRIES, BAD_REAL_ENTRIES, BAD_SCALARS, WHITE_NOISE, r
 
 
 def obs(settings, coeff=1.0):
-    return Observable.single(settings, coeff)
+    return Observable(((coeff, settings),))
 
 
 class TestGhzConstruction:

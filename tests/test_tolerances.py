@@ -148,7 +148,7 @@ def test_imag_tol_covers_the_worst_accepted_anti_hermitian_part():
     state = qcore.DensityMatrix(np.eye(8) / 8 + 0.5j * READ_SLACK * exchange)
     derived = 4 * READ_SLACK
     for coeff in (1.0, 100.0):
-        obs = qcore.Observable.single("XXX", coeff)
+        obs = qcore.Observable(((coeff, "XXX"),))
         value = complex(np.trace(state.entries @ qcore.observable_matrix(obs)))
         realized = abs(value.imag) / coeff
         show(f"Im Tr(rho XXX) per unit coefficient at {coeff:g}", realized, derived,
