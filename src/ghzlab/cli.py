@@ -149,13 +149,14 @@ def _scatter_points(seed: int, count: int) -> dict:
     bars = 2.0 * rng.uniform(0.0, 1.0, size=(count, 3, 2)) - 1.0
     local = (locality.mermin_values(bars, mermin.M_TERMS)
              + 1j * locality.mermin_values(bars, mermin.MPRIME_TERMS))
-    product = [optimize.product_state(optimize.random_bloch_angles(rng, 3))
+    product = [optimize.product_state(*optimize.random_bloch_angles(rng, 3))
                for _ in range(count)]
     biseparable = []
     for _ in range(count):
         cut = int(rng.integers(0, 3))
-        params = np.concatenate([optimize.random_bloch_angles(rng, 1), rng.standard_normal(8)])
-        biseparable.append(optimize.biseparable_state(cut, params))
+        (theta,), (phi,) = optimize.random_bloch_angles(rng, 1)
+        raw = rng.standard_normal(8)
+        biseparable.append(optimize.biseparable_state(cut, theta, phi, raw[0::2] + 1j * raw[1::2]))
     # One batch, the same stream as 8 real then 8 imaginary parts per point.
     draws = rng.standard_normal((count, 2, 8))
     haar = [raw / np.linalg.norm(raw) for raw in draws[:, 0] + 1j * draws[:, 1]]

@@ -148,31 +148,23 @@ def seeded_rng(restarts: int, seed: int):
     return np.random.default_rng(qcore.read_count(seed, "seed", 0))
 
 
-def random_bloch_angles(rng, count: int) -> np.ndarray:
-    """``count`` uniform points on the Bloch sphere as (theta, phi) pairs."""
-    # Uniform on the sphere: cos(theta) uniform in [-1, 1].
-    params = np.empty(2 * count)
-    params[0::2] = np.arccos(rng.uniform(-1.0, 1.0, size=count))
-    params[1::2] = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return params
+def random_bloch_angles(rng, count: int) -> tuple:
+    """``count`` uniform points on the Bloch sphere, as the arrays (theta, phi):
+    cos(theta) is uniform in [-1, 1], and drawn first."""
+    return np.arccos(rng.uniform(-1.0, 1.0, size=count)), rng.uniform(0.0, 2.0 * np.pi, size=count)
 
 
-def product_state(params) -> np.ndarray:
-    """Amplitudes of the product of three Bloch qubits (theta, phi interleaved)."""
-    return qcore.tensor([_bloch_qubit(params[2 * q], params[2 * q + 1]) for q in range(3)])
+def product_state(theta, phi) -> np.ndarray:
+    """Amplitudes of the product of three Bloch qubits, qubit k at (theta[k], phi[k])."""
+    return qcore.tensor([_bloch_qubit(t, p) for t, p in zip(theta, phi)])
 
 
-def biseparable_state(cut: int, params) -> np.ndarray:
-    """Amplitudes of (single qubit at `cut`) x (pair on the other two parties).
-
-    params: 2 Bloch angles, then 8 reals for the pair vector (re, im
-    interleaved); the pair part is normalized on the fly.
-    """
-    single = _bloch_qubit(params[0], params[1])
-    raw = np.asarray(params[2:10], dtype=float)
-    pair = (raw[0::2] + 1j * raw[1::2]).reshape(2, 2)
-    pair = pair / np.linalg.norm(pair)
-    return np.moveaxis(qcore.tensor([single, pair.reshape(4)]).reshape(2, 2, 2), 0, cut).reshape(8)
+def biseparable_state(cut: int, theta: float, phi: float, pair) -> np.ndarray:
+    """Amplitudes of the Bloch qubit at (theta, phi) on party ``cut``, times the
+    pair on the other two parties: its 4 complex amplitudes ``pair``, normalized."""
+    pair = np.asarray(pair)
+    state = qcore.tensor([_bloch_qubit(theta, phi), pair / np.linalg.norm(pair)])
+    return np.moveaxis(state.reshape(2, 2, 2), 0, cut).reshape(8)
 
 
 def _phased_cat(amplitudes) -> np.ndarray:
@@ -189,12 +181,11 @@ def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
 
     For a product state the point is prod_k (x_k + i y_k) over the qubits'
     equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
-    One seeded start is moved to the equator at its own azimuths.
+    The witness puts each qubit on the equator at a seeded azimuth.
     """
     rng = seeded_rng(restarts, seed)
-    params = random_bloch_angles(rng, 3)
-    params[0::2] = np.pi / 2.0
-    return _certify("quantum_local", 1.0, [product_state(params)], restarts, seed)
+    _, phi = random_bloch_angles(rng, 3)
+    return _certify("quantum_local", 1.0, [product_state([np.pi / 2.0] * 3, phi)], restarts, seed)
 
 
 def biseparable_radius_eigen_oracle() -> float:
@@ -226,19 +217,18 @@ def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
     """Max of <M>^2 + <M'>^2 over states product across at least one cut.
 
     The supremum 4 is attained on every cut (single qubit on the equator,
-    pair in a phased Bell state). One seeded start per cut is moved there;
-    all three are certified, and the cut-0 witness is the argmax.
+    pair in a phased Bell state). Each cut's witness takes a seeded azimuth
+    and the end phases of a seeded pair; all three are certified, and the
+    cut-0 witness is the argmax.
     """
     rng = seeded_rng(restarts, seed)
-    starts = []
-    for _ in range(3):
-        params = np.concatenate([random_bloch_angles(rng, 1), rng.standard_normal(8)])
-        params[0] = np.pi / 2.0
-        pair = _phased_cat(params[2::2] + 1j * params[3::2])
-        params[2::2], params[3::2] = pair.real, pair.imag
-        starts.append(params)
-    return _certify("biseparable", 4.0, [biseparable_state(cut, p) for cut, p in enumerate(starts)],
-                    restarts, seed)
+    witnesses = []
+    for cut in range(3):
+        _, (phi,) = random_bloch_angles(rng, 1)
+        raw = rng.standard_normal(8)
+        witnesses.append(biseparable_state(cut, np.pi / 2.0, phi,
+                                           _phased_cat(raw[0::2] + 1j * raw[1::2])))
+    return _certify("biseparable", 4.0, witnesses, restarts, seed)
 
 
 def operator_square_sum_top_eigenvalue() -> float:

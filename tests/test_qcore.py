@@ -121,23 +121,25 @@ class TestTensor:
     def test_product_state(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            params = optimize.random_bloch_angles(rng, 3)
+            theta, phi = optimize.random_bloch_angles(rng, 3)
             reference = np.array([1.0 + 0j])
-            for theta, phi in params.reshape(3, 2):
-                reference = np.kron(reference, optimize._bloch_qubit(theta, phi))
-            assert same_bits(optimize.product_state(params), reference)
+            for angles in zip(theta, phi):
+                reference = np.kron(reference, optimize._bloch_qubit(*angles))
+            assert same_bits(optimize.product_state(theta, phi), reference)
 
     def test_biseparable_state(self):
         # The single qubit times the pair, moved to the cut, as one broadcast multiply.
         rng = np.random.default_rng(11)
         for _ in range(200):
             cut = int(rng.integers(0, 3))
-            params = np.concatenate([optimize.random_bloch_angles(rng, 1), rng.standard_normal(8)])
-            single = optimize._bloch_qubit(params[0], params[1])
-            pair = (params[2:10:2] + 1j * params[3:10:2]).reshape(2, 2)
+            (theta,), (phi,) = optimize.random_bloch_angles(rng, 1)
+            raw = rng.standard_normal(8)
+            pair = (raw[0::2] + 1j * raw[1::2]).reshape(2, 2)
             pair = pair / np.linalg.norm(pair)
+            single = optimize._bloch_qubit(theta, phi)
             reference = np.moveaxis(np.multiply.outer(single, pair), 0, cut).reshape(8)
-            assert same_bits(optimize.biseparable_state(cut, params), reference)
+            state = optimize.biseparable_state(cut, theta, phi, raw[0::2] + 1j * raw[1::2])
+            assert same_bits(state, reference)
 
     def test_quarter_turns(self):
         assert same_bits(optimize.QUBIT3_TURN, np.tile([1, 1j], 4))

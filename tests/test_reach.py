@@ -12,7 +12,10 @@ the walk reaches without the list, or that no longer exists, fails, so the list
 can only shrink.
 
 ``python tests/test_reach.py`` prints how many top-level definition lines the walk
-from ``cli.main`` and ``cli.entry`` alone reaches, of how many in all.
+from ``cli.main`` and ``cli.entry`` alone reaches, of how many in all, then each
+module's line count and their total, as ``wc -l src/ghzlab/*.py`` prints them.
+
+One more pin reads the same parse: no module reads another module's underscore name.
 """
 import ast
 from pathlib import Path
@@ -128,6 +131,20 @@ def root_names() -> set:
         key for key in top_level_names() if key[1] in used}
 
 
+def line_report() -> list:
+    """One line per module, its line count (its newlines, as ``wc -l`` counts them)
+    and path, then the total."""
+    counts = {f"src/ghzlab/{path.name}": path.read_bytes().count(b"\n")
+              for path in sorted(SRC.glob("*.py"))}
+    total = sum(counts.values())
+    width = len(str(total))
+    return [f"{count:>{width}} {name}" for name, count in counts.items()] + [f"{total} total"]
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def test_every_top_level_name_is_reached_or_allowlisted():
     reached = reach(root_names() | set(ALLOWLIST))
     assert sorted(top_level_names() - reached) == []
@@ -160,6 +177,30 @@ def test_reached_lines_count_the_definition_spans():
     assert reached_lines(top_level_names()) == (total, total)
 
 
+def test_line_report_totals_the_module_counts():
+    *modules, total = line_report()
+    counts = {line.split()[1]: int(line.split()[0]) for line in modules}
+    assert counts == {f"src/ghzlab/{path.name}": len(path.read_text().splitlines())
+                      for path in sorted(SRC.glob("*.py"))}
+    assert total.split() == [str(sum(counts.values())), "total"]
+
+
+def test_no_module_reads_another_modules_private_name():
+    # A leading underscore keeps a name to its module: no module imports one from a
+    # sibling, or reads one as ``module._name``.
+    reads = []
+    for module, (_, imports) in MODULES.items():
+        reads += [f"{module}: {target}.{name}" for target, name in imports.values()
+                  if name is not None and private(name)]
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in imports and imports[node.value.id][1] is None
+                    and private(node.attr)):
+                reads.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert reads == []
+
+
 if __name__ == "__main__":
     reached, total = reached_lines()
     print(f"{reached} of {total} top-level definition lines are reached from cli.main and cli.entry")
+    print("\n".join(line_report()))

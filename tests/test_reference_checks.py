@@ -1,10 +1,17 @@
-"""The state checks as first written, kept as references the leaner ones must match.
+"""The state checks and state builders as first written, kept as references the
+leaner ones must match.
 
 ``qcore.read_numbers``, ``qcore.read_settings`` and the ``DensityMatrix`` check now
 make fewer numpy calls: ``np.isfinite(arr).all()``, ``abs(d).max()``,
 ``mat.trace()``, ``eigvalsh(mat)[0]`` and one membership test. Each must accept
 and refuse what its reference below does, with the same message, at the edges
 where the decision turns.
+
+``optimize.product_state`` and ``biseparable_state`` once read one packed real
+vector, the (theta, phi) pairs interleaved and then a pair's 8 real and imaginary
+parts, which the radius maximizers wrote their closed forms into. They now take
+Bloch angles and complex amplitudes. Every witness a maximizer certifies, and every
+``figure1`` scatter point, must keep the bits of the packed construction below.
 """
 import itertools
 import numbers
@@ -13,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzlab import qcore
+from ghzlab import cli, locality, mermin, optimize, qcore
 from ghzlab.qcore import READ_SLACK, DensityMatrix, StateVector
 
 
@@ -232,3 +239,89 @@ class TestWhiteNoiseKeepsItsBits:
             assert entries.dtype == expected.dtype
             assert entries.tobytes() == expected.tobytes(), v
         assert not qcore.WHITE_NOISE.flags.writeable
+
+
+def packed_bloch_angles(rng, count: int) -> np.ndarray:
+    """``optimize.random_bloch_angles`` as first written: (theta, phi) interleaved."""
+    params = np.empty(2 * count)
+    params[0::2] = np.arccos(rng.uniform(-1.0, 1.0, size=count))
+    params[1::2] = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return params
+
+
+def packed_product_state(params) -> np.ndarray:
+    return qcore.tensor([optimize._bloch_qubit(params[2 * q], params[2 * q + 1]) for q in range(3)])
+
+
+def packed_biseparable_state(cut: int, params) -> np.ndarray:
+    """2 Bloch angles, then the pair's 8 reals (re, im interleaved), normalized here."""
+    single = optimize._bloch_qubit(params[0], params[1])
+    raw = np.asarray(params[2:10], dtype=float)
+    pair = (raw[0::2] + 1j * raw[1::2]).reshape(2, 2)
+    pair = pair / np.linalg.norm(pair)
+    return np.moveaxis(qcore.tensor([single, pair.reshape(4)]).reshape(2, 2, 2), 0, cut).reshape(8)
+
+
+def packed_witnesses(seed: int) -> dict:
+    """class -> the witnesses its maximizer certifies at ``seed``, each closed form
+    written into the packed vector and read back out."""
+    rng = np.random.default_rng(seed)
+    params = packed_bloch_angles(rng, 3)
+    params[0::2] = np.pi / 2.0
+    quantum_local = [packed_product_state(params)]
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(3):
+        params = np.concatenate([packed_bloch_angles(rng, 1), rng.standard_normal(8)])
+        params[0] = np.pi / 2.0
+        pair = optimize._phased_cat(params[2::2] + 1j * params[3::2])
+        params[2::2], params[3::2] = pair.real, pair.imag
+        starts.append(params)
+    biseparable = [packed_biseparable_state(cut, p) for cut, p in enumerate(starts)]
+    raw = np.random.default_rng(seed).standard_normal(16)
+    phases = np.angle(raw[0::2] + 1j * raw[1::2])
+    quantum = [optimize._phased_cat(np.exp(1j * (phases - phases[0])))]
+    return {"quantum_local": quantum_local, "biseparable": biseparable, "quantum": quantum}
+
+
+def packed_scatter_points(seed: int, count: int) -> dict:
+    """``cli._scatter_points`` as first written, over the packed vector."""
+    rng = np.random.default_rng(seed)
+    bars = 2.0 * rng.uniform(0.0, 1.0, size=(count, 3, 2)) - 1.0
+    local = (locality.mermin_values(bars, mermin.M_TERMS)
+             + 1j * locality.mermin_values(bars, mermin.MPRIME_TERMS))
+    product = [packed_product_state(packed_bloch_angles(rng, 3)) for _ in range(count)]
+    biseparable = []
+    for _ in range(count):
+        cut = int(rng.integers(0, 3))
+        params = np.concatenate([packed_bloch_angles(rng, 1), rng.standard_normal(8)])
+        biseparable.append(packed_biseparable_state(cut, params))
+    draws = rng.standard_normal((count, 2, 8))
+    haar = [raw / np.linalg.norm(raw) for raw in draws[:, 0] + 1j * draws[:, 1]]
+    haar.append(qcore.make_ghz().amplitudes)
+    return {"scatter_local": local,
+            "scatter_quantum_local": mermin.pure_mermin_values(np.array(product)),
+            "scatter_biseparable": mermin.pure_mermin_values(np.array(biseparable)),
+            "scatter_quantum": mermin.pure_mermin_values(np.array(haar))}
+
+
+def bits(named: dict) -> dict:
+    """name -> the dtype, shape and bytes of its array, or of its list of arrays stacked."""
+    return {name: (arr.dtype, arr.shape, arr.tobytes())
+            for name, arr in ((name, np.asarray(value)) for name, value in named.items())}
+
+
+class TestBuildersKeepThePackedBits:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_certified_witnesses_and_scatter_points(self, seed):
+        handed = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimize, "_certify",
+                          lambda model_class, value, witnesses, *rest: handed.update(
+                              {model_class: witnesses}))
+            for maximize in (optimize.max_quantum_local_radius, optimize.max_biseparable_radius,
+                             optimize.max_quantum_radius):
+                maximize(1, seed)
+        assert bits(handed) == bits(packed_witnesses(seed))
+        assert bits(cli._scatter_points(seed, 10)) == bits(packed_scatter_points(seed, 10))

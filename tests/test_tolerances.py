@@ -4,7 +4,9 @@
 ``4 READ_SLACK`` plus rounding; the comments on both constants derive them. Each
 test prints the realized value, the derived bound and the constant, so
 ``python -m pytest -s tests/test_tolerances.py`` gives every number at once. The
-last tests pin two self-checks on the limit: a miss equal to SELF_CHECK_TOL passes.
+last tests pin four comparisons on the limit: a miss equal to SELF_CHECK_TOL passes
+both self-checks, a residual equal to MEMBERSHIP_TOL is Inside, and a point whose
+r^2 - SLACK equals a class limit takes that class.
 """
 import itertools
 import math
@@ -183,3 +185,34 @@ def test_certify_decides_on_its_tolerance(monkeypatch):
     monkeypatch.setattr(optimize, "SELF_CHECK_TOL", gap / 2)
     with pytest.raises(SelfCheckFailed, match="^quantum witness with"):
         optimize.max_quantum_radius()
+
+
+def test_membership_decides_on_its_tolerance(monkeypatch):
+    # GHZ's table is Inside at a tolerance equal to its own residual, and Outside one
+    # ulp below it.
+    table = locality.ghz_correlation_table()
+    residual = polytope_membership(table).max_residual
+    assert residual > locality.MEMBERSHIP_TOL
+    monkeypatch.setattr(locality, "MEMBERSHIP_TOL", residual)
+    result = polytope_membership(table)
+    assert (result.inside, result.max_residual, result.weights is None) == (True, residual, False)
+    monkeypatch.setattr(locality, "MEMBERSHIP_TOL", math.nextafter(residual, 0.0))
+    assert polytope_membership(table).inside is False
+
+
+@pytest.mark.parametrize("lower", [name for name, limit in mermin.CLASSES.items()
+                                   if math.isfinite(limit)])
+def test_class_pick_decides_on_its_limit(lower):
+    # The point (m, 0) whose r^2 - SLACK equals a class limit in floats is on it and
+    # takes that class; m one ulp larger takes the next class.
+    names, limit = list(mermin.CLASSES), mermin.CLASSES[lower]
+    m = math.sqrt(limit + SLACK)
+    for _ in range(64):
+        m = math.nextafter(m, 0.0)
+    while m * m - SLACK < limit:
+        m = math.nextafter(m, math.inf)
+    above = math.nextafter(m, math.inf)
+    assert (m * m - SLACK, above * above - SLACK > limit) == (limit, True)
+    assert mermin.report(mermin.MerminPoint(m, 0.0)).entanglement_class == lower
+    upper = names[names.index(lower) + 1]
+    assert mermin.report(mermin.MerminPoint(above, 0.0)).entanglement_class == upper
