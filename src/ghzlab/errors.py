@@ -7,8 +7,8 @@ class SelfCheckFailed(RuntimeError):
 
     Raised when M + iM' = 8|000><111| fails on the operator matrices, when a
     quarter turn of one qubit does not map M -> M' -> -M (or a cut's pair
-    operators A -> -B -> -A) exactly, when a maximizer built from a seeded start
-    (checked as a result, never read as input) is not 8 amplitudes of norm 1
+    operators A -> -B -> -A) exactly, when a witness, a maximizer at seeded phases
+    (checked as a result, never read as input), is not 8 amplitudes of norm 1
     reaching its closed form, when the GHZ point behind the noise thresholds or
     the HR pair witness at 1/2 misses its value (each within SELF_CHECK_TOL),
     when two patterns of an HR pair do not share exactly one party's setting, when

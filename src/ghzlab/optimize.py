@@ -11,14 +11,14 @@ Class maxima (certified targets):
 where r^2 = <M>^2 + <M'>^2. Since M + iM' = (X + iY)^{(x)3} = 8|000><111|,
 r^2 = 64 |psi_000|^2 |psi_111|^2 and AM-GM gives the maxima: every qubit
 on the equator, a pair in (e^{ia}|00> + e^{ib}|11>)/sqrt(2), or the state
-(e^{ia}|000> + e^{ib}|111>)/sqrt(2). One seeded start (one per cut) moves in
-one exact step onto the maximizer with its own phases; ``restarts`` is only
-echoed. Each radius maximum leaves through ``_certify``, which builds the
-result only once the identity holds exactly on the operator matrices and
-every such witness is 8 amplitudes of norm 1 (so finite) reaching the value,
-both within SELF_CHECK_TOL, and writes the first witness as the argmax. The
-eigensolve oracles are independent references: an exact quarter-turn check,
-then one eigensolve (one per cut).
+(e^{ia}|000> + e^{ib}|111>)/sqrt(2). Each witness is such a maximizer, a product
+of phased cats (|0...0> + e^{ia}|1...1>)/sqrt(2), at phases from one seeded draw
+of exactly its free phases; ``restarts`` is only echoed. Each radius maximum
+leaves through ``_certify``, which builds the result only once the identity
+holds exactly on the operator matrices and every such witness is 8 amplitudes
+of norm 1 (so finite) reaching the value, both within SELF_CHECK_TOL, and
+writes the first witness as the argmax. The eigensolve oracles are independent
+references: an exact quarter-turn check, then one eigensolve (one per cut).
 """
 from __future__ import annotations
 
@@ -167,11 +167,11 @@ def biseparable_state(cut: int, theta: float, phi: float, pair) -> np.ndarray:
     return np.moveaxis(state.reshape(2, 2, 2), 0, cut).reshape(8)
 
 
-def _phased_cat(amplitudes) -> np.ndarray:
-    """(e^{ia}|0...0> + e^{ib}|1...1>)/sqrt(2), a and b the end phases given."""
-    amplitudes = np.asarray(amplitudes)
-    cat = np.zeros(amplitudes.size, dtype=complex)
-    cat[[0, -1]] = np.exp(1j * np.angle(amplitudes[[0, -1]])) * qcore.SQRT2_INV
+def _phased_cat(qubits: int, phase: float) -> np.ndarray:
+    """(|0...0> + e^{i phase}|1...1>)/sqrt(2) on ``qubits`` qubits: for one qubit, the
+    equatorial qubit at azimuth ``phase``."""
+    cat = np.zeros(2 ** qubits, dtype=complex)
+    cat[[0, -1]] = qcore.SQRT2_INV, np.exp(1j * phase) * qcore.SQRT2_INV
     return cat
 
 
@@ -181,11 +181,11 @@ def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
 
     For a product state the point is prod_k (x_k + i y_k) over the qubits'
     equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
-    The witness puts each qubit on the equator at a seeded azimuth.
+    The witness puts each qubit on the equator, at three seeded azimuths.
     """
-    rng = seeded_rng(restarts, seed)
-    _, phi = random_bloch_angles(rng, 3)
-    return _certify("quantum_local", 1.0, [product_state([np.pi / 2.0] * 3, phi)], restarts, seed)
+    phases = seeded_rng(restarts, seed).uniform(0.0, 2.0 * np.pi, 3)
+    return _certify("quantum_local", 1.0, [qcore.tensor([_phased_cat(1, a) for a in phases])],
+                    restarts, seed)
 
 
 def biseparable_radius_eigen_oracle() -> float:
@@ -217,17 +217,13 @@ def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
     """Max of <M>^2 + <M'>^2 over states product across at least one cut.
 
     The supremum 4 is attained on every cut (single qubit on the equator,
-    pair in a phased Bell state). Each cut's witness takes a seeded azimuth
-    and the end phases of a seeded pair; all three are certified, and the
+    pair in a phased Bell state). One seeded draw gives each cut its qubit's
+    azimuth and its pair's phase; all three witnesses are certified, and the
     cut-0 witness is the argmax.
     """
-    rng = seeded_rng(restarts, seed)
-    witnesses = []
-    for cut in range(3):
-        _, (phi,) = random_bloch_angles(rng, 1)
-        raw = rng.standard_normal(8)
-        witnesses.append(biseparable_state(cut, np.pi / 2.0, phi,
-                                           _phased_cat(raw[0::2] + 1j * raw[1::2])))
+    phases = seeded_rng(restarts, seed).uniform(0.0, 2.0 * np.pi, (3, 2))
+    witnesses = [biseparable_state(cut, np.pi / 2.0, phi, _phased_cat(2, pair_phase))
+                 for cut, (phi, pair_phase) in enumerate(phases)]
     return _certify("biseparable", 4.0, witnesses, restarts, seed)
 
 
@@ -260,15 +256,11 @@ def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,
                        seed: int = locality.DEFAULT_SEED) -> OptimizationResult:
     """Max of <M>^2 + <M'>^2 over all pure three-qubit states.
 
-    One seeded start, with first and last phases a and b, is moved to
-    (|000> + e^{i(b-a)}|111>)/sqrt(2): its |000> amplitude is SQRT2_INV
-    exactly. That state is certified and reported.
+    The witness is (|000> + e^{ia}|111>)/sqrt(2) at one seeded phase a: its
+    |000> amplitude is SQRT2_INV exactly. That state is certified and reported.
     """
-    rng = seeded_rng(restarts, seed)
-    raw = rng.standard_normal(16)
-    phases = np.angle(raw[0::2] + 1j * raw[1::2])
-    return _certify("quantum", 16.0, [_phased_cat(np.exp(1j * (phases - phases[0])))],
-                    restarts, seed)
+    phase = seeded_rng(restarts, seed).uniform(0.0, 2.0 * np.pi)
+    return _certify("quantum", 16.0, [_phased_cat(3, phase)], restarts, seed)
 
 
 def noise_threshold(bound: str, tol: float = qcore.DEFAULT_TOL) -> float:

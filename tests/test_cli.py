@@ -505,7 +505,8 @@ class TestErrorBoundary:
         # A witness is the code's own result: a miss is a failed self-check,
         # not refused input, whatever its norm.
         phased_cat = optimize._phased_cat
-        monkeypatch.setattr(optimize, "_phased_cat", lambda amps: scale * phased_cat(amps))
+        monkeypatch.setattr(optimize, "_phased_cat",
+                            lambda qubits, phase: scale * phased_cat(qubits, phase))
         code = cli.main(["bounds", "--class", "quantum", "--restarts", "2"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")

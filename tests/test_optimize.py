@@ -1,6 +1,8 @@
+import ast
 import inspect
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,8 +252,8 @@ RADIUS_MAXIMA = {"quantum_local": optimize.max_quantum_local_radius,
                  "biseparable": optimize.max_biseparable_radius,
                  "quantum": optimize.max_quantum_radius}
 
-#: Each radius maximum's r^2 and the witnesses it certifies: one seeded start,
-#: one per cut for biseparable.
+#: Each radius maximum's r^2 and how many witnesses it certifies: one, and one
+#: per cut for biseparable.
 RADIUS_SQUARED = {"quantum_local": 1.0, "biseparable": 4.0, "quantum": 16.0}
 WITNESS_COUNTS = {"quantum_local": 1, "biseparable": 3, "quantum": 1}
 
@@ -294,6 +296,50 @@ def test_every_seed_certifies_unit_witnesses_at_the_maximum(seed):
             assert abs(abs(mermin.pure_mermin_values(psi)) ** 2 - value) <= qcore.SELF_CHECK_TOL
 
 
+#: A phase of any size: a cat reads it only through e^{i phase}.
+PHASES = st.floats(-1e6, 1e6)
+
+
+@settings(derandomize=True, database=None)
+@given(azimuths=st.tuples(PHASES, PHASES, PHASES),
+       cuts=st.tuples(*[st.tuples(PHASES, PHASES)] * 3), phase=PHASES)
+def test_cat_products_reach_the_closed_forms(azimuths, cuts, phase):
+    # At any phases, not only seeded ones, each class's product of phased cats is
+    # a unit vector that reaches its closed form.
+    cat = optimize._phased_cat
+    witnesses = {
+        "quantum_local": [qcore.tensor([cat(1, a) for a in azimuths])],
+        "biseparable": [optimize.biseparable_state(cut, np.pi / 2.0, phi, cat(2, pair_phase))
+                        for cut, (phi, pair_phase) in enumerate(cuts)],
+        "quantum": [cat(3, phase)],
+    }
+    for name, value in RADIUS_SQUARED.items():
+        for psi in witnesses[name]:
+            assert psi.shape == (8,)
+            assert abs(np.vdot(psi, psi).real - 1.0) <= qcore.SELF_CHECK_TOL
+            assert abs(abs(mermin.pure_mermin_values(psi)) ** 2 - value) <= qcore.SELF_CHECK_TOL
+
+
+def test_each_radius_maximum_draws_only_its_free_phases():
+    # A witness's free parameters are its phases: each radius maximum makes one
+    # uniform draw, no optimize code draws normals or reads a phase back with
+    # np.angle, and no assignment discards a value into ``_``.
+    tree = ast.parse(Path(optimize.__file__).read_text())
+    read_back = [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ("standard_normal", "angle")]
+    discarded = [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign) and any(
+                     isinstance(name, ast.Name) and name.id == "_"
+                     for target in node.targets for name in ast.walk(target))]
+    assert (read_back, discarded) == ([], [])
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for maximize in RADIUS_MAXIMA.values():
+        draws = [node for node in ast.walk(functions[maximize.__name__])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "uniform"]
+        assert len(draws) == 1, maximize.__name__
+
+
 class TestCertify:
     @pytest.mark.parametrize("model_class", RADIUS_MAXIMA)
     def test_broken_pair_identity_is_refused(self, monkeypatch, model_class):
@@ -303,13 +349,16 @@ class TestCertify:
             RADIUS_MAXIMA[model_class](2, 0)
 
     @pytest.mark.parametrize("model_class,builder", [
-        ("quantum_local", "product_state"),
+        ("quantum_local", "_phased_cat"),
         ("biseparable", "biseparable_state"),
         ("quantum", "_phased_cat"),
     ])
     def test_witness_off_the_maximum_is_refused(self, monkeypatch, model_class, builder):
-        # |000> is a unit vector with r^2 = 0: the closed form is not reached.
-        monkeypatch.setattr(optimize, builder, lambda *args: np.eye(8, dtype=complex)[0])
+        # |000> is a unit vector with r^2 = 0: the closed form is not reached. A
+        # patched cat is |0...0> on its own qubits, so a product of them is |000> too.
+        fake = {"_phased_cat": lambda qubits, phase: np.eye(2 ** qubits, dtype=complex)[0],
+                "biseparable_state": lambda *args: np.eye(8, dtype=complex)[0]}[builder]
+        monkeypatch.setattr(optimize, builder, fake)
         with pytest.raises(errors.SelfCheckFailed) as caught:
             RADIUS_MAXIMA[model_class](2, 0)
         assert str(caught.value).startswith(f"{model_class} witness ")

@@ -13,7 +13,8 @@ can only shrink.
 
 ``python tests/test_reach.py`` prints how many top-level definition lines the walk
 from ``cli.main`` and ``cli.entry`` alone reaches, of how many in all, then each
-module's line count and their total, as ``wc -l src/ghzlab/*.py`` prints them.
+module's line count and their total, as ``wc -l src/ghzlab/*.py`` prints them, and
+the totals of ``tests/*.py`` and ``perfbench/*.py``.
 
 One more pin reads the same parse: no module reads another module's underscore name.
 """
@@ -131,14 +132,24 @@ def root_names() -> set:
         key for key in top_level_names() if key[1] in used}
 
 
+#: Directories whose ``*.py`` files the report totals, beside src/.
+TOTALLED = ("tests", "perfbench")
+
+
+def line_count(path: Path) -> int:
+    """The file's newlines, as ``wc -l`` counts them."""
+    return path.read_bytes().count(b"\n")
+
+
 def line_report() -> list:
-    """One line per module, its line count (its newlines, as ``wc -l`` counts them)
-    and path, then the total."""
-    counts = {f"src/ghzlab/{path.name}": path.read_bytes().count(b"\n")
-              for path in sorted(SRC.glob("*.py"))}
+    """One line per module, its line count and path, then the total; then one total
+    line for each directory of TOTALLED."""
+    counts = {f"src/ghzlab/{path.name}": line_count(path) for path in sorted(SRC.glob("*.py"))}
     total = sum(counts.values())
     width = len(str(total))
-    return [f"{count:>{width}} {name}" for name, count in counts.items()] + [f"{total} total"]
+    return ([f"{count:>{width}} {name}" for name, count in counts.items()] + [f"{total} total"]
+            + [f"{sum(map(line_count, (REPO / name).glob('*.py')))} {name}/*.py total"
+               for name in TOTALLED])
 
 
 def private(name: str) -> bool:
@@ -178,11 +189,16 @@ def test_reached_lines_count_the_definition_spans():
 
 
 def test_line_report_totals_the_module_counts():
-    *modules, total = line_report()
+    *modules, total, tests_total, perfbench_total = line_report()
     counts = {line.split()[1]: int(line.split()[0]) for line in modules}
     assert counts == {f"src/ghzlab/{path.name}": len(path.read_text().splitlines())
                       for path in sorted(SRC.glob("*.py"))}
     assert total.split() == [str(sum(counts.values())), "total"]
+    for name, line in [("tests", tests_total), ("perfbench", perfbench_total)]:
+        paths = sorted((REPO / name).glob("*.py"))
+        assert paths
+        assert line.split() == [str(sum(len(path.read_text().splitlines()) for path in paths)),
+                                f"{name}/*.py", "total"]
 
 
 def test_no_module_reads_another_modules_private_name():

@@ -9,10 +9,12 @@ where the decision turns.
 
 ``optimize.product_state`` and ``biseparable_state`` once read one packed real
 vector, the (theta, phi) pairs interleaved and then a pair's 8 real and imaginary
-parts, which the radius maximizers wrote their closed forms into. They now take
-Bloch angles and complex amplitudes. Every witness a maximizer certifies, and every
-``figure1`` scatter point, must keep the bits of the packed construction below.
+parts. They now take Bloch angles and complex amplitudes. Every ``figure1`` scatter
+point must keep the bits of the packed construction below. Every witness a radius
+maximizer certifies must have the bits of the phased cats written out below, at the
+phases of one uniform draw from its seed.
 """
+import functools
 import itertools
 import numbers
 
@@ -262,26 +264,25 @@ def packed_biseparable_state(cut: int, params) -> np.ndarray:
     return np.moveaxis(qcore.tensor([single, pair.reshape(4)]).reshape(2, 2, 2), 0, cut).reshape(8)
 
 
-def packed_witnesses(seed: int) -> dict:
-    """class -> the witnesses its maximizer certifies at ``seed``, each closed form
-    written into the packed vector and read back out."""
-    rng = np.random.default_rng(seed)
-    params = packed_bloch_angles(rng, 3)
-    params[0::2] = np.pi / 2.0
-    quantum_local = [packed_product_state(params)]
-    rng = np.random.default_rng(seed)
-    starts = []
-    for _ in range(3):
-        params = np.concatenate([packed_bloch_angles(rng, 1), rng.standard_normal(8)])
-        params[0] = np.pi / 2.0
-        pair = optimize._phased_cat(params[2::2] + 1j * params[3::2])
-        params[2::2], params[3::2] = pair.real, pair.imag
-        starts.append(params)
-    biseparable = [packed_biseparable_state(cut, p) for cut, p in enumerate(starts)]
-    raw = np.random.default_rng(seed).standard_normal(16)
-    phases = np.angle(raw[0::2] + 1j * raw[1::2])
-    quantum = [optimize._phased_cat(np.exp(1j * (phases - phases[0])))]
-    return {"quantum_local": quantum_local, "biseparable": biseparable, "quantum": quantum}
+def cat(qubits: int, phase: float) -> np.ndarray:
+    """(|0...0> + e^{i phase}|1...1>)/sqrt(2) on ``qubits`` qubits."""
+    amplitudes = np.zeros(2 ** qubits, dtype=complex)
+    amplitudes[0] = qcore.SQRT2_INV
+    amplitudes[-1] = np.exp(1j * phase) * qcore.SQRT2_INV
+    return amplitudes
+
+
+def cat_witnesses(seed: int) -> dict:
+    """class -> the witnesses its maximizer certifies at ``seed``: three equatorial
+    qubits, each cut's equatorial qubit times a phased pair, and the phased GHZ
+    state, at the phases of one uniform draw of each class's shape."""
+    def phases(shape):
+        return np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)
+    return {"quantum_local": [functools.reduce(np.kron, [cat(1, a) for a in phases(3)])],
+            "biseparable": [packed_biseparable_state(cut, np.concatenate(
+                                [[np.pi / 2.0, phi], cat(2, pair_phase).view(float)]))
+                            for cut, (phi, pair_phase) in enumerate(phases((3, 2)))],
+            "quantum": [cat(3, phases(None))]}
 
 
 def packed_scatter_points(seed: int, count: int) -> dict:
@@ -323,5 +324,5 @@ class TestBuildersKeepThePackedBits:
             for maximize in (optimize.max_quantum_local_radius, optimize.max_biseparable_radius,
                              optimize.max_quantum_radius):
                 maximize(1, seed)
-        assert bits(handed) == bits(packed_witnesses(seed))
+        assert bits(handed) == bits(cat_witnesses(seed))
         assert bits(cli._scatter_points(seed, 10)) == bits(packed_scatter_points(seed, 10))
