@@ -95,8 +95,9 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_verify(args) -> dict:
     asserted = args.state is None
-    state = qcore.make_ghz() if asserted else qcore.load_state(args.state)
-    # An M_TERMS coefficient is GHZ's eigenvalue and signed sum on its pattern.
+    state = qcore.ghz_density() if asserted else qcore.load_state(args.state)
+    pure = qcore.make_ghz() if asserted else state  # for the eigen residuals
+    # An M_TERMS coefficient is GHZ's eigenvalue and signed sum on its pattern, exact from rho.
     eigen, signed = [], []
     for expected, settings in mermin.M_TERMS:
         obs = qcore.Observable.single(settings)
@@ -106,8 +107,8 @@ def cmd_verify(args) -> dict:
         signed.append({"name": f"signed_sum_{pattern}", "expected": expected,
                        "value": qcore.signed_sum_for_state(state, pattern),
                        "asserted": asserted})
-        if isinstance(state, qcore.StateVector):
-            eigen[-1]["residual"] = qcore.eigen_residual(state, obs, expected)
+        if isinstance(pure, qcore.StateVector):
+            eigen[-1]["residual"] = qcore.eigen_residual(pure, obs, expected)
         if asserted:
             eigen[-1]["pass"] = eigen[-1]["residual"] < qcore.EIGEN_TOL
             signed[-1]["pass"] = abs(signed[-1]["value"] - expected) < qcore.SELF_CHECK_TOL
@@ -160,11 +161,12 @@ def _scatter_points(seed: int, count: int) -> dict:
     # One batch, the same stream as 8 real then 8 imaginary parts per point.
     draws = rng.standard_normal((count, 2, 8))
     haar = [raw / np.linalg.norm(raw) for raw in draws[:, 0] + 1j * draws[:, 1]]
-    haar.append(qcore.make_ghz().amplitudes)
+    ghz = mermin.evaluate_point(qcore.ghz_density())  # exact, where make_ghz's is not
     return {"scatter_local": local,
             "scatter_quantum_local": mermin.pure_mermin_values(np.array(product)),
             "scatter_biseparable": mermin.pure_mermin_values(np.array(biseparable)),
-            "scatter_quantum": mermin.pure_mermin_values(np.array(haar))}
+            "scatter_quantum": np.append(mermin.pure_mermin_values(np.array(haar)),
+                                         complex(ghz.m_value, ghz.mprime_value))}
 
 
 def cmd_figure1(args) -> list:
@@ -179,7 +181,7 @@ def cmd_figure1(args) -> list:
 
 def cmd_classify(args) -> dict:
     if args.noise is not None:
-        state = qcore.mix_with_white_noise(qcore.make_ghz(), args.noise)
+        state = qcore.mix_with_white_noise(qcore.ghz_density(), args.noise)
     else:
         state = qcore.load_state(args.state)
     return mermin.report(mermin.evaluate_point(state)).to_json_dict()

@@ -1,8 +1,8 @@
 """The GHZ-Mermin operator pair, the four bounds, and the region diagram.
 
-The pair (M, M') is fixed so that the GHZ state sits at (+4, 0) in the
-(<M>, <M'>) plane and product states at the complex product
-prod_k (x_k + i*y_k) of their equatorial Bloch components:
+M + iM' = (X + iY)^{(x)3} = 8|000><111|, expanded in ``qcore.MERMIN_EXPANSION``, puts GHZ
+at (+4, 0) in the (<M>, <M'>) plane and a product state at prod_k (x_k + i*y_k) of its
+equatorial Bloch components. M_TERMS and MPRIME_TERMS are its real and imaginary terms:
 
     M  = XXX - XYY - YXY - YYX
     M' = XXY + XYX + YXX - YYY
@@ -18,13 +18,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .qcore import PATTERNS, anti_diagonal, read_count, read_number
+from .qcore import MERMIN_EXPANSION, PATTERNS, anti_diagonal, read_count, read_number
 
-#: Each pattern of PATTERNS weighed by GHZ's perfect correlation on it, the
-#: one place these four signs are written.
-M_TERMS = tuple((sign, pattern.upper())
-                for sign, pattern in zip((+1.0, -1.0, -1.0, -1.0), PATTERNS))
-MPRIME_TERMS = ((+1.0, "XXY"), (+1.0, "XYX"), (+1.0, "YXX"), (-1.0, "YYY"))
+#: (coefficient, settings) terms; M's four signs are GHZ's perfect correlations on PATTERNS.
+M_TERMS = tuple((MERMIN_EXPANSION[p].real, p.upper()) for p in PATTERNS)
+MPRIME_TERMS = tuple((coeff.imag, s.upper()) for s, coeff in MERMIN_EXPANSION.items() if coeff.imag)
 
 #: Fewest vertices per circle of ``figure1_regions``, and how many it draws by default.
 MIN_SAMPLES = 8

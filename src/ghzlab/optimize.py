@@ -277,7 +277,7 @@ def noise_threshold(bound: str, tol: float = qcore.DEFAULT_TOL) -> float:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not isinstance(bound, str) or bound not in THRESHOLD_LIMITS:
         raise ValueError(f"unknown bound {bound!r}")
-    ghz = mermin.evaluate_point(make_ghz())
+    ghz = mermin.evaluate_point(qcore.ghz_density())
     if abs(complex(ghz.m_value, ghz.mprime_value) - 4.0) > SELF_CHECK_TOL:
         raise SelfCheckFailed(f"GHZ point {ghz!r} is not (4, 0)")
     return THRESHOLD_LIMITS[bound] / 4.0

@@ -66,10 +66,12 @@ OUTCOMES = list(itertools.product((+1, -1), repeat=3))
 OUTCOME_SIGNS = np.prod(OUTCOMES, axis=1)
 OUTCOME_SIGNS.setflags(write=False)
 
-#: Settings patterns appearing in the four perfect-correlation identities.
-PATTERNS = ("xxx", "xyy", "yxy", "yyx")
-#: The 8 x/y setting triples ``read_settings`` takes, lower-cased.
-SETTINGS = frozenset(map("".join, itertools.product(EIGENBASES, repeat=3)))
+#: M + iM' = (X + iY)^{(x)3} expanded: each x/y setting triple, lower-cased and in product
+#: order, with its coefficient i^{#y}. SETTINGS holds all 8, the triples ``read_settings`` takes.
+MERMIN_EXPANSION = {"".join(s): 1j ** s.count("y") for s in itertools.product(EIGENBASES, repeat=3)}
+SETTINGS = frozenset(MERMIN_EXPANSION)
+#: The triples of the real terms: the patterns of the four perfect-correlation identities.
+PATTERNS = tuple(s for s, coeff in MERMIN_EXPANSION.items() if not coeff.imag)
 #: I/8, read-only: scaling by 1/8 is exact, so the noise term keeps the bits of (1 - v) I / 8.
 WHITE_NOISE = np.eye(8) / 8
 WHITE_NOISE.setflags(write=False)
@@ -196,6 +198,14 @@ def make_ghz() -> StateVector:
     amps = np.zeros(8, dtype=complex)
     amps[[0, 7]] = SQRT2_INV
     return StateVector(amps)
+
+
+@functools.cache
+def ghz_density() -> DensityMatrix:
+    """GHZ's density matrix, built on first use: its entries 0 and 1/2 are exact, where
+    make_ghz's SQRT2_INV squares to 1/2 - 2^-53. GHZ's own numbers are read from it."""
+    ket = np.eye(8)[0] + np.eye(8)[7]  # |000> + |111>, unnormalized
+    return DensityMatrix(np.outer(ket, ket) / 2)
 
 
 def tensor(factors) -> np.ndarray:

@@ -4,13 +4,17 @@ perfbench/child.py builds its inputs with ``locality.Cause`` and
 ``locality.LocalModel`` and checks every result, and perfbench/commands.py
 lists and checks the CLI calls. Running both here, on small inputs, makes a
 package change that breaks them fail the suite instead of the benchmark run.
+The traced runs, whose wrappers rebind every SPANNED function and both state
+checks, run as perfbench/run.py starts them, in a child process.
 Nothing under perfbench/ is modified.
 """
 import contextlib
 import importlib
 import io
+import json
 import math
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import child  # noqa: E402
 import commands  # noqa: E402
+from run import HERE, child_env  # noqa: E402
 
 from ghzlab import cli  # noqa: E402
 
@@ -94,3 +99,26 @@ def test_spanned_functions_exist(module, name):
     # child.py skips a SPANNED name the package lacks, and its per-layer
     # metric then reads 0 instead of failing.
     assert callable(getattr(importlib.import_module(f"ghzlab.{module}"), name, None))
+
+
+def run_child(*args) -> dict:
+    """``perfbench/child.py ARGS`` in its own process, with perfbench/run.py's
+    environment; the last line of its stdout is its JSON result."""
+    proc = subprocess.run([sys.executable, str(HERE / "child.py"), *args], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_probe_passes_every_check(tmp_path):
+    # What every --trace 1 run adds: each cli_light command 5 times, the three radius
+    # bounds with a seed, 64 pure and 64 mixed states, 32 tables and the quantum eigen
+    # oracle, all checked, with the tracer's wrappers in place.
+    assert run_child("probe", "0", str(tmp_path / "spans.json")) == {
+        "attempted": 209, "errors": []}
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed", "tables"])
+def test_traced_batch_passes_every_check(tmp_path, kind):
+    result = run_child("batch", kind, "0", "0.2", str(tmp_path / "spans.json"))
+    assert result["attempted"] > 0 and result["errors"] == []

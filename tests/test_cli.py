@@ -22,6 +22,8 @@ from conftest import WHITE_NOISE
 
 #: A JSON integer beyond float range: a float conversion raises OverflowError.
 HUGE_INT_STATE = json.dumps({"dim": 8, "re": [10 ** 400] + [0] * 7, "im": [0] * 8})
+#: Least visibility v whose half v/2 is a normal float, so exact.
+HALF_NORMAL_LIMIT = 2.0 ** -1021
 #: A two-qubit state file; the package reads three-qubit states only.
 PAIR_STATE = json.dumps({"dim": 4, "re": [0.5] * 4, "im": [0.0] * 4})
 
@@ -39,6 +41,16 @@ class TestVerify:
         assert doc["all_pass"] is True
         assert len(doc["checks"]) == 8
         assert all(c["pass"] for c in doc["checks"])
+
+    def test_ghz_values_are_exact_and_residuals_read_the_amplitudes(self, capsys):
+        # The eight values come from qcore.ghz_density(), exactly +-1; each eigen residual
+        # is make_ghz's, as before.
+        doc = json.loads(run(capsys, ["verify"])[1])
+        assert [c["value"] for c in doc["checks"]] == [c["expected"] for c in doc["checks"]]
+        assert {abs(c["value"]) for c in doc["checks"]} == {1.0}
+        for check, (coeff, settings) in zip(doc["checks"], mermin.M_TERMS):
+            assert check["residual"] == qcore.eigen_residual(
+                qcore.make_ghz(), qcore.Observable.single(settings), coeff)
 
     def test_maximally_mixed_state_reports_without_asserting(self, capsys, tmp_path):
         path = tmp_path / "mixed.json"
@@ -243,6 +255,31 @@ class TestClassify:
         doc = json.loads(out)
         assert doc["m"] == pytest.approx(1.2, abs=1e-12)
         assert doc["class"] == "two-entangled-compatible"
+
+    @staticmethod
+    def noisy_ghz_point(visibility: float) -> tuple:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["classify", "--noise", repr(visibility)]) == 0
+        doc = json.loads(out.getvalue())
+        return doc["m"], doc["mprime"]
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1.0, allow_subnormal=False).filter(
+        lambda v: v == 0.0 or v >= HALF_NORMAL_LIMIT))
+    def test_noisy_ghz_is_at_exactly_4v(self, visibility):
+        """GHZ is mixed from qcore.ghz_density(), whose coherence 1/2 is exact, so m is
+        8 (v/2) = 4v bit for bit and m' is +0.0, wherever v/2 is exact. It is not when v/2
+        is subnormal and v's last bit is odd: a subnormal v such as 5e-324 or 1e-310, and
+        also the normal v = nextafter(2^-1022, 1). So v is 0 or at least 2^-1021."""
+        m, mprime = self.noisy_ghz_point(visibility)
+        assert m == 4.0 * visibility
+        assert repr(mprime) == "0.0"
+
+    def test_visibilities_below_the_gate_lose_a_bit(self):
+        # The boundary the hypothesis test above stays clear of: v/2 rounds.
+        for visibility in (5e-324, 1e-310, float(np.nextafter(2.0 ** -1022, 1.0))):
+            assert self.noisy_ghz_point(visibility)[0] != 4.0 * visibility
 
     def test_state_file_input(self, capsys, tmp_path):
         path = tmp_path / "ghz.json"

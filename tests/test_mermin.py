@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 from types import MappingProxyType
@@ -48,6 +49,49 @@ class TestPairStructure:
             assert qcore.eigen_residual(ghz, qcore.Observable.single(settings), coeff) <= 1e-12
         assert locality.CONSTRAINT_TARGETS == (1, -1, -1, -1)
         assert all(type(target) is int for target in locality.CONSTRAINT_TARGETS)
+
+    def test_tables_read_from_the_expansion_equal_the_literals_they_replaced(self):
+        # (X + iY)^{(x)3} gives each x/y triple the coefficient i^{#y}, in product order;
+        # PATTERNS, SETTINGS, both term tables and the targets are read from it. Each is
+        # compared with the literal it replaced, with the type of every element.
+        def typed(value):
+            if isinstance(value, (tuple, frozenset)):
+                items = sorted(value) if isinstance(value, frozenset) else value
+                return type(value), [typed(item) for item in items]
+            return type(value), value
+        assert list(qcore.MERMIN_EXPANSION.items()) == [
+            ("xxx", 1), ("xxy", 1j), ("xyx", 1j), ("xyy", -1),
+            ("yxx", 1j), ("yxy", -1), ("yyx", -1), ("yyy", -1j)]
+        literals = [
+            (qcore.PATTERNS, ("xxx", "xyy", "yxy", "yyx")),
+            (qcore.SETTINGS, frozenset({"xxx", "xxy", "xyx", "xyy", "yxx", "yxy", "yyx", "yyy"})),
+            (mermin.M_TERMS, ((1.0, "XXX"), (-1.0, "XYY"), (-1.0, "YXY"), (-1.0, "YYX"))),
+            (mermin.MPRIME_TERMS, ((1.0, "XXY"), (1.0, "XYX"), (1.0, "YXX"), (-1.0, "YYY"))),
+            (locality.CONSTRAINT_TARGETS, (1, -1, -1, -1))]
+        for derived, literal in literals:
+            assert typed(derived) == typed(literal)
+
+    def test_the_expansion_is_the_corner_operator(self):
+        corner = np.zeros((8, 8), dtype=complex)
+        corner[0, 7] = 8.0
+        product = sum(coeff * qcore.observable_matrix(qcore.Observable.single(settings))
+                      for settings, coeff in qcore.MERMIN_EXPANSION.items())
+        assert np.array_equal(product, corner)
+
+    def test_no_x_y_triple_is_written_in_src(self):
+        # The eight x/y triples are written once, as qcore.MERMIN_EXPANSION's product:
+        # no string constant of three x/y letters anywhere in src/ghzlab, docstrings aside.
+        found = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ghzlab").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                          if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                          and ast.get_docstring(node, clean=False) is not None}
+            found += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and re.fullmatch("[xyXY]{3}", node.value) and id(node) not in docstrings]
+        assert found == []
 
     def test_term_sets(self):
         assert set(M.terms) == {

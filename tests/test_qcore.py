@@ -36,6 +36,20 @@ class TestGhzConstruction:
         # Both branches have the first two spins aligned.
         assert qcore.expectation(qcore.make_ghz(), obs("ZZI")) == pytest.approx(1.0, abs=1e-12)
 
+    def test_exact_density_matrix(self):
+        # No float squares to 1/2: make_ghz's SQRT2_INV squares to 1/2 - 2^-53. ghz_density
+        # holds 1/2 itself, built once and read-only, and its point and signed sums are exact.
+        assert qcore.SQRT2_INV * qcore.SQRT2_INV == 0.5 - 2 ** -53
+        expected = np.zeros((8, 8), dtype=complex)
+        expected[np.ix_([0, 7], [0, 7])] = 0.5
+        assert same_bits(qcore.ghz_density().entries, expected)
+        assert not qcore.ghz_density().entries.flags.writeable
+        assert qcore.ghz_density() is qcore.ghz_density()
+        point = mermin.evaluate_point(qcore.ghz_density())
+        assert (point.m_value, point.mprime_value) == (4.0, 0.0)
+        assert [qcore.signed_sum_for_state(qcore.ghz_density(), settings)
+                for _, settings in mermin.M_TERMS] == [coeff for coeff, _ in mermin.M_TERMS]
+
 
 class TestObservableMatrix:
     def test_xxx_antidiagonal(self):
@@ -585,6 +599,20 @@ class TestAntiDiagonal:
         # PAULI's product: X|b> = |1-b> and Y|b> = (i, -i)[b] |1-b>, per qubit.
         factors = [np.array([1, 1] if ch == "x" else [1j, -1j], complex) for ch in settings]
         assert same_bits(qcore._flip_phases(settings), functools.reduce(np.kron, factors))
+
+    def test_phases_are_the_expansion_coefficient_times_the_y_parity(self):
+        # Expanding (X + iY)^{(x)3} gives triple s the coefficient i^{#y(s)}, and
+        # Y|b> = i (-1)^b |1-b>, so phase_j = i^{#y(s)} (-1)^{|j & y(s)|}, y(s) the mask
+        # of s's y qubits. _flip_phases keeps its PAULI fold anyway: the formula equals it
+        # in value for all 8 triples, but gives 7 of them a zero part of the other sign,
+        # and a later use other than one dot product could carry that -0.0 into output.
+        differ = 0
+        for settings, coeff in qcore.MERMIN_EXPANSION.items():
+            y_mask = sum(4 >> k for k, ch in enumerate(settings) if ch == "y")
+            formula = np.array([coeff * (-1) ** bin(j & y_mask).count("1") for j in range(8)])
+            assert np.array_equal(qcore._flip_phases(settings), formula)
+            differ += not same_bits(qcore._flip_phases(settings), formula)
+        assert differ == 7
 
     def test_phases_are_read_from_pauli_alone(self):
         # Y's phases (i, -i) are written once, in qcore.PAULI: _flip_phases holds

@@ -10,9 +10,10 @@ where the decision turns.
 ``optimize.product_state`` and ``biseparable_state`` once read one packed real
 vector, the (theta, phi) pairs interleaved and then a pair's 8 real and imaginary
 parts. They now take Bloch angles and complex amplitudes. Every ``figure1`` scatter
-point must keep the bits of the packed construction below. Every witness a radius
-maximizer certifies must have the bits of the phased cats written out below, at the
-phases of one uniform draw from its seed.
+point must keep the bits of the packed construction below, except the GHZ point
+appended last, which is now read from ``qcore.ghz_density()`` and is exactly (4, 0).
+Every witness a radius maximizer certifies must have the bits of the phased cats
+written out below, at the phases of one uniform draw from its seed.
 """
 import functools
 import itertools
@@ -325,4 +326,10 @@ class TestBuildersKeepThePackedBits:
                              optimize.max_quantum_radius):
                 maximize(1, seed)
         assert bits(handed) == bits(cat_witnesses(seed))
-        assert bits(cli._scatter_points(seed, 10)) == bits(packed_scatter_points(seed, 10))
+        scatter, packed = cli._scatter_points(seed, 10), packed_scatter_points(seed, 10)
+        # The packed construction appended make_ghz's point, 3.999999999999999; the GHZ
+        # point is now exact, and every other point keeps its bits.
+        assert bits({"ghz": scatter["scatter_quantum"][-1:]}) == bits({"ghz": [4 + 0j]})
+        scatter["scatter_quantum"], packed["scatter_quantum"] = (
+            scatter["scatter_quantum"][:-1], packed["scatter_quantum"][:-1])
+        assert bits(scatter) == bits(packed)
