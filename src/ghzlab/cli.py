@@ -145,27 +145,24 @@ def cmd_bounds(args) -> dict:
 
 
 def _scatter_points(seed: int, count: int) -> dict:
-    """Seeded m + i*m' samples, one array per model class, GHZ appended last."""
-    rng = np.random.default_rng(seed)
-    bars = 2.0 * rng.uniform(0.0, 1.0, size=(count, 3, 2)) - 1.0
+    """Seeded m + i*m' samples, one array per model class, GHZ appended last. The
+    classes map blocks of ``optimize.seeded_rng``'s draws in turn; a cut is int(3u)."""
+    rng = optimize.seeded_rng(1, seed)
+    bars = optimize.uniforms(rng, -1.0, 1.0, (count, 3, 2))
     local = (locality.mermin_values(bars, mermin.M_TERMS)
              + 1j * locality.mermin_values(bars, mermin.MPRIME_TERMS))
-    product = [optimize.product_state(*optimize.random_bloch_angles(rng, 3))
-               for _ in range(count)]
-    biseparable = []
-    for _ in range(count):
-        cut = int(rng.integers(0, 3))
-        (theta,), (phi,) = optimize.random_bloch_angles(rng, 1)
-        raw = rng.standard_normal(8)
-        biseparable.append(optimize.biseparable_state(cut, theta, phi, raw[0::2] + 1j * raw[1::2]))
-    # One batch, the same stream as 8 real then 8 imaginary parts per point.
-    draws = rng.standard_normal((count, 2, 8))
-    haar = [raw / np.linalg.norm(raw) for raw in draws[:, 0] + 1j * draws[:, 1]]
+    theta, phi = (a.reshape(count, 3) for a in optimize.random_bloch_angles(rng, 3 * count))
+    product = [optimize.product_state(*angles) for angles in zip(theta, phi)]
+    cuts = optimize.uniforms(rng, 0.0, 3.0, count).astype(int)
+    biseparable = [optimize.biseparable_state(*point) for point in zip(
+        cuts, *optimize.random_bloch_angles(rng, count), optimize.complex_normals(rng, (count, 4)))]
+    haar = optimize.complex_normals(rng, (count, 8))
+    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
     ghz = mermin.evaluate_point(qcore.ghz_density())  # exact, where make_ghz's is not
     return {"scatter_local": local,
             "scatter_quantum_local": mermin.pure_mermin_values(np.array(product)),
             "scatter_biseparable": mermin.pure_mermin_values(np.array(biseparable)),
-            "scatter_quantum": np.append(mermin.pure_mermin_values(np.array(haar)),
+            "scatter_quantum": np.append(mermin.pure_mermin_values(haar),
                                          complex(ghz.m_value, ghz.mprime_value))}
 
 

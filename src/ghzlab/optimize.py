@@ -12,8 +12,8 @@ where r^2 = <M>^2 + <M'>^2. Since M + iM' = (X + iY)^{(x)3} = 8|000><111|,
 r^2 = 64 |psi_000|^2 |psi_111|^2 and AM-GM gives the maxima: every qubit
 on the equator, a pair in (e^{ia}|00> + e^{ib}|11>)/sqrt(2), or the state
 (e^{ia}|000> + e^{ib}|111>)/sqrt(2). Each witness is such a maximizer, a product
-of phased cats (|0...0> + e^{ia}|1...1>)/sqrt(2), at phases from one seeded draw
-of exactly its free phases; ``restarts`` is only echoed. Each radius maximum
+of phased cats (|0...0> + e^{ia}|1...1>)/sqrt(2), at phases from one seeded ``uniforms``
+draw of exactly its free phases; ``restarts`` is only echoed. Each radius maximum
 leaves through ``_certify``, which builds the result only once the identity
 holds exactly on the operator matrices and every such witness is 8 amplitudes
 of norm 1 (so finite) reaching the value, both within SELF_CHECK_TOL, and
@@ -22,6 +22,7 @@ references: an exact quarter-turn check, then one eigensolve (one per cut).
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,8 @@ def _certify(model_class: str, value: float, witnesses,
         if not (abs(norm2 - 1.0) <= SELF_CHECK_TOL and abs(reached - value) <= SELF_CHECK_TOL):
             raise SelfCheckFailed(f"{model_class} witness with |psi|^2 = {norm2} "
                                   f"reached {reached}, closed form {value}")
-    argmax = {"state_re": witnesses[0].real.tolist(), "state_im": witnesses[0].imag.tolist()}
+    first = witnesses[0] + 0.0  # -0.0 + 0.0 is 0.0: no signed zero is written
+    argmax = {"state_re": first.real.tolist(), "state_im": first.imag.tolist()}
     return OptimizationResult(model_class, float(value), argmax, int(restarts), int(seed))
 
 
@@ -142,16 +144,29 @@ def _bloch_qubit(theta: float, phi: float) -> np.ndarray:
     return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
 
 
-def seeded_rng(restarts: int, seed: int):
-    """The generator seeded by ``seed`` (>= 0); ``restarts`` must be an integer >= 1."""
+def seeded_rng(restarts: int, seed: int) -> random.Random:
+    """``random.Random(seed)``, the one generator (``seed`` >= 0, ``restarts`` an integer >= 1)."""
     qcore.read_count(restarts, "restarts", 1)
-    return np.random.default_rng(qcore.read_count(seed, "seed", 0))
+    return random.Random(qcore.read_count(seed, "seed", 0))
+
+
+def uniforms(rng, low: float, high: float, shape) -> np.ndarray:
+    """low + (high - low) u of ``shape``, u one block of ``rng.random()`` draws in [0, 1)."""
+    block = np.fromiter(iter(rng.random, None), float, np.prod(shape, dtype=int))
+    return low + (high - low) * block.reshape(shape)
+
+
+def complex_normals(rng, shape) -> np.ndarray:
+    """Standard complex normals of the tuple ``shape`` by Box-Muller, from one block of
+    uniforms (u1, u2): sqrt(-2 log(1 - u1)) e^{2 pi i u2}, each part a standard normal."""
+    radius, turn = uniforms(rng, 0.0, 1.0, (2, *shape))
+    return np.sqrt(-2.0 * np.log1p(-radius)) * np.exp(2j * np.pi * turn)
 
 
 def random_bloch_angles(rng, count: int) -> tuple:
     """``count`` uniform points on the Bloch sphere, as the arrays (theta, phi):
     cos(theta) is uniform in [-1, 1], and drawn first."""
-    return np.arccos(rng.uniform(-1.0, 1.0, size=count)), rng.uniform(0.0, 2.0 * np.pi, size=count)
+    return np.arccos(uniforms(rng, -1.0, 1.0, count)), uniforms(rng, 0.0, 2.0 * np.pi, count)
 
 
 def product_state(theta, phi) -> np.ndarray:
@@ -183,7 +198,7 @@ def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
     equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
     The witness puts each qubit on the equator, at three seeded azimuths.
     """
-    phases = seeded_rng(restarts, seed).uniform(0.0, 2.0 * np.pi, 3)
+    phases = uniforms(seeded_rng(restarts, seed), 0.0, 2.0 * np.pi, 3)
     return _certify("quantum_local", 1.0, [qcore.tensor([_phased_cat(1, a) for a in phases])],
                     restarts, seed)
 
@@ -221,7 +236,7 @@ def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
     azimuth and its pair's phase; all three witnesses are certified, and the
     cut-0 witness is the argmax.
     """
-    phases = seeded_rng(restarts, seed).uniform(0.0, 2.0 * np.pi, (3, 2))
+    phases = uniforms(seeded_rng(restarts, seed), 0.0, 2.0 * np.pi, (3, 2))
     witnesses = [biseparable_state(cut, np.pi / 2.0, phi, _phased_cat(2, pair_phase))
                  for cut, (phi, pair_phase) in enumerate(phases)]
     return _certify("biseparable", 4.0, witnesses, restarts, seed)
@@ -259,7 +274,7 @@ def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,
     The witness is (|000> + e^{ia}|111>)/sqrt(2) at one seeded phase a: its
     |000> amplitude is SQRT2_INV exactly. That state is certified and reported.
     """
-    phase = seeded_rng(restarts, seed).uniform(0.0, 2.0 * np.pi)
+    phase = uniforms(seeded_rng(restarts, seed), 0.0, 2.0 * np.pi, ())
     return _certify("quantum", 16.0, [_phased_cat(3, phase)], restarts, seed)
 
 

@@ -210,8 +210,9 @@ class TestBounds:
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_printed_quantum_state_is_the_certified_one(seed):
     # For each radius class the printed argmax is, byte for byte, the first witness
-    # _certify checked, and it reaches the class's r^2 = 64 |psi_000|^2 |psi_111|^2.
-    # For quantum, |000> is SQRT2_INV exactly and no entry is -0.0.
+    # _certify checked with each signed zero read as 0.0, no entry is -0.0, and it
+    # reaches the class's r^2 = 64 |psi_000|^2 |psi_111|^2. For quantum, |000> is
+    # SQRT2_INV exactly.
     for model_class in ("quantum_local", "biseparable", "quantum"):
         out = io.StringIO()
         with mock.patch.object(optimize, "_certify", wraps=optimize._certify) as certify, \
@@ -221,14 +222,14 @@ def test_printed_quantum_state_is_the_certified_one(seed):
         doc = json.loads(out.getvalue())
         assert (doc["value"], sorted(doc["argmax"])) == (value, ["state_im", "state_re"])
         re, im = np.array(doc["argmax"]["state_re"]), np.array(doc["argmax"]["state_im"])
-        assert re.tobytes() == witnesses[0].real.tobytes(), model_class
-        assert im.tobytes() == witnesses[0].imag.tobytes(), model_class
+        assert re.tobytes() == (witnesses[0].real + 0.0).tobytes(), model_class
+        assert im.tobytes() == (witnesses[0].imag + 0.0).tobytes(), model_class
+        entries = np.concatenate([re, im])
+        assert not np.signbit(entries[entries == 0]).any(), model_class
         psi = re + 1j * im
         assert abs(64 * abs(psi[0]) ** 2 * abs(psi[7]) ** 2 - value) <= qcore.SELF_CHECK_TOL
     # The loop ends at quantum: its state, read as input, is at r^2 = 16 too.
     assert (re[0], im[0]) == (qcore.SQRT2_INV, 0.0)
-    entries = np.concatenate([re, im])
-    assert not np.signbit(entries[entries == 0]).any()
     point = mermin.evaluate_point(qcore.StateVector(psi))
     assert abs(point.m_value ** 2 + point.mprime_value ** 2 - 16.0) <= qcore.SELF_CHECK_TOL
 
@@ -838,6 +839,25 @@ def test_scipy_is_never_imported():
     assert json.loads(proc.stdout) == [0, [], []]
 
 
+def test_seeded_subcommands_never_load_numpy_random():
+    # Every seeded draw comes from random.Random, which numpy itself imports: figure1
+    # with and without --seed and the three radius classes run without numpy.random.
+    code = ("import contextlib, io, json, sys\n"
+            "import ghzlab.cli\n"
+            "classes = ('quantum_local', 'biseparable', 'quantum')\n"
+            "runs = [['figure1'], ['figure1', '--seed', '3']]\n"
+            "runs += [['bounds', '--class', name] for name in classes]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [ghzlab.cli.main(argv) for argv in runs]\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+            "print(json.dumps([codes, loaded]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ghzlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [[0] * 5, []]
+
+
 def test_src_imports_only_the_standard_library_and_numpy():
     # numpy is the one runtime dependency; sympy, say, may be installed but
     # must not reach the package.
@@ -905,31 +925,38 @@ def test_kronecker_products_are_built_in_one_place():
 
 
 def test_random_draws_live_in_the_seeded_searches():
-    # locality draws nothing, and each generator in the package is made by
-    # optimize.seeded_rng or by cli._scatter_points.
-    owners = {"optimize.py": "seeded_rng", "cli.py": "_scatter_points"}
-    in_locality, stray, owned = [], [], []
+    # No module names numpy's sampler, locality draws nothing, and the package's one
+    # generator is made in one place: the random.Random call of optimize.seeded_rng.
+    constructors = ("Random", "SystemRandom", "default_rng", "RandomState", "Generator")
+    samplers = ("seeded_rng", "uniforms", "complex_normals", "random_bloch_angles", "random")
+    numpy_random, in_locality, made = [], [], []
     for path in Path(ghzlab.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
-        owner = {id(node) for top in tree.body if getattr(top, "name", "") == owners.get(path.name)
-                 for node in ast.walk(top)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                name = node.module or ""
-            elif isinstance(node, (ast.Attribute, ast.Name)):
-                name = ast.unparse(node)
-            else:
-                continue
-            site = f"{path.name}:{node.lineno}: {name}"
-            if path.name == "locality.py" and (
-                    "np.random" in name or "numpy.random" in name
-                    or name.rpartition(".")[2] in ("default_rng", "uniform", "standard_normal")):
-                in_locality.append(site)
-            if name.rpartition(".")[2] == "default_rng":
-                (owned if id(node) in owner else stray).append(site)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] \
+                        in constructors:
+                    made.append(f"{path.name}:{getattr(top, 'name', '')}: {ast.unparse(node)}")
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif isinstance(node, (ast.Attribute, ast.Name)):
+                    names = [ast.unparse(node)]
+                else:
+                    continue
+                site = f"{path.name}:{node.lineno}: {names}"
+                if any("np.random" in name or "numpy.random" in name for name in names):
+                    numpy_random.append(site)
+                if path.name == "locality.py" and any(
+                        name.rpartition(".")[2] in samplers for name in names):
+                    in_locality.append(site)
+                if isinstance(node, ast.ImportFrom) and any(
+                        name.rpartition(".")[2] in constructors for name in names):
+                    made.append(site)
+    assert numpy_random == []
     assert in_locality == []
-    assert stray == []
-    assert len(owned) == 2
+    assert made == ["optimize.py:seeded_rng: random.Random(qcore.read_count(seed, 'seed', 0))"]
 
 
 def test_output_is_written_in_one_place():

@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -34,6 +35,8 @@ TRANSCRIPTS = Path(__file__).with_name("cli_transcripts.json")
 COLUMNS = "80"
 #: GHZLAB_SEED during each run: a negative seed, which --seed refuses.
 IGNORED_SEED = "-3"
+#: A printed signed zero: -0.0 in JSON, -0 in CSV, and not the start of -0.05 or 1e-05.
+SIGNED_ZERO = re.compile(r"(?<![\w.])-0(\.0+)?(?![\w.])")
 
 
 def state_doc(re: list) -> str:
@@ -147,6 +150,12 @@ def transcripts() -> list:
 
 def test_transcripts_cover_the_commands(transcripts):
     assert [entry["argv"] for entry in transcripts] == COMMANDS
+
+
+def test_no_transcript_prints_a_signed_zero(transcripts):
+    found = [(shlex.join(entry["argv"]), match.group()) for entry in transcripts
+             for match in SIGNED_ZERO.finditer(entry["stdout"] + entry["stderr"])]
+    assert found == []
 
 
 @pytest.mark.parametrize("index", range(len(COMMANDS)), ids=[" ".join(a) for a in COMMANDS])

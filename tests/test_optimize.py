@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghzlab import errors, locality, mermin, optimize, qcore
+from ghzlab import cli, errors, locality, mermin, optimize, qcore
 
 # The radius maxima echo their restarts; the work does not depend on it.
 FAST_RESTARTS = 4
@@ -322,22 +322,24 @@ def test_cat_products_reach_the_closed_forms(azimuths, cuts, phase):
 
 def test_each_radius_maximum_draws_only_its_free_phases():
     # A witness's free parameters are its phases: each radius maximum makes one
-    # uniform draw, no optimize code draws normals or reads a phase back with
-    # np.angle, and no assignment discards a value into ``_``.
+    # block of uniforms and calls no other sampler, no optimize code reads a phase
+    # back with np.angle, and no assignment discards a value into ``_``.
     tree = ast.parse(Path(optimize.__file__).read_text())
     read_back = [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and node.attr in ("standard_normal", "angle")]
+                 if isinstance(node, ast.Attribute) and node.attr == "angle"]
     discarded = [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
                  if isinstance(node, ast.Assign) and any(
                      isinstance(name, ast.Name) and name.id == "_"
                      for target in node.targets for name in ast.walk(target))]
     assert (read_back, discarded) == ([], [])
+    samplers = ("uniforms", "complex_normals", "random_bloch_angles", "random", "uniform",
+                "standard_normal", "gauss", "normalvariate")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for maximize in RADIUS_MAXIMA.values():
-        draws = [node for node in ast.walk(functions[maximize.__name__])
-                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                 and node.func.attr == "uniform"]
-        assert len(draws) == 1, maximize.__name__
+        draws = [ast.unparse(node.func) for node in ast.walk(functions[maximize.__name__])
+                 if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).rpartition(".")[2] in samplers]
+        assert draws == ["uniforms"], maximize.__name__
 
 
 class TestCertify:
@@ -371,6 +373,67 @@ class TestCertify:
     def test_witness_that_is_not_a_finite_unit_8_vector_is_refused(self, witness):
         with pytest.raises(errors.SelfCheckFailed, match="^quantum witness "):
             optimize._certify("quantum", 16.0, [witness], 1, 0)
+
+
+    def test_signed_zeros_are_written_as_zero(self):
+        # Each part of the witness is a signed zero but at |000> and |111>: the argmax
+        # reads 0.0 there, and every other part keeps its value.
+        witness = np.full(8, complex(-0.0, -0.0))
+        witness[[0, 7]] = complex(qcore.SQRT2_INV, -0.0)
+        assert np.signbit(witness.view(float)).sum() == 14
+        argmax = optimize._certify("quantum", 16.0, [witness], 1, 0).argmax
+        assert argmax == {"state_re": [qcore.SQRT2_INV] + [0.0] * 6 + [qcore.SQRT2_INV],
+                          "state_im": [0.0] * 8}
+        assert not np.signbit(argmax["state_re"] + argmax["state_im"]).any()
+
+
+class TestSamplers:
+    """``optimize.uniforms`` and ``complex_normals`` read one block of ``random()``
+    values each; a stub ``random()`` holds them at the edges of [0, 1)."""
+
+    class Stub:
+        def __init__(self, values):
+            self.values = iter(values)
+
+        def random(self):
+            return next(self.values)
+
+    #: The largest double below 1, the largest value ``random()`` returns.
+    LAST = 1.0 - 2.0 ** -53
+    #: The (low, high) of every uniform the package draws: cos(theta), an azimuth
+    #: or phase, a local bar, and 3u for a cut.
+    RANGES = ((-1.0, 1.0), (0.0, 2.0 * np.pi), (0.0, 3.0))
+
+    @settings(derandomize=True, database=None)
+    @given(st.sampled_from([0.0, LAST]), st.floats(0.0, 1.0, exclude_max=True))
+    def test_box_muller_is_finite_at_the_ends(self, u1, u2):
+        z = optimize.complex_normals(self.Stub([u1, u1, u2, u2]), (2,))
+        assert np.isfinite(z.view(float)).all()
+        assert np.allclose(abs(z) ** 2, -2.0 * np.log1p(-u1))
+
+    @settings(derandomize=True, database=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8))
+    def test_uniforms_and_cuts_stay_in_range(self, block):
+        block = block + [0.0, self.LAST]
+        for low, high in self.RANGES:
+            values = optimize.uniforms(self.Stub(block), low, high, len(block))
+            assert ((low <= values) & (values < high)).all(), (low, high)
+        cuts = optimize.uniforms(self.Stub(block), 0.0, 3.0, len(block)).astype(int)
+        assert set(cuts) <= {0, 1, 2}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.integers(0, 2 ** 63))
+    def test_scatter_is_bit_identical_on_a_rerun_and_within_each_class_limit(self, seed):
+        first, again = cli._scatter_points(seed, 8), cli._scatter_points(seed, 8)
+        assert ({name: points.tobytes() for name, points in first.items()}
+                == {name: points.tobytes() for name, points in again.items()})
+        # (largest |m| or |m'|, largest r^2): the four class maxima of this module.
+        limits = {"scatter_local": (2.0, 8.0), "scatter_quantum_local": (1.0, 1.0),
+                  "scatter_biseparable": (4.0, 4.0), "scatter_quantum": (4.0, 16.0)}
+        for name, (peak, radius_squared) in limits.items():
+            points = first[name]
+            assert np.maximum(abs(points.real), abs(points.imag)).max() <= peak + mermin.SLACK
+            assert (abs(points) ** 2).max() <= radius_squared + mermin.SLACK, name
 
 
 class TestNesting:

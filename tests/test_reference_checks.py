@@ -13,11 +13,14 @@ parts. They now take Bloch angles and complex amplitudes. Every ``figure1`` scat
 point must keep the bits of the packed construction below, except the GHZ point
 appended last, which is now read from ``qcore.ghz_density()`` and is exactly (4, 0).
 Every witness a radius maximizer certifies must have the bits of the phased cats
-written out below, at the phases of one uniform draw from its seed.
+written out below, at the phases of one uniform draw from its seed. Both read their
+numbers from ``random.Random(seed)`` here, one ``random()`` at a time, in the order
+the package draws its blocks, and map them by the formulas written out below.
 """
 import functools
 import itertools
 import numbers
+import random
 
 import numpy as np
 import pytest
@@ -244,11 +247,23 @@ class TestWhiteNoiseKeepsItsBits:
         assert not qcore.WHITE_NOISE.flags.writeable
 
 
-def packed_bloch_angles(rng, count: int) -> np.ndarray:
-    """``optimize.random_bloch_angles`` as first written: (theta, phi) interleaved."""
+def draws(rng: random.Random, shape) -> np.ndarray:
+    """``shape`` of ``rng.random()`` values, drawn one at a time in C order."""
+    return np.array([rng.random() for _ in range(int(np.prod(shape)))]).reshape(shape)
+
+
+def box_muller(rng: random.Random, shape) -> np.ndarray:
+    """Standard complex normals of ``shape`` from the draws (u1, u2) of shape (2, *shape)."""
+    u1, u2 = draws(rng, (2, *shape))
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+
+
+def packed_bloch_angles(rng: random.Random, count: int) -> np.ndarray:
+    """``optimize.random_bloch_angles`` as first written: (theta, phi) interleaved,
+    the ``count`` values of cos(theta) drawn first."""
     params = np.empty(2 * count)
-    params[0::2] = np.arccos(rng.uniform(-1.0, 1.0, size=count))
-    params[1::2] = rng.uniform(0.0, 2.0 * np.pi, size=count)
+    params[0::2] = np.arccos(-1.0 + 2.0 * draws(rng, count))
+    params[1::2] = 2.0 * np.pi * draws(rng, count)
     return params
 
 
@@ -278,28 +293,30 @@ def cat_witnesses(seed: int) -> dict:
     qubits, each cut's equatorial qubit times a phased pair, and the phased GHZ
     state, at the phases of one uniform draw of each class's shape."""
     def phases(shape):
-        return np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)
+        return 2.0 * np.pi * draws(random.Random(seed), shape)
     return {"quantum_local": [functools.reduce(np.kron, [cat(1, a) for a in phases(3)])],
             "biseparable": [packed_biseparable_state(cut, np.concatenate(
                                 [[np.pi / 2.0, phi], cat(2, pair_phase).view(float)]))
                             for cut, (phi, pair_phase) in enumerate(phases((3, 2)))],
-            "quantum": [cat(3, phases(None))]}
+            "quantum": [cat(3, phases(()))]}
 
 
 def packed_scatter_points(seed: int, count: int) -> dict:
-    """``cli._scatter_points`` as first written, over the packed vector."""
-    rng = np.random.default_rng(seed)
-    bars = 2.0 * rng.uniform(0.0, 1.0, size=(count, 3, 2)) - 1.0
+    """``cli._scatter_points`` over the packed vector: local bars, product angles,
+    biseparable cuts int(3u), angles and pairs, then Haar normals, each a block."""
+    rng = random.Random(seed)
+    bars = -1.0 + 2.0 * draws(rng, (count, 3, 2))
     local = (locality.mermin_values(bars, mermin.M_TERMS)
              + 1j * locality.mermin_values(bars, mermin.MPRIME_TERMS))
-    product = [packed_product_state(packed_bloch_angles(rng, 3)) for _ in range(count)]
-    biseparable = []
-    for _ in range(count):
-        cut = int(rng.integers(0, 3))
-        params = np.concatenate([packed_bloch_angles(rng, 1), rng.standard_normal(8)])
-        biseparable.append(packed_biseparable_state(cut, params))
-    draws = rng.standard_normal((count, 2, 8))
-    haar = [raw / np.linalg.norm(raw) for raw in draws[:, 0] + 1j * draws[:, 1]]
+    product = [packed_product_state(params)
+               for params in packed_bloch_angles(rng, 3 * count).reshape(count, 6)]
+    cuts = [int(3 * u) for u in draws(rng, count)]
+    angles = packed_bloch_angles(rng, count).reshape(count, 2)
+    pairs = box_muller(rng, (count, 4))
+    biseparable = [packed_biseparable_state(cut, np.concatenate([params, pair.view(float)]))
+                   for cut, params, pair in zip(cuts, angles, pairs)]
+    haar = box_muller(rng, (count, 8))
+    haar = list(haar / np.linalg.norm(haar, axis=1, keepdims=True))
     haar.append(qcore.make_ghz().amplitudes)
     return {"scatter_local": local,
             "scatter_quantum_local": mermin.pure_mermin_values(np.array(product)),
