@@ -145,25 +145,24 @@ def cmd_bounds(args) -> dict:
 
 
 def _scatter_points(seed: int, count: int) -> dict:
-    """Seeded m + i*m' samples, one array per model class, GHZ appended last. The
-    classes map blocks of ``optimize.seeded_rng``'s draws in turn; a cut is int(3u)."""
-    rng = optimize.seeded_rng(1, seed)
+    """Seeded m + i*m' samples, one array per model class, GHZ appended last, from blocks
+    of ``optimize.seeded_rng``'s draws in turn: the local class's uniform bars, then the
+    Haar-random factors of each quantum class, normalized complex normals of shape
+    (count, 3, 2) (three qubits), (count, 2) and (count, 4) (a qubit and a pair), and
+    (count, 8) (one triple). A product's point is the product of its factors' points."""
+    rng = optimize.seeded_rng(seed)
     bars = optimize.uniforms(rng, -1.0, 1.0, (count, 3, 2))
     local = (locality.mermin_values(bars, mermin.M_TERMS)
              + 1j * locality.mermin_values(bars, mermin.MPRIME_TERMS))
-    theta, phi = (a.reshape(count, 3) for a in optimize.random_bloch_angles(rng, 3 * count))
-    product = [optimize.product_state(*angles) for angles in zip(theta, phi)]
-    cuts = optimize.uniforms(rng, 0.0, 3.0, count).astype(int)
-    biseparable = [optimize.biseparable_state(*point) for point in zip(
-        cuts, *optimize.random_bloch_angles(rng, count), optimize.complex_normals(rng, (count, 4)))]
-    haar = optimize.complex_normals(rng, (count, 8))
-    haar /= np.linalg.norm(haar, axis=1, keepdims=True)
+
+    def haar_points(*shape):
+        factors = optimize.complex_normals(rng, (count, *shape))
+        return mermin.pure_mermin_values(factors / np.linalg.norm(factors, axis=-1, keepdims=True))
+    first, second, third = haar_points(3, 2).T
     ghz = mermin.evaluate_point(qcore.ghz_density())  # exact, where make_ghz's is not
-    return {"scatter_local": local,
-            "scatter_quantum_local": mermin.pure_mermin_values(np.array(product)),
-            "scatter_biseparable": mermin.pure_mermin_values(np.array(biseparable)),
-            "scatter_quantum": np.append(mermin.pure_mermin_values(haar),
-                                         complex(ghz.m_value, ghz.mprime_value))}
+    return {"scatter_local": local, "scatter_quantum_local": first * second * third,
+            "scatter_biseparable": haar_points(2) * haar_points(4),
+            "scatter_quantum": np.append(haar_points(8), complex(ghz.m_value, ghz.mprime_value))}
 
 
 def cmd_figure1(args) -> list:

@@ -89,10 +89,11 @@ def evaluate_point(state) -> MerminPoint:
 
 
 def pure_mermin_values(amplitudes) -> np.ndarray:
-    """<M> + i<M'> = 8 conj(psi_000) psi_111 for a batch of pure states,
-    ``amplitudes`` an array of shape (..., 8); the same product as
-    ``evaluate_point``."""
-    return 8.0 * (amplitudes[..., 7] * amplitudes[..., 0].conj())
+    """<(X + iY)^{(x)n}> = 2^n conj(psi_0...0) psi_1...1 for a batch of pure n-qubit
+    states, ``amplitudes`` an array of shape (..., 2^n): for three qubits, <M> + i<M'>,
+    the same product as ``evaluate_point``. The operator factorizes, so a product
+    state's value is the product of its factors' values."""
+    return amplitudes.shape[-1] * (amplitudes[..., -1] * amplitudes[..., 0].conj())
 
 
 def report(point: MerminPoint) -> InequalityReport:
@@ -116,11 +117,14 @@ def figure1_regions(samples: int = DEFAULT_SAMPLES) -> list:
 
     Returns ("<bound>_<shape>", vertices) pairs, stably sorted by limit; circles
     carry ``samples`` vertices, squares their four corners. Curves are closed
-    implicitly (last vertex connects back to the first).
+    implicitly (last vertex connects back to the first). Circle vertex k is
+    i^q e^{i pi r / (2 samples)}, (q, r) = divmod(4k, samples): a quarter turn is
+    exact, and no vertex has a signed zero.
     """
     samples = read_count(samples, "samples", MIN_SAMPLES)
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    unit = {"circle": np.column_stack([np.cos(theta), np.sin(theta)]),
+    quarter, rest = divmod(4 * np.arange(samples), samples)
+    circle = np.array([1, 1j, -1, -1j])[quarter] * np.exp(0.5j * np.pi * rest / samples)
+    unit = {"circle": np.column_stack([circle.real, circle.imag]),
             "square": np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])}
     return [(f"{name}_{shape}", limit * unit[shape])
             for name, (shape, limit) in sorted(BOUNDS.items(), key=lambda item: item[1][1])]

@@ -105,7 +105,8 @@ def _certify(model_class: str, value: float, witnesses,
                                   f"reached {reached}, closed form {value}")
     first = witnesses[0] + 0.0  # -0.0 + 0.0 is 0.0: no signed zero is written
     argmax = {"state_re": first.real.tolist(), "state_im": first.imag.tolist()}
-    return OptimizationResult(model_class, float(value), argmax, int(restarts), int(seed))
+    return OptimizationResult(model_class, float(value), argmax,
+                              qcore.read_count(restarts, "restarts", 1), int(seed))
 
 
 def max_local_mermin(which: str = "m") -> OptimizationResult:
@@ -140,13 +141,8 @@ def max_realistic_mermin(which: str = "m") -> OptimizationResult:
     )
 
 
-def _bloch_qubit(theta: float, phi: float) -> np.ndarray:
-    return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
-
-
-def seeded_rng(restarts: int, seed: int) -> random.Random:
-    """``random.Random(seed)``, the one generator (``seed`` >= 0, ``restarts`` an integer >= 1)."""
-    qcore.read_count(restarts, "restarts", 1)
+def seeded_rng(seed: int) -> random.Random:
+    """``random.Random(seed)``, the one generator (``seed`` an integer >= 0)."""
     return random.Random(qcore.read_count(seed, "seed", 0))
 
 
@@ -161,25 +157,6 @@ def complex_normals(rng, shape) -> np.ndarray:
     uniforms (u1, u2): sqrt(-2 log(1 - u1)) e^{2 pi i u2}, each part a standard normal."""
     radius, turn = uniforms(rng, 0.0, 1.0, (2, *shape))
     return np.sqrt(-2.0 * np.log1p(-radius)) * np.exp(2j * np.pi * turn)
-
-
-def random_bloch_angles(rng, count: int) -> tuple:
-    """``count`` uniform points on the Bloch sphere, as the arrays (theta, phi):
-    cos(theta) is uniform in [-1, 1], and drawn first."""
-    return np.arccos(uniforms(rng, -1.0, 1.0, count)), uniforms(rng, 0.0, 2.0 * np.pi, count)
-
-
-def product_state(theta, phi) -> np.ndarray:
-    """Amplitudes of the product of three Bloch qubits, qubit k at (theta[k], phi[k])."""
-    return qcore.tensor([_bloch_qubit(t, p) for t, p in zip(theta, phi)])
-
-
-def biseparable_state(cut: int, theta: float, phi: float, pair) -> np.ndarray:
-    """Amplitudes of the Bloch qubit at (theta, phi) on party ``cut``, times the
-    pair on the other two parties: its 4 complex amplitudes ``pair``, normalized."""
-    pair = np.asarray(pair)
-    state = qcore.tensor([_bloch_qubit(theta, phi), pair / np.linalg.norm(pair)])
-    return np.moveaxis(state.reshape(2, 2, 2), 0, cut).reshape(8)
 
 
 def _phased_cat(qubits: int, phase: float) -> np.ndarray:
@@ -198,7 +175,7 @@ def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
     equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
     The witness puts each qubit on the equator, at three seeded azimuths.
     """
-    phases = uniforms(seeded_rng(restarts, seed), 0.0, 2.0 * np.pi, 3)
+    phases = uniforms(seeded_rng(seed), 0.0, 2.0 * np.pi, 3)
     return _certify("quantum_local", 1.0, [qcore.tensor([_phased_cat(1, a) for a in phases])],
                     restarts, seed)
 
@@ -236,8 +213,9 @@ def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
     azimuth and its pair's phase; all three witnesses are certified, and the
     cut-0 witness is the argmax.
     """
-    phases = uniforms(seeded_rng(restarts, seed), 0.0, 2.0 * np.pi, (3, 2))
-    witnesses = [biseparable_state(cut, np.pi / 2.0, phi, _phased_cat(2, pair_phase))
+    phases = uniforms(seeded_rng(seed), 0.0, 2.0 * np.pi, (3, 2))
+    witnesses = [np.moveaxis(qcore.tensor([_phased_cat(1, phi), _phased_cat(2, pair_phase)])
+                             .reshape(2, 2, 2), 0, cut).reshape(8)
                  for cut, (phi, pair_phase) in enumerate(phases)]
     return _certify("biseparable", 4.0, witnesses, restarts, seed)
 
@@ -274,7 +252,7 @@ def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,
     The witness is (|000> + e^{ia}|111>)/sqrt(2) at one seeded phase a: its
     |000> amplitude is SQRT2_INV exactly. That state is certified and reported.
     """
-    phase = uniforms(seeded_rng(restarts, seed), 0.0, 2.0 * np.pi, ())
+    phase = uniforms(seeded_rng(seed), 0.0, 2.0 * np.pi, ())
     return _certify("quantum", 16.0, [_phased_cat(3, phase)], restarts, seed)
 
 

@@ -927,9 +927,11 @@ def test_kronecker_products_are_built_in_one_place():
 def test_random_draws_live_in_the_seeded_searches():
     # No module names numpy's sampler, locality draws nothing, and the package's one
     # generator is made in one place: the random.Random call of optimize.seeded_rng.
+    # figure1's scatter draws its local bars as uniforms and every quantum factor as
+    # complex normals: no cut, and no state built from its factors.
     constructors = ("Random", "SystemRandom", "default_rng", "RandomState", "Generator")
-    samplers = ("seeded_rng", "uniforms", "complex_normals", "random_bloch_angles", "random")
-    numpy_random, in_locality, made = [], [], []
+    samplers = ("seeded_rng", "uniforms", "complex_normals", "random")
+    numpy_random, in_locality, made, in_scatter = [], [], [], []
     for path in Path(ghzlab.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         for top in tree.body:
@@ -937,6 +939,8 @@ def test_random_draws_live_in_the_seeded_searches():
                 if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] \
                         in constructors:
                     made.append(f"{path.name}:{getattr(top, 'name', '')}: {ast.unparse(node)}")
+                if getattr(top, "name", None) == "_scatter_points" and isinstance(node, ast.Call):
+                    in_scatter.append(ast.unparse(node.func))
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
@@ -957,6 +961,10 @@ def test_random_draws_live_in_the_seeded_searches():
     assert numpy_random == []
     assert in_locality == []
     assert made == ["optimize.py:seeded_rng: random.Random(qcore.read_count(seed, 'seed', 0))"]
+    assert [name for name in in_scatter if name.rpartition(".")[2] in samplers] == [
+        "optimize.seeded_rng", "optimize.uniforms", "optimize.complex_normals"]
+    assert [name for name in in_scatter if name.rpartition(".")[2] in (
+        "tensor", "kron", "outer", "moveaxis", "StateVector")] == []
 
 
 def test_output_is_written_in_one_place():

@@ -421,6 +421,29 @@ class TestTables:
             assert optimize.noise_threshold(name) == limit / 4.0
 
 
+def unit_factor(qubits: int):
+    """A unit vector of 2^qubits complex amplitudes, its parts drawn in [-1, 1]."""
+    size = 2 ** qubits
+    return st.lists(st.floats(-1.0, 1.0), min_size=2 * size, max_size=2 * size).filter(
+        lambda raw: np.linalg.norm(raw) > 1e-3).map(
+        lambda raw: (np.array(raw[:size]) + 1j * np.array(raw[size:])) / np.linalg.norm(raw))
+
+
+class TestPureMerminValues:
+    @settings(derandomize=True, database=None)
+    @given(st.sampled_from([1, 2]).flatmap(unit_factor),
+           st.sampled_from([1, 2]).flatmap(unit_factor), unit_factor(1), unit_factor(2))
+    def test_a_product_has_the_product_of_its_factors_points(self, a, b, single, pair):
+        # (X + iY)^{(x)n} = 2^n |0...0><1...1| factorizes, so the point of a (x) b is the
+        # product of theirs; a qubit times a pair has one point at each of its three cuts.
+        product = mermin.pure_mermin_values(a) * mermin.pure_mermin_values(b)
+        assert abs(mermin.pure_mermin_values(np.kron(a, b)) - product) <= 2e-15
+        cuts = [mermin.pure_mermin_values(
+            np.moveaxis(np.kron(single, pair).reshape(2, 2, 2), 0, cut).reshape(8))
+            for cut in range(3)]
+        assert cuts[0] == cuts[1] == cuts[2]
+
+
 class TestFigure1:
     def test_four_curves(self):
         # Innermost first: by limit, the two curves at 4 in BOUNDS order.
@@ -437,6 +460,20 @@ class TestFigure1:
         np.testing.assert_allclose(np.hypot(inner[:, 0], inner[:, 1]), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.hypot(outer[:, 0], outer[:, 1]), 4.0, atol=1e-12)
         np.testing.assert_allclose(outer[0], [4.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("samples", [8, 9, 12, 256])
+    def test_circle_vertices_are_exact_at_quarter_turns(self, samples):
+        # Vertex k is i^q e^{i pi r / (2 samples)}, (q, r) = divmod(4k, samples): on its
+        # circle within rounding, a quarter turn exactly on an axis, and no signed zero.
+        eps = np.finfo(float).eps
+        regions = dict(mermin.figure1_regions(samples))
+        for name, limit in (("quantum_locality_circle", 1.0), ("quantum_circle", 4.0)):
+            vertices = regions[name]
+            assert np.abs(np.hypot(vertices[:, 0], vertices[:, 1]) - limit).max() <= 2 * eps * limit
+            assert not np.signbit(vertices[vertices == 0.0]).any()
+            if samples % 4 == 0:
+                quarters = vertices[::samples // 4].tolist()
+                assert quarters == [[limit, 0.0], [0.0, limit], [-limit, 0.0], [0.0, -limit]]
 
     def test_square_corners(self):
         regions = dict(mermin.figure1_regions(8))

@@ -309,7 +309,8 @@ def test_cat_products_reach_the_closed_forms(azimuths, cuts, phase):
     cat = optimize._phased_cat
     witnesses = {
         "quantum_local": [qcore.tensor([cat(1, a) for a in azimuths])],
-        "biseparable": [optimize.biseparable_state(cut, np.pi / 2.0, phi, cat(2, pair_phase))
+        "biseparable": [np.moveaxis(qcore.tensor([cat(1, phi), cat(2, pair_phase)])
+                                    .reshape(2, 2, 2), 0, cut).reshape(8)
                         for cut, (phi, pair_phase) in enumerate(cuts)],
         "quantum": [cat(3, phase)],
     }
@@ -332,7 +333,7 @@ def test_each_radius_maximum_draws_only_its_free_phases():
                      isinstance(name, ast.Name) and name.id == "_"
                      for target in node.targets for name in ast.walk(target))]
     assert (read_back, discarded) == ([], [])
-    samplers = ("uniforms", "complex_normals", "random_bloch_angles", "random", "uniform",
+    samplers = ("uniforms", "complex_normals", "random", "uniform",
                 "standard_normal", "gauss", "normalvariate")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for maximize in RADIUS_MAXIMA.values():
@@ -352,15 +353,14 @@ class TestCertify:
 
     @pytest.mark.parametrize("model_class,builder", [
         ("quantum_local", "_phased_cat"),
-        ("biseparable", "biseparable_state"),
+        ("biseparable", "_phased_cat"),
         ("quantum", "_phased_cat"),
     ])
     def test_witness_off_the_maximum_is_refused(self, monkeypatch, model_class, builder):
         # |000> is a unit vector with r^2 = 0: the closed form is not reached. A
         # patched cat is |0...0> on its own qubits, so a product of them is |000> too.
-        fake = {"_phased_cat": lambda qubits, phase: np.eye(2 ** qubits, dtype=complex)[0],
-                "biseparable_state": lambda *args: np.eye(8, dtype=complex)[0]}[builder]
-        monkeypatch.setattr(optimize, builder, fake)
+        monkeypatch.setattr(optimize, builder,
+                            lambda qubits, phase: np.eye(2 ** qubits, dtype=complex)[0])
         with pytest.raises(errors.SelfCheckFailed) as caught:
             RADIUS_MAXIMA[model_class](2, 0)
         assert str(caught.value).startswith(f"{model_class} witness ")
@@ -400,9 +400,8 @@ class TestSamplers:
 
     #: The largest double below 1, the largest value ``random()`` returns.
     LAST = 1.0 - 2.0 ** -53
-    #: The (low, high) of every uniform the package draws: cos(theta), an azimuth
-    #: or phase, a local bar, and 3u for a cut.
-    RANGES = ((-1.0, 1.0), (0.0, 2.0 * np.pi), (0.0, 3.0))
+    #: The (low, high) of every uniform the package draws: a local bar, and a phase.
+    RANGES = ((-1.0, 1.0), (0.0, 2.0 * np.pi))
 
     @settings(derandomize=True, database=None)
     @given(st.sampled_from([0.0, LAST]), st.floats(0.0, 1.0, exclude_max=True))
@@ -413,13 +412,11 @@ class TestSamplers:
 
     @settings(derandomize=True, database=None)
     @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8))
-    def test_uniforms_and_cuts_stay_in_range(self, block):
+    def test_uniforms_stay_in_range(self, block):
         block = block + [0.0, self.LAST]
         for low, high in self.RANGES:
             values = optimize.uniforms(self.Stub(block), low, high, len(block))
             assert ((low <= values) & (values < high)).all(), (low, high)
-        cuts = optimize.uniforms(self.Stub(block), 0.0, 3.0, len(block)).astype(int)
-        assert set(cuts) <= {0, 1, 2}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(st.integers(0, 2 ** 63))
@@ -434,6 +431,21 @@ class TestSamplers:
             points = first[name]
             assert np.maximum(abs(points.real), abs(points.imag)).max() <= peak + mermin.SLACK
             assert (abs(points) ** 2).max() <= radius_squared + mermin.SLACK, name
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scatter_class_means_of_r2_are_the_haar_means(self, seed):
+        # Each class's mean r^2 is within 5 standard errors of its exact mean. A Haar
+        # qubit's |x + iy|^2 has mean 2/3, as does a uniform local bar pair's, and a Haar
+        # state on d amplitudes has E|psi_0|^2 |psi_last|^2 = 1 / (d (d + 1)): so
+        # (2/3)^3, 2/3 * 16/20 and 64/72.
+        count = 20_000
+        exact = {"scatter_local": 8 / 27, "scatter_quantum_local": 8 / 27,
+                 "scatter_biseparable": 8 / 15, "scatter_quantum": 8 / 9}
+        scatter = cli._scatter_points(seed, count)
+        for name, mean in exact.items():
+            r2 = abs(scatter[name][:count]) ** 2  # GHZ, appended last, is not drawn
+            error = r2.std(ddof=1) / np.sqrt(count)
+            assert abs(r2.mean() - mean) <= 5.0 * error, (name, (r2.mean() - mean) / error)
 
 
 class TestNesting:

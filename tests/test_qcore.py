@@ -132,29 +132,6 @@ class TestTensor:
             matrix = qcore.observable_matrix(Observable(terms))
             assert same_bits(matrix, self.seeded_observable_matrix(terms)), terms
 
-    def test_product_state(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            theta, phi = optimize.random_bloch_angles(rng, 3)
-            reference = np.array([1.0 + 0j])
-            for angles in zip(theta, phi):
-                reference = np.kron(reference, optimize._bloch_qubit(*angles))
-            assert same_bits(optimize.product_state(theta, phi), reference)
-
-    def test_biseparable_state(self):
-        # The single qubit times the pair, moved to the cut, as one broadcast multiply.
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            cut = int(rng.integers(0, 3))
-            (theta,), (phi,) = optimize.random_bloch_angles(rng, 1)
-            raw = rng.standard_normal(8)
-            pair = (raw[0::2] + 1j * raw[1::2]).reshape(2, 2)
-            pair = pair / np.linalg.norm(pair)
-            single = optimize._bloch_qubit(theta, phi)
-            reference = np.moveaxis(np.multiply.outer(single, pair), 0, cut).reshape(8)
-            state = optimize.biseparable_state(cut, theta, phi, raw[0::2] + 1j * raw[1::2])
-            assert same_bits(state, reference)
-
     def test_quarter_turns(self):
         assert same_bits(optimize.QUBIT3_TURN, np.tile([1, 1j], 4))
         assert same_bits(optimize.PAIR_TURN, np.repeat([1, 1j], 2))

@@ -7,15 +7,13 @@ make fewer numpy calls: ``np.isfinite(arr).all()``, ``abs(d).max()``,
 and refuse what its reference below does, with the same message, at the edges
 where the decision turns.
 
-``optimize.product_state`` and ``biseparable_state`` once read one packed real
-vector, the (theta, phi) pairs interleaved and then a pair's 8 real and imaginary
-parts. They now take Bloch angles and complex amplitudes. Every ``figure1`` scatter
-point must keep the bits of the packed construction below, except the GHZ point
-appended last, which is now read from ``qcore.ghz_density()`` and is exactly (4, 0).
 Every witness a radius maximizer certifies must have the bits of the phased cats
-written out below, at the phases of one uniform draw from its seed. Both read their
-numbers from ``random.Random(seed)`` here, one ``random()`` at a time, in the order
-the package draws its blocks, and map them by the formulas written out below.
+written out below, at the phases of one uniform draw from its seed. Every ``figure1``
+scatter point must have the bits of the draws written out below: the local bars, then
+Haar-random factors of each quantum class, normalized Box-Muller normals, whose points
+multiply. The GHZ point appended last is read from ``qcore.ghz_density()`` and is
+exactly (4, 0). Both read their numbers from ``random.Random(seed)`` here, one
+``random()`` at a time, in the order the package draws its blocks.
 """
 import functools
 import itertools
@@ -258,34 +256,17 @@ def box_muller(rng: random.Random, shape) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
 
 
-def packed_bloch_angles(rng: random.Random, count: int) -> np.ndarray:
-    """``optimize.random_bloch_angles`` as first written: (theta, phi) interleaved,
-    the ``count`` values of cos(theta) drawn first."""
-    params = np.empty(2 * count)
-    params[0::2] = np.arccos(-1.0 + 2.0 * draws(rng, count))
-    params[1::2] = 2.0 * np.pi * draws(rng, count)
-    return params
-
-
-def packed_product_state(params) -> np.ndarray:
-    return qcore.tensor([optimize._bloch_qubit(params[2 * q], params[2 * q + 1]) for q in range(3)])
-
-
-def packed_biseparable_state(cut: int, params) -> np.ndarray:
-    """2 Bloch angles, then the pair's 8 reals (re, im interleaved), normalized here."""
-    single = optimize._bloch_qubit(params[0], params[1])
-    raw = np.asarray(params[2:10], dtype=float)
-    pair = (raw[0::2] + 1j * raw[1::2]).reshape(2, 2)
-    pair = pair / np.linalg.norm(pair)
-    return np.moveaxis(qcore.tensor([single, pair.reshape(4)]).reshape(2, 2, 2), 0, cut).reshape(8)
-
-
 def cat(qubits: int, phase: float) -> np.ndarray:
     """(|0...0> + e^{i phase}|1...1>)/sqrt(2) on ``qubits`` qubits."""
     amplitudes = np.zeros(2 ** qubits, dtype=complex)
     amplitudes[0] = qcore.SQRT2_INV
     amplitudes[-1] = np.exp(1j * phase) * qcore.SQRT2_INV
     return amplitudes
+
+
+def cat_biseparable(cut: int, phi: float, pair_phase: float) -> np.ndarray:
+    """The one-qubit cat at ``phi`` on party ``cut``, times the pair's cat on the other two."""
+    return np.moveaxis(np.kron(cat(1, phi), cat(2, pair_phase)).reshape(2, 2, 2), 0, cut).reshape(8)
 
 
 def cat_witnesses(seed: int) -> dict:
@@ -295,33 +276,31 @@ def cat_witnesses(seed: int) -> dict:
     def phases(shape):
         return 2.0 * np.pi * draws(random.Random(seed), shape)
     return {"quantum_local": [functools.reduce(np.kron, [cat(1, a) for a in phases(3)])],
-            "biseparable": [packed_biseparable_state(cut, np.concatenate(
-                                [[np.pi / 2.0, phi], cat(2, pair_phase).view(float)]))
+            "biseparable": [cat_biseparable(cut, phi, pair_phase)
                             for cut, (phi, pair_phase) in enumerate(phases((3, 2)))],
             "quantum": [cat(3, phases(()))]}
 
 
-def packed_scatter_points(seed: int, count: int) -> dict:
-    """``cli._scatter_points`` over the packed vector: local bars, product angles,
-    biseparable cuts int(3u), angles and pairs, then Haar normals, each a block."""
+def scatter_draws(seed: int, count: int) -> tuple:
+    """The local bars and the quantum factors ``cli._scatter_points`` draws at ``seed``,
+    in its order: three qubits, a qubit and a pair, a triple, each normalized."""
     rng = random.Random(seed)
     bars = -1.0 + 2.0 * draws(rng, (count, 3, 2))
+    factors = [box_muller(rng, (count, *shape)) for shape in ((3, 2), (2,), (4,), (8,))]
+    return bars, [f / np.linalg.norm(f, axis=-1, keepdims=True) for f in factors]
+
+
+def reference_scatter_points(seed: int, count: int) -> dict:
+    """``cli._scatter_points`` but its GHZ point: a factor of 2^n amplitudes has the point
+    2^n conj(psi_0...0) psi_1...1, and a product state the product of its factors' points."""
+    bars, (qubits, single, pair, triple) = scatter_draws(seed, count)
     local = (locality.mermin_values(bars, mermin.M_TERMS)
              + 1j * locality.mermin_values(bars, mermin.MPRIME_TERMS))
-    product = [packed_product_state(params)
-               for params in packed_bloch_angles(rng, 3 * count).reshape(count, 6)]
-    cuts = [int(3 * u) for u in draws(rng, count)]
-    angles = packed_bloch_angles(rng, count).reshape(count, 2)
-    pairs = box_muller(rng, (count, 4))
-    biseparable = [packed_biseparable_state(cut, np.concatenate([params, pair.view(float)]))
-                   for cut, params, pair in zip(cuts, angles, pairs)]
-    haar = box_muller(rng, (count, 8))
-    haar = list(haar / np.linalg.norm(haar, axis=1, keepdims=True))
-    haar.append(qcore.make_ghz().amplitudes)
+    qubit, single, pair, triple = (f.shape[-1] * (f[..., -1] * f[..., 0].conj())
+                                   for f in (qubits, single, pair, triple))
     return {"scatter_local": local,
-            "scatter_quantum_local": mermin.pure_mermin_values(np.array(product)),
-            "scatter_biseparable": mermin.pure_mermin_values(np.array(biseparable)),
-            "scatter_quantum": mermin.pure_mermin_values(np.array(haar))}
+            "scatter_quantum_local": qubit[:, 0] * qubit[:, 1] * qubit[:, 2],
+            "scatter_biseparable": single * pair, "scatter_quantum": triple}
 
 
 def bits(named: dict) -> dict:
@@ -343,10 +322,24 @@ class TestBuildersKeepThePackedBits:
                              optimize.max_quantum_radius):
                 maximize(1, seed)
         assert bits(handed) == bits(cat_witnesses(seed))
-        scatter, packed = cli._scatter_points(seed, 10), packed_scatter_points(seed, 10)
-        # The packed construction appended make_ghz's point, 3.999999999999999; the GHZ
-        # point is now exact, and every other point keeps its bits.
+        scatter = cli._scatter_points(seed, 10)
         assert bits({"ghz": scatter["scatter_quantum"][-1:]}) == bits({"ghz": [4 + 0j]})
-        scatter["scatter_quantum"], packed["scatter_quantum"] = (
-            scatter["scatter_quantum"][:-1], packed["scatter_quantum"][:-1])
-        assert bits(scatter) == bits(packed)
+        scatter["scatter_quantum"] = scatter["scatter_quantum"][:-1]
+        assert bits(scatter) == bits(reference_scatter_points(seed, 10))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 2), min_size=10, max_size=10))
+    def test_scatter_points_are_the_points_of_their_product_states(self, seed, cuts):
+        # Built whole from the same factors, each product state -- a biseparable one with
+        # its qubit moved to a drawn cut -- has the scatter point within rounding.
+        _, (qubits, single, pair, triple) = scatter_draws(seed, 10)
+        states = {"scatter_quantum_local": [functools.reduce(np.kron, q) for q in qubits],
+                  "scatter_biseparable": [
+                      np.moveaxis(np.kron(a, b).reshape(2, 2, 2), 0, cut).reshape(8)
+                      for cut, a, b in zip(cuts, single, pair)],
+                  "scatter_quantum": list(triple)}
+        scatter = cli._scatter_points(seed, 10)
+        for name, built in states.items():
+            points = [mermin.evaluate_point(StateVector(psi)) for psi in built]
+            built_points = np.array([complex(p.m_value, p.mprime_value) for p in points])
+            assert abs(scatter[name][:10] - built_points).max() <= 2e-15, name
