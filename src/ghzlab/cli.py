@@ -127,12 +127,13 @@ def cmd_contradiction(args) -> dict:
     return {**report, "hr_max": locality.hr_constrained_satisfiability()[0]}
 
 
+#: Each class's maximizer, looked up in ``optimize`` when called, so a rebound one is used.
 _BOUND_RUNNERS = {
-    "local": optimize.max_local_mermin,
-    "realistic": optimize.max_realistic_mermin,
-    "quantum_local": optimize.max_quantum_local_radius,
-    "biseparable": optimize.max_biseparable_radius,
-    "quantum": optimize.max_quantum_radius,
+    "local": lambda **given: optimize.max_local_mermin(**given),
+    "realistic": lambda **given: optimize.max_realistic_mermin(**given),
+    "quantum_local": lambda **given: optimize.max_quantum_local_radius(**given),
+    "biseparable": lambda **given: optimize.max_biseparable_radius(**given),
+    "quantum": lambda **given: optimize.max_quantum_radius(**given),
 }
 
 

@@ -198,6 +198,21 @@ class TestBounds:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {flag} does not apply to --class {model_class}\n"
 
+    @pytest.mark.parametrize("model_class,name,argv", [
+        ("local", "max_local_mermin", []), ("realistic", "max_realistic_mermin", []),
+        ("quantum_local", "max_quantum_local_radius", ["--seed", "3"]),
+        ("biseparable", "max_biseparable_radius", ["--seed", "3"]),
+        ("quantum", "max_quantum_radius", ["--seed", "3"])])
+    def test_each_class_runs_the_maximizer_optimize_holds_when_called(
+            self, capsys, monkeypatch, model_class, name, argv):
+        # The table looks each maximizer up at call time, so one rebound on optimize
+        # after import (as the benchmark's tracer rebinds them) is the one that runs.
+        calls, original = [], getattr(optimize, name)
+        monkeypatch.setattr(optimize, name, lambda **given: calls.append(given) or original(**given))
+        code, out = run(capsys, ["bounds", "--class", model_class, *argv])
+        assert (code, calls) == (0, [{"seed": 3} if argv else {}])
+        assert json.loads(out) == original(**calls[0]).to_json_dict()
+
     @pytest.mark.parametrize("model_class", ["quantum_local", "biseparable", "quantum"])
     def test_seed_changes_each_radius_class(self, capsys, model_class):
         docs = [json.loads(run(capsys, ["bounds", "--class", model_class, "--seed", seed])[1])

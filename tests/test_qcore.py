@@ -3,11 +3,13 @@ import functools
 import inspect
 import itertools
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from ghzlab import mermin, optimize, qcore
 from ghzlab.errors import SelfCheckFailed
@@ -630,7 +632,92 @@ class TestAntiDiagonal:
         assert {name: calls[name] for name in counted} == dict.fromkeys(counted, 0)
 
 
+#: u = 2^-53, the unit roundoff that mix_with_white_noise's derivation counts in.
+U = 2.0 ** -53
+#: The least subnormal: a product that underflows is off by at most half of it.
+TINY = float(np.finfo(float).smallest_subnormal)
+#: v at both ends, a hair below 1, subnormal, and anywhere in [0, 1].
+VISIBILITIES = st.one_of(st.sampled_from([0.0, 1.0, 1.0 - U, TINY]),
+                         st.floats(0.0, float(np.finfo(float).tiny)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def accepted_pure_states(draw):
+    """A StateVector: complex entries in [-1, 1], some of them zero, scaled to
+    |psi|^2 = 1 + t READ_SLACK with |t| <= 1, as far as StateVector accepts it."""
+    raw = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16)))
+    amps = raw[0::2] + 1j * raw[1::2]
+    amps[sorted(draw(st.sets(st.integers(0, 7), max_size=7)))] = 0.0
+    assume(np.linalg.norm(amps) > 1e-3)
+    t = draw(st.one_of(st.sampled_from([0.9, -0.9, 1.0, -1.0]), st.floats(-1.0, 1.0)))
+    try:
+        return StateVector(amps / np.linalg.norm(amps) * math.sqrt(1.0 + t * qcore.READ_SLACK))
+    except ValueError:
+        reject()
+
+
+#: A state StateVector accepts, |psi|^2 = 1 + 0.99987 READ_SLACK, whose mixture at v = 1
+#: has a trace READ_SLACK refuses: (1.000000000001 + 1.2e-17j).
+TRACE_PAST_THE_SLACK = StateVector(np.array([
+    0.6010512124613112 - 0.20102796217792201j, 0.1902814874378668 - 0.021197641915231588j,
+    0.19509525315689719 - 0.2779772865614415j, -0.15123773591842862 - 0.028914286408462834j,
+    -0.4849184196789322 + 0.028094276041188655j, 0.04927368639275541 + 0.010470652152539102j,
+    0.03207556313206248 - 0.14896781117025062j, -0.36112771374680075 + 0.17470039094655584j]))
+
+
 class TestWhiteNoise:
+    @settings(derandomize=True, database=None, max_examples=500)
+    @given(accepted_pure_states(), VISIBILITIES)
+    @example(TRACE_PAST_THE_SLACK, 1.0)
+    def test_a_pure_input_is_accepted_as_the_constructor_accepts_its_mixture(self, pure, v):
+        # The certified path takes exactly what DensityMatrix takes, with the same bits.
+        entries = v * qcore.density_entries(pure) + (1.0 - v) * qcore.WHITE_NOISE
+        outcomes = []
+        for build in (lambda: DensityMatrix(entries), lambda: qcore.mix_with_white_noise(pure, v)):
+            try:
+                outcomes.append(build())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        full, certified = outcomes
+        if isinstance(full, str):
+            assert certified == full
+        else:
+            assert type(certified) is DensityMatrix
+            assert np.array_equal(certified.entries, full.entries)
+            assert certified.entries.dtype == complex and not certified.entries.flags.writeable
+
+    def test_a_trace_past_the_slack_is_refused_with_the_constructors_message(self):
+        with pytest.raises(ValueError, match=r"^density matrix trace \(1\.000000000001\+"):
+            qcore.mix_with_white_noise(TRACE_PAST_THE_SLACK, 1.0)
+
+    @settings(derandomize=True, database=None)
+    @given(accepted_pure_states())
+    def test_a_pure_states_outer_product_is_hermitian_within_the_derived_bound(self, pure):
+        # The premise of the certified path: |psi><psi| is Hermitian within 3u |psi_i psi_j|
+        # per entry, and a product that underflows adds at most two half-subnormals.
+        rho, a = qcore.density_entries(pure), np.abs(pure.amplitudes)
+        assert (np.abs(rho - rho.conj().T) <= 3 * U * np.outer(a, a) + TINY).all()
+
+    def test_only_the_white_noise_path_skips_the_constructor(self):
+        # object.__new__(DensityMatrix) is written once in src/, in mix_with_white_noise.
+        made = [(path.stem, node.name, ast.unparse(call))
+                for path in sorted(Path(qcore.__file__).parent.glob("*.py"))
+                for node in ast.parse(path.read_text()).body
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+                and ast.unparse(call.func).endswith("__new__")]
+        assert made == [("qcore", "mix_with_white_noise", "object.__new__(DensityMatrix)")]
+
+    def test_a_mixed_input_takes_every_check(self, monkeypatch):
+        # A mixed input's least eigenvalue has no closed form, so its mixture is
+        # eigensolved; a pure input's is not.
+        pure, mixed = qcore.make_ghz(), qcore.ghz_density()
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(1) or eigvalsh(mat))
+        qcore.mix_with_white_noise(pure, 0.5)
+        assert calls == []
+        qcore.mix_with_white_noise(mixed, 0.5)
+        assert calls == [1]
+
     def test_pure_limit(self):
         ghz = qcore.make_ghz()
         rho = qcore.mix_with_white_noise(ghz, 1.0)
