@@ -7,9 +7,10 @@ equatorial Bloch components. M_TERMS and MPRIME_TERMS are its real and imaginary
     M  = XXX - XYY - YXY - YYX
     M' = XXY + XYX + YXX - YYY
 
-BOUNDS holds the four bounds on a point (m, m'), CLASSES the radius
-classes; every limit is written there and nowhere else. Every comparison
-is ``value - SLACK <= limit``: a value within SLACK above a limit is on it.
+BOUNDS holds the four bounds on a point (m, m'), CLASSES the radius classes, PARTITIONS
+the factor partitions from which one ``optimize`` function makes every radius witness;
+every limit is written there and nowhere else. Every comparison is
+``value - SLACK <= limit``: a value within SLACK above a limit is on it.
 """
 from __future__ import annotations
 
@@ -39,6 +40,11 @@ BOUNDS = MappingProxyType({"locality": ("square", 2.0), "quantum_locality": ("ci
 #: perfbench/child.py's ``_klass`` checks ``report`` against it: move both together.
 CLASSES = MappingProxyType({"separable-compatible": 1.0, "two-entangled-compatible": 8.0,
                             "three-entangled": np.inf})
+#: Each radius class by its witnesses' factor partitions of qubits (0, 1, 2), one per cut
+#: for biseparable: a product of k factors has r^2 <= 4^(3 - k).
+PARTITIONS = MappingProxyType({"quantum_local": (((0,), (1,), (2,)),),
+                               "biseparable": (((0,), (1, 2)), ((1,), (0, 2)), ((2,), (0, 1))),
+                               "quantum": (((0, 1, 2),),)})
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,15 @@ Class maxima (certified targets):
     quantum (all pure states)    r^2 max  = 16     closed form + exact check
 
 where r^2 = <M>^2 + <M'>^2. Since M + iM' = (X + iY)^{(x)3} = 8|000><111|,
-r^2 = 64 |psi_000|^2 |psi_111|^2 and AM-GM gives the maxima: every qubit
-on the equator, a pair in (e^{ia}|00> + e^{ib}|11>)/sqrt(2), or the state
-(e^{ia}|000> + e^{ib}|111>)/sqrt(2). Each witness is such a maximizer, a product
-of phased cats (|0...0> + e^{ia}|1...1>)/sqrt(2), at phases from one seeded ``uniforms``
-draw of exactly its free phases; ``restarts`` is only echoed. Each radius maximum
-leaves through ``_certify``, which builds the result only once the identity
-holds exactly on the operator matrices and every such witness is 8 amplitudes
-of norm 1 (so finite) reaching the value, both within SELF_CHECK_TOL, and
-writes the first witness as the argmax. The eigensolve oracles are independent
-references: an exact quarter-turn check, then one eigensolve (one per cut).
+r^2 = 64 |psi_000|^2 |psi_111|^2. One function, ``_max_radius``, gives the three radius
+maxima from ``mermin.PARTITIONS``: a product of k factors has r^2 <= 4^{3-k}, reached by
+a product of phased cats (|0...0> + e^{ia}|1...1>)/sqrt(2) at phases from one seeded
+``uniforms`` draw of exactly its free phases; ``restarts`` is only echoed. Each radius
+maximum leaves through ``_certify``, which builds the result only once the identity holds
+exactly on the operator matrices and every witness is 8 amplitudes of norm 1 (so finite)
+reaching the value, both within SELF_CHECK_TOL, and writes the first witness as the
+argmax. The eigensolve oracles are independent references: an exact quarter-turn check,
+then one eigensolve (one per cut).
 """
 from __future__ import annotations
 
@@ -64,7 +63,7 @@ def _mermin_matrices():
 
 
 def _mermin_terms(which: str) -> tuple:
-    if which not in ("m", "mprime"):
+    if not isinstance(which, str) or which not in ("m", "mprime"):
         raise ValueError(f"which must be 'm' or 'mprime', got {which!r}")
     return mermin.M_TERMS if which == "m" else mermin.MPRIME_TERMS
 
@@ -167,17 +166,26 @@ def _phased_cat(qubits: int, phase: float) -> np.ndarray:
     return cat
 
 
+def _max_radius(model_class: str, restarts: int, seed: int) -> OptimizationResult:
+    """Max of <M>^2 + <M'>^2 over the products of ``mermin.PARTITIONS[model_class]``.
+
+    M + iM' = (X + iY)^{(x)3} factorizes, so a product of k factors has the product of its
+    factors' points, each 2^n conj(psi_0...0) psi_1...1 on n qubits. By AM-GM its modulus is
+    2^n |psi_0...0 psi_1...1| <= 2^{n-1} (|psi_0...0|^2 + |psi_1...1|^2) <= 2^{n-1}, equal at
+    a phased cat, so r^2 <= 4^{sum (n-1)} = 4^{3-k}. One seeded draw phases every factor.
+    """
+    partitions = mermin.PARTITIONS[model_class]
+    phases = uniforms(seeded_rng(seed), 0.0, 2.0 * np.pi, (len(partitions), len(partitions[0])))
+    witnesses = [np.moveaxis(qcore.tensor([_phased_cat(len(f), a) for f, a in zip(partition, row)])
+                             .reshape(2, 2, 2), (0, 1, 2), sum(partition, ())).reshape(8)
+                 for partition, row in zip(partitions, phases)]
+    return _certify(model_class, 4.0 ** (3 - len(partitions[0])), witnesses, restarts, seed)
+
+
 def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
                              seed: int = locality.DEFAULT_SEED) -> OptimizationResult:
-    """Max of <M>^2 + <M'>^2 over pure product states.
-
-    For a product state the point is prod_k (x_k + i y_k) over the qubits'
-    equatorial Bloch components, so r^2 = prod_k (x_k^2 + y_k^2) <= 1.
-    The witness puts each qubit on the equator, at three seeded azimuths.
-    """
-    phases = uniforms(seeded_rng(seed), 0.0, 2.0 * np.pi, 3)
-    return _certify("quantum_local", 1.0, [qcore.tensor([_phased_cat(1, a) for a in phases])],
-                    restarts, seed)
+    """Max of <M>^2 + <M'>^2 over pure product states: 1, at three equatorial qubits."""
+    return _max_radius("quantum_local", restarts, seed)
 
 
 def biseparable_radius_eigen_oracle() -> float:
@@ -206,18 +214,8 @@ def biseparable_radius_eigen_oracle() -> float:
 
 def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
                            seed: int = locality.DEFAULT_SEED) -> OptimizationResult:
-    """Max of <M>^2 + <M'>^2 over states product across at least one cut.
-
-    The supremum 4 is attained on every cut (single qubit on the equator,
-    pair in a phased Bell state). One seeded draw gives each cut its qubit's
-    azimuth and its pair's phase; all three witnesses are certified, and the
-    cut-0 witness is the argmax.
-    """
-    phases = uniforms(seeded_rng(seed), 0.0, 2.0 * np.pi, (3, 2))
-    witnesses = [np.moveaxis(qcore.tensor([_phased_cat(1, phi), _phased_cat(2, pair_phase)])
-                             .reshape(2, 2, 2), 0, cut).reshape(8)
-                 for cut, (phi, pair_phase) in enumerate(phases)]
-    return _certify("biseparable", 4.0, witnesses, restarts, seed)
+    """Max of <M>^2 + <M'>^2 over states product across a cut: 4, witnessed on each cut."""
+    return _max_radius("biseparable", restarts, seed)
 
 
 def operator_square_sum_top_eigenvalue() -> float:
@@ -247,13 +245,8 @@ def quantum_radius_eigen_oracle() -> float:
 
 def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,
                        seed: int = locality.DEFAULT_SEED) -> OptimizationResult:
-    """Max of <M>^2 + <M'>^2 over all pure three-qubit states.
-
-    The witness is (|000> + e^{ia}|111>)/sqrt(2) at one seeded phase a: its
-    |000> amplitude is SQRT2_INV exactly. That state is certified and reported.
-    """
-    phase = uniforms(seeded_rng(seed), 0.0, 2.0 * np.pi, ())
-    return _certify("quantum", 16.0, [_phased_cat(3, phase)], restarts, seed)
+    """Max of <M>^2 + <M'>^2 over all pure three-qubit states: 16, at a phased GHZ state."""
+    return _max_radius("quantum", restarts, seed)
 
 
 def noise_threshold(bound: str, tol: float = qcore.DEFAULT_TOL) -> float:

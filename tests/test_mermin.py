@@ -412,6 +412,21 @@ class TestTables:
         assert (shape, limit ** 2) == ("circle", optimize.max_quantum_radius(2).best_value)
         assert limit ** 2 == optimize.quantum_radius_eigen_oracle()
 
+    @pytest.mark.parametrize("name,maximize", [
+        ("separable-compatible", optimize.max_quantum_local_radius),
+        pytest.param("two-entangled-compatible", optimize.max_biseparable_radius,
+                     marks=pytest.mark.xfail(strict=True, reason=(
+                         "class fault: CLASSES holds 8 for two-entangled-compatible, above the "
+                         "certified biseparable maximum 4; perfbench/child.py::_klass copies the "
+                         "8, so the limit moves with it (ROADMAP direction 1a)"))),
+    ], ids=["separable", "biseparable"])
+    def test_finite_class_limits_are_the_certified_maxima(self, name, maximize):
+        # A class holds the states of its kind and no more: its r^2 limit is the
+        # certified maximum over the class.
+        assert [n for n, limit in mermin.CLASSES.items() if np.isfinite(limit)] == [
+            "separable-compatible", "two-entangled-compatible"]
+        assert mermin.CLASSES[name] == maximize().best_value
+
     def test_thresholds_are_the_bounds_ghz_violates(self):
         bounds = mermin.report(mermin.evaluate_point(qcore.make_ghz())).to_json_dict()["bounds"]
         assert optimize.THRESHOLD_LIMITS == {

@@ -35,9 +35,11 @@ class TestLocalAndRealistic:
 
     @pytest.mark.parametrize("maximize", [optimize.max_local_mermin,
                                           optimize.max_realistic_mermin])
-    @pytest.mark.parametrize("which", ["M", "foo", ""])
+    @pytest.mark.parametrize("which", ["M", "foo", "", np.array(["m", "m"]), ["m"], None, 1])
     def test_unknown_which_rejected(self, maximize, which):
-        with pytest.raises(ValueError, match=f"^which must be 'm' or 'mprime', got {which!r}$"):
+        # A name the call does not take is refused with its message, whatever its type.
+        message = re.escape(f"which must be 'm' or 'mprime', got {which!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             maximize(which)
 
     def test_all_products_plus_one_is_not_maximal(self):
@@ -322,9 +324,11 @@ def test_cat_products_reach_the_closed_forms(azimuths, cuts, phase):
 
 
 def test_each_radius_maximum_draws_only_its_free_phases():
-    # A witness's free parameters are its phases: each radius maximum makes one
-    # block of uniforms and calls no other sampler, no optimize code reads a phase
-    # back with np.angle, and no assignment discards a value into ``_``.
+    # A witness's free parameters are its phases: ``_max_radius``, which builds every
+    # witness, makes one block of uniforms and calls no other sampler, no optimize code
+    # reads a phase back with np.angle, and no assignment discards a value into ``_``.
+    # The cats, their moves to their qubits and the closed form are written in
+    # ``_max_radius`` alone, and each public radius maximum only returns its result.
     tree = ast.parse(Path(optimize.__file__).read_text())
     read_back = [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and node.attr == "angle"]
@@ -333,14 +337,59 @@ def test_each_radius_maximum_draws_only_its_free_phases():
                      isinstance(name, ast.Name) and name.id == "_"
                      for target in node.targets for name in ast.walk(target))]
     assert (read_back, discarded) == ([], [])
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def callers(name: str) -> set:
+        return {function for function, node in functions.items()
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+                and ast.unparse(call.func) == name}
     samplers = ("uniforms", "complex_normals", "random", "uniform",
                 "standard_normal", "gauss", "normalvariate")
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for maximize in RADIUS_MAXIMA.values():
-        draws = [ast.unparse(node.func) for node in ast.walk(functions[maximize.__name__])
-                 if isinstance(node, ast.Call)
-                 and ast.unparse(node.func).rpartition(".")[2] in samplers]
-        assert draws == ["uniforms"], maximize.__name__
+    draws = [ast.unparse(node.func) for node in ast.walk(functions["_max_radius"])
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).rpartition(".")[2] in samplers]
+    assert draws == ["uniforms"]
+    assert callers("_phased_cat") == callers("_certify") == {"_max_radius"}
+    # The oracle's moveaxis puts an operator's cut qubit first; it builds no witness.
+    assert callers("np.moveaxis") == {"_max_radius", "biseparable_radius_eigen_oracle"}
+    closed_forms = {function for function, node in functions.items()
+                    for power in ast.walk(node) if isinstance(power, ast.BinOp)
+                    and isinstance(power.op, ast.Pow) and ast.unparse(power.left) == "4.0"}
+    assert closed_forms == {"_max_radius"}
+    for model_class, maximize in RADIUS_MAXIMA.items():
+        node = functions[maximize.__name__]
+        assert len(node.body) == 2 and "\n" not in ast.get_docstring(node)
+        assert ast.unparse(node.body[1]) == f"return _max_radius({model_class!r}, restarts, seed)"
+
+
+@settings(derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_each_witness_is_a_product_over_its_partition(seed):
+    # Witness i of a class is a product over the class's partition i: for each factor,
+    # the amplitudes as (factor qubits) x (other qubits) have rank 1. So each maximum
+    # is reached inside its class, on every cut for biseparable.
+    partitions = mermin.PARTITIONS
+    assert list(partitions) == list(RADIUS_SQUARED)
+    for name, class_partitions in partitions.items():
+        for partition in class_partitions:
+            assert sorted(sum(partition, ())) == [0, 1, 2]
+        assert len({len(partition) for partition in class_partitions}) == 1
+    # One partition per cut c: qubit c against the other two.
+    assert [tuple(sorted(partition, key=len)) for partition in partitions["biseparable"]] == [
+        ((cut,), tuple(q for q in range(3) if q != cut)) for cut in range(3)]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_certify", recording_certify(calls))
+        for maximize in RADIUS_MAXIMA.values():
+            maximize(1, seed)
+    for name, value, witnesses in calls:
+        assert value == RADIUS_SQUARED[name]
+        assert len(witnesses) == len(partitions[name])
+        for psi, partition in zip(witnesses, partitions[name]):
+            for factor in partition:
+                split = np.moveaxis(psi.reshape(2, 2, 2), factor, range(len(factor)))
+                singular = np.linalg.svd(split.reshape(2 ** len(factor), -1), compute_uv=False)
+                assert np.all(singular[1:] <= qcore.SELF_CHECK_TOL), (name, partition, factor)
 
 
 class TestCertify:

@@ -13,12 +13,14 @@ can only shrink.
 
 ``python tests/test_reach.py`` prints how many top-level definition lines the walk
 from ``cli.main`` and ``cli.entry`` alone reaches, of how many in all, then each
-module's line count and their total, as ``wc -l src/ghzlab/*.py`` prints them, and
-the totals of ``tests/*.py`` and ``perfbench/*.py``.
+module's line count and their total, as ``wc -l src/ghzlab/*.py`` prints them, each
+beside its code lines, and the totals of ``tests/*.py`` and ``perfbench/*.py``.
 
 One more pin reads the same parse: no module reads another module's underscore name.
 """
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -141,13 +143,33 @@ def line_count(path: Path) -> int:
     return path.read_bytes().count(b"\n")
 
 
+#: Tokens that hold no code: a comment, line ends and indentation.
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The lines that hold a token other than a comment and lie outside every module,
+    class and function docstring. Deleting a comment or a docstring leaves it unchanged."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = {line for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type not in NOT_CODE for line in range(token.start[0], token.end[0] + 1)}
+    return len(code - docstrings)
+
+
 def line_report() -> list:
-    """One line per module, its line count and path, then the total; then one total
-    line for each directory of TOTALLED."""
-    counts = {f"src/ghzlab/{path.name}": line_count(path) for path in sorted(SRC.glob("*.py"))}
-    total = sum(counts.values())
+    """One line per module, its line count, its code lines and its path, then the two
+    totals; then one total line for each directory of TOTALLED."""
+    counts = {f"src/ghzlab/{path.name}": (line_count(path), code_lines(path.read_text()))
+              for path in sorted(SRC.glob("*.py"))}
+    total, total_code = map(sum, zip(*counts.values()))
     width = len(str(total))
-    return ([f"{count:>{width}} {name}" for name, count in counts.items()] + [f"{total} total"]
+    return ([f"{lines:>{width}} {code:>{width}} {name}" for name, (lines, code) in counts.items()]
+            + [f"{total} {total_code:>{width}} total"]
             + [f"{sum(map(line_count, (REPO / name).glob('*.py')))} {name}/*.py total"
                for name in TOTALLED])
 
@@ -190,15 +212,40 @@ def test_reached_lines_count_the_definition_spans():
 
 def test_line_report_totals_the_module_counts():
     *modules, total, tests_total, perfbench_total = line_report()
-    counts = {line.split()[1]: int(line.split()[0]) for line in modules}
-    assert counts == {f"src/ghzlab/{path.name}": len(path.read_text().splitlines())
+    counts = {line.split()[2]: (int(line.split()[0]), int(line.split()[1])) for line in modules}
+    assert counts == {f"src/ghzlab/{path.name}": (len(path.read_text().splitlines()),
+                                                  code_lines(path.read_text()))
                       for path in sorted(SRC.glob("*.py"))}
-    assert total.split() == [str(sum(counts.values())), "total"]
+    assert total.split() == [*map(str, map(sum, zip(*counts.values()))), "total"]
     for name, line in [("tests", tests_total), ("perfbench", perfbench_total)]:
         paths = sorted((REPO / name).glob("*.py"))
         assert paths
         assert line.split() == [str(sum(len(path.read_text().splitlines()) for path in paths)),
                                 f"{name}/*.py", "total"]
+
+
+def test_code_lines_skip_comments_blank_lines_and_docstrings():
+    # Code: the import, the class and def lines, both lines of the string that is
+    # not a docstring, and the return.
+    snippet = '''"""A module
+docstring."""
+# a comment
+import os  # a trailing comment
+
+
+class Shape:
+    """A class docstring."""
+
+    def area(self):
+        """A function
+        docstring."""
+        text = """a string
+        that is no docstring"""
+        return text
+'''
+    assert code_lines(snippet) == 6
+    assert code_lines("") == code_lines("# only a comment\n") == code_lines('"""Only."""\n') == 0
+    assert code_lines("x = 1\n\n\ny = 2\n") == 2
 
 
 def test_no_module_reads_another_modules_private_name():
