@@ -28,13 +28,13 @@ import numpy as np
 
 from .errors import SelfCheckFailed
 from . import locality, mermin, qcore
-from .qcore import SELF_CHECK_TOL, Observable, make_ghz, observable_matrix
+from .qcore import SELF_CHECK_TOL, Observable, observable_matrix
 
 #: diag(1, i) on qubit 3 of three, and on the first qubit of a pair.
 QUBIT3_TURN = qcore.tensor([np.ones(2), np.ones(2), [1, 1j]])
 PAIR_TURN = qcore.tensor([[1, 1j], np.ones(2)])
 #: Limit of each bound that GHZ violates, so that noisy GHZ crosses it.
-_GHZ_BOUNDS = mermin.report(mermin.evaluate_point(make_ghz())).to_json_dict()["bounds"]
+_GHZ_BOUNDS = mermin.report(mermin.evaluate_point(qcore.ghz_density())).to_json_dict()["bounds"]
 THRESHOLD_LIMITS = {name: limit for name, (_, limit) in mermin.BOUNDS.items()
                     if not _GHZ_BOUNDS[name]}
 

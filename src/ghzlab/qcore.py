@@ -16,7 +16,8 @@ Conventions used everywhere in the package:
 * Every number handed to the package is read by ``read_numbers``, a count or
   seed by ``read_count``; both refuse, never coerce, what is not a finite
   number in float range (an integer from a least value, for a count).
-* A pure state's white-noise mixture checks only its trace; ``mix_with_white_noise`` derives why.
+* The package certifies what it builds and eigensolves only input: ``ghz_density()`` and its or
+  a pure state's white-noise mixture check at most a trace; ``mix_with_white_noise`` derives why.
 """
 from __future__ import annotations
 
@@ -155,7 +156,7 @@ class DensityMatrix:
         tr = complex(mat.trace())
         if abs(tr - 1.0) > READ_SLACK:
             raise ValueError(f"density matrix trace {tr!r} != 1")
-        # Outside matrices and mixed inputs' mixtures can dip below zero; eigvalsh ascends.
+        # Only input gets here (a file, a caller's matrix, their mixtures); eigvalsh ascends.
         if np.linalg.eigvalsh(mat)[0] < -READ_SLACK:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "entries", mat)
@@ -203,10 +204,19 @@ def make_ghz() -> StateVector:
 
 @functools.cache
 def ghz_density() -> DensityMatrix:
-    """GHZ's density matrix, built on first use: its entries 0 and 1/2 are exact, where
-    make_ghz's SQRT2_INV squares to 1/2 - 2^-53. GHZ's own numbers are read from it."""
+    """GHZ's density matrix, built once and certified, not checked: its entries 0 and 1/2 are
+    exact (make_ghz's SQRT2_INV squares to 1/2 - 2^-53), so it is exactly real symmetric with
+    trace 1 and spectrum {1, 0 (x7)}. GHZ's own numbers are read from it."""
     ket = np.eye(8)[0] + np.eye(8)[7]  # |000> + |111>, unnormalized
-    return DensityMatrix(np.outer(ket, ket) / 2)
+    return _certified(np.outer(ket, ket).astype(complex) / 2)
+
+
+def _certified(entries: np.ndarray) -> DensityMatrix:
+    """A DensityMatrix of complex ``entries`` its builder has proved a state, made read-only."""
+    entries.setflags(write=False)
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "entries", entries)
+    return state
 
 
 def tensor(factors) -> np.ndarray:
@@ -310,18 +320,19 @@ def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
     """v * rho + (1 - v) * I/8. A pure input certifies its mixture, u = 2^-53: finite, as
     |psi_i| <= 1 + READ_SLACK and v is in [0, 1]; Hermitian within 3u |psi_i psi_j| + v's rounding,
     one FMA rounding in each Im of outer(psi, conj(psi)), I/8 exact; eigenvalues (1 - v)/8 (x7) and
-    v|psi|^2 + (1 - v)/8, moved O(u). Only the trace, v|psi|^2 + 1 - v +- 8u, can pass READ_SLACK;
-    past it, or for a mixed input (its lambda_min has no closed form), every check runs."""
+    v|psi|^2 + (1 - v)/8, moved O(u); trace v|psi|^2 + 1 - v +- 8u. ghz_density()'s is exactly
+    real symmetric: w = fl(1 - v)/8 >= 0 on six diagonal entries, and the {0, 7} block
+    [[a, c], [c, a]], c = fl(v/2) and a = fl(c + w), has eigenvalues a +- c >= 0, as rounding is
+    monotone. Only the trace can pass READ_SLACK; past it, or for any other mixed input (its
+    lambda_min has no closed form), every check runs."""
     visibility = read_number(visibility, "visibility")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility {visibility!r} outside [0, 1]")
     entries = visibility * density_entries(state) + (1.0 - visibility) * WHITE_NOISE
-    if not isinstance(state, StateVector) or abs(complex(entries.trace()) - 1.0) > READ_SLACK:
+    if (not (isinstance(state, StateVector) or state is ghz_density())
+            or abs(complex(entries.trace()) - 1.0) > READ_SLACK):
         return DensityMatrix(entries)
-    entries.setflags(write=False)
-    mixed = object.__new__(DensityMatrix)
-    object.__setattr__(mixed, "entries", entries)
-    return mixed
+    return _certified(entries)
 
 
 # --- state file format -----------------------------------------------------

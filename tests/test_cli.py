@@ -873,6 +873,35 @@ def test_seeded_subcommands_never_load_numpy_random():
     assert json.loads(proc.stdout) == [[0] * 5, []]
 
 
+def test_only_input_is_eigensolved(tmp_path):
+    # GHZ's matrix and its mixtures are certified as built, import included, so none of the
+    # nine commands of a cli_light benchmark pass (its drawn flags fixed) calls eigvalsh;
+    # a mixed state file keeps every check, eigensolve included.
+    light = [["verify"], ["contradiction"], ["contradiction", "--mode", "epr"],
+             ["bounds", "--class", "local"], ["bounds", "--class", "realistic"],
+             ["classify", "--noise", "0.3"], ["threshold", "--bound", "locality"],
+             ["threshold", "--bound", "quantum_locality"], ["figure1", "--seed", "7"]]
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(qcore.state_to_json_dict(WHITE_NOISE)))
+    runs = light + [[command, "--state", str(path)] for command in ("classify", "verify")]
+    code = ("import contextlib, io, json, sys\n"
+            "import numpy as np\n"
+            "calls, eigvalsh = [], np.linalg.eigvalsh\n"
+            "np.linalg.eigvalsh = lambda mat: calls.append(1) or eigvalsh(mat)\n"
+            "import ghzlab.cli\n"
+            "counts = [len(calls)]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in json.loads(sys.argv[1]):\n"
+            "        calls.clear()\n"
+            "        counts.append([ghzlab.cli.main(argv), len(calls)])\n"
+            "print(json.dumps(counts))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ghzlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [0] + [[0, 0]] * len(light) + [[0, 1]] * 2
+
+
 def test_src_imports_only_the_standard_library_and_numpy():
     # numpy is the one runtime dependency; sympy, say, may be installed but
     # must not reach the package.

@@ -40,11 +40,13 @@ class TestGhzConstruction:
 
     def test_exact_density_matrix(self):
         # No float squares to 1/2: make_ghz's SQRT2_INV squares to 1/2 - 2^-53. ghz_density
-        # holds 1/2 itself, built once and read-only, and its point and signed sums are exact.
+        # holds 1/2 itself, built once, certified and read-only (the constructor accepts it),
+        # and its point and signed sums are exact.
         assert qcore.SQRT2_INV * qcore.SQRT2_INV == 0.5 - 2 ** -53
         expected = np.zeros((8, 8), dtype=complex)
         expected[np.ix_([0, 7], [0, 7])] = 0.5
         assert same_bits(qcore.ghz_density().entries, expected)
+        assert same_bits(DensityMatrix(qcore.ghz_density().entries).entries, expected)
         assert not qcore.ghz_density().entries.flags.writeable
         assert qcore.ghz_density() is qcore.ghz_density()
         point = mermin.evaluate_point(qcore.ghz_density())
@@ -698,24 +700,43 @@ class TestWhiteNoise:
         rho, a = qcore.density_entries(pure), np.abs(pure.amplitudes)
         assert (np.abs(rho - rho.conj().T) <= 3 * U * np.outer(a, a) + TINY).all()
 
-    def test_only_the_white_noise_path_skips_the_constructor(self):
-        # object.__new__(DensityMatrix) is written once in src/, in mix_with_white_noise.
-        made = [(path.stem, node.name, ast.unparse(call))
-                for path in sorted(Path(qcore.__file__).parent.glob("*.py"))
-                for node in ast.parse(path.read_text()).body
-                for call in ast.walk(node) if isinstance(call, ast.Call)
-                and ast.unparse(call.func).endswith("__new__")]
-        assert made == [("qcore", "mix_with_white_noise", "object.__new__(DensityMatrix)")]
+    @settings(derandomize=True, database=None, max_examples=500)
+    @given(st.one_of(VISIBILITIES, st.sampled_from([0.5, 2.0 ** -1022, 2.0 ** -1021])))
+    def test_ghzs_mixture_is_certified_as_built(self, v):
+        # The derivation's premise: the mixture has the constructor's bits and no eigenvalue
+        # below -4u, so DensityMatrix would accept what the certified path skips checking.
+        ghz = qcore.ghz_density()
+        mixed = qcore.mix_with_white_noise(ghz, v)
+        assert same_bits(mixed.entries, v * ghz.entries + (1.0 - v) * qcore.WHITE_NOISE)
+        assert mixed.entries.dtype == complex and not mixed.entries.flags.writeable
+        assert np.linalg.eigvalsh(mixed.entries)[0] >= -4 * U
+        assert np.array_equal(DensityMatrix(mixed.entries).entries, mixed.entries)
+
+    def test_only_the_certified_builder_skips_the_constructor(self):
+        # object.__new__(DensityMatrix) is written once in src/, in qcore._certified, whose
+        # callers are ghz_density and mix_with_white_noise alone.
+        calls = [(path.stem, node.name, ast.unparse(call.func), ast.unparse(call.args[0]))
+                 for path in sorted(Path(qcore.__file__).parent.glob("*.py"))
+                 for node in ast.parse(path.read_text()).body
+                 for call in ast.walk(node) if isinstance(call, ast.Call)
+                 and ast.unparse(call.func).split(".")[-1] in ("__new__", "_certified")]
+        assert [call[:3] for call in calls] == [("qcore", "ghz_density", "_certified"),
+                                                ("qcore", "_certified", "object.__new__"),
+                                                ("qcore", "mix_with_white_noise", "_certified")]
+        assert calls[1][3] == "DensityMatrix"
 
     def test_a_mixed_input_takes_every_check(self, monkeypatch):
-        # A mixed input's least eigenvalue has no closed form, so its mixture is
-        # eigensolved; a pure input's is not.
-        pure, mixed = qcore.make_ghz(), qcore.ghz_density()
+        # A mixed input from outside has no closed-form least eigenvalue, so its mixture
+        # is eigensolved once; a pure input's and GHZ's are not.
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        outside = DensityMatrix(raw @ raw.conj().T / np.trace(raw @ raw.conj().T).real)
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(1) or eigvalsh(mat))
-        qcore.mix_with_white_noise(pure, 0.5)
+        qcore.mix_with_white_noise(qcore.make_ghz(), 0.5)
+        qcore.mix_with_white_noise(qcore.ghz_density(), 0.5)
         assert calls == []
-        qcore.mix_with_white_noise(mixed, 0.5)
+        qcore.mix_with_white_noise(outside, 0.5)
         assert calls == [1]
 
     def test_pure_limit(self):
