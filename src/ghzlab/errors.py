@@ -5,9 +5,9 @@ imaginary expectation residual (CLI exit 1). Refused input raises ValueError (ex
 class SelfCheckFailed(RuntimeError):
     """An internal self-check failed: the code, not the input, is wrong.
 
-    Raised when M + iM' = 8|000><111| fails on the operator matrices, when a
-    quarter turn of one qubit does not map M -> M' -> -M (or a cut's pair
-    operators A -> -B -> -A) exactly, when a witness, a maximizer at seeded phases
+    Raised when M + iM' = 8|000><111| or (X + iY)^{(x)3} fails on the operator
+    matrices, when a quarter turn of one qubit does not map a factor's (X + iY)^{(x)n}
+    to -i times it exactly, when a witness, a maximizer at seeded phases
     (checked as a result, never read as input), is not 8 amplitudes of norm 1
     reaching its closed form, when the GHZ point behind the noise thresholds or
     the HR pair witness at 1/2 misses its value (each within SELF_CHECK_TOL),

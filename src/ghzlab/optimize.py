@@ -16,11 +16,12 @@ a product of phased cats (|0...0> + e^{ia}|1...1>)/sqrt(2) at phases from one se
 maximum leaves through ``_certify``, which builds the result only once the identity holds
 exactly on the operator matrices and every witness is 8 amplitudes of norm 1 (so finite)
 reaching the value, both within SELF_CHECK_TOL, and writes the first witness as the
-argmax. The eigensolve oracles are independent references: an exact quarter-turn check,
-then one eigensolve (one per cut).
+argmax. ``_radius_eigen_oracle``, the dual of ``_max_radius`` over the same partitions,
+checks two identities exactly, then runs one eigensolve per factor size.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -30,9 +31,6 @@ from .errors import SelfCheckFailed
 from . import locality, mermin, qcore
 from .qcore import SELF_CHECK_TOL, Observable, observable_matrix
 
-#: diag(1, i) on qubit 3 of three, and on the first qubit of a pair.
-QUBIT3_TURN = qcore.tensor([np.ones(2), np.ones(2), [1, 1j]])
-PAIR_TURN = qcore.tensor([[1, 1j], np.ones(2)])
 #: Limit of each bound that GHZ violates, so that noisy GHZ crosses it.
 _GHZ_BOUNDS = mermin.report(mermin.evaluate_point(qcore.ghz_density())).to_json_dict()["bounds"]
 THRESHOLD_LIMITS = {name: limit for name, (_, limit) in mermin.BOUNDS.items()
@@ -66,22 +64,6 @@ def _mermin_terms(which: str) -> tuple:
     if not isinstance(which, str) or which not in ("m", "mprime"):
         raise ValueError(f"which must be 'm' or 'mprime', got {which!r}")
     return mermin.M_TERMS if which == "m" else mermin.MPRIME_TERMS
-
-
-def _check_quarter_turn(first, second, phases) -> None:
-    """Check that conjugating by diag(phases) maps first -> second -> -first.
-
-    U_a = diag(1, e^{ia}) on one qubit multiplies the qubit's off-diagonal
-    blocks by e^{+-ia}. The first step (a = pi/2) says ``second`` is
-    ``first`` with those blocks times +-i; the second rules out any block of
-    ``first`` diagonal on the qubit. So cos(a) first + sin(a) second =
-    U_a first U_a^H for every a. Entries are 0, +-1 and +-i: exact.
-    """
-    turn = np.outer(phases, np.conj(phases))
-    if not (np.array_equal(first * turn, second)
-            and np.array_equal(second * turn, -first)):
-        raise SelfCheckFailed("quarter turn does not rotate the operator pair; "
-                              "operator code corrupt")
 
 
 def _certify(model_class: str, value: float, witnesses,
@@ -188,28 +170,33 @@ def max_quantum_local_radius(restarts: int = locality.DEFAULT_RESTARTS,
     return _max_radius("quantum_local", restarts, seed)
 
 
-def biseparable_radius_eigen_oracle() -> float:
-    """Exact biseparable maximum of <M>^2 + <M'>^2 by eigensolve.
-
-    The qubit-3 quarter turn makes cos(phi) M + sin(phi) M' a local
-    rotation of M, so the radius maximum is the square of the biseparable
-    maximum of <M>: for a cut, with M = X_cut (x) A + Y_cut (x) B, the
-    largest lambda_max(cos(a) A + sin(a) B). The quarter turn A -> -B -> -A
-    on the pair's first qubit makes each a rotation of A. All three cuts
-    give lambda_max(A) = 2, so the radius maximum is 4 -- strictly below
-    the class-membership bound 8, which is therefore not tight.
-    """
+def _radius_eigen_oracle(model_class: str) -> float:
+    """``_max_radius``' dual: the max of <M>^2 + <M'>^2 over the products of
+    ``mermin.PARTITIONS[model_class]``, by eigensolve. M + iM' = A_3, A_n = (X + iY)^{(x)n} =
+    2^n |0...0><1...1| (checked exactly), so a product's <A_3> is its factors' <A_n> multiplied,
+    and max |<A_n>| is A_n's numerical radius (Horn and Johnson, Topics in Matrix Analysis, 1991,
+    ch. 1). diag(1, e^{ia}) on the first qubit maps A_n to e^{-ia} A_n iff A_n lives in that
+    qubit's |0><1| block, which the quarter turn a = pi/2 checks exactly; so every phase of A_n
+    is unitarily similar to it, and its radius is lambda_max((A_n + A_n^H)/2) = 2^{n-1}, one
+    eigensolve per factor size. The max is the largest (prod lambda_max)^2: 1, 4 or 16."""
     m_mat, mp_mat = _mermin_matrices()
-    _check_quarter_turn(m_mat, mp_mat, QUBIT3_TURN)
-    best = -np.inf
-    for cut in range(3):
-        # Cut qubit first: <1|M|0> = A + iB and <0|M|1> = A - iB.
-        m_cut = np.moveaxis(m_mat.reshape((2,) * 6), (cut, 3 + cut), (0, 3)).reshape(8, 8)
-        lower, upper = m_cut[4:, :4], m_cut[:4, 4:]
-        a_mat, b_mat = (lower + upper) / 2.0, (lower - upper) / 2j
-        _check_quarter_turn(a_mat, -b_mat, PAIR_TURN)
-        best = max(best, float(np.linalg.eigvalsh(a_mat)[-1]) ** 2)
-    return best
+    raising = qcore.PAULI["X"] + 1j * qcore.PAULI["Y"]
+    if not np.array_equal(qcore.tensor([raising] * 3), m_mat + 1j * mp_mat):
+        raise SelfCheckFailed("M + iM' != (X + iY)^(x)3; operator code corrupt")
+    partitions = mermin.PARTITIONS[model_class]
+    radius = {}
+    for n in sorted({len(factor) for partition in partitions for factor in partition}):
+        a_n = qcore.tensor([raising] * n)
+        turn = qcore.tensor([np.array([1, 1j])] + [np.ones(2)] * (n - 1))
+        if not np.array_equal(a_n * np.outer(turn, turn.conj()), -1j * a_n):
+            raise SelfCheckFailed(f"quarter turn does not map (X + iY)^(x){n} to -i times it")
+        radius[n] = float(np.linalg.eigvalsh((a_n + a_n.conj().T) / 2)[-1])
+    return max(math.prod(radius[len(factor)] for factor in p) for p in partitions) ** 2
+
+
+def biseparable_radius_eigen_oracle() -> float:
+    """Exact biseparable maximum of <M>^2 + <M'>^2 by eigensolve: 4, below the membership bound 8."""
+    return _radius_eigen_oracle("biseparable")
 
 
 def max_biseparable_radius(restarts: int = locality.DEFAULT_RESTARTS,
@@ -230,17 +217,8 @@ def operator_square_sum_top_eigenvalue() -> float:
 
 
 def quantum_radius_eigen_oracle() -> float:
-    """Independent eigensolve certificate of the quantum radius maximum.
-
-    By duality, max over states of <M>^2 + <M'>^2 equals the max over
-    phi of lambda_max(cos(phi) M + sin(phi) M')^2. The qubit-3 quarter
-    turn M -> M' -> -M, checked exactly, makes every such combination a
-    rotation of M itself, so one eigensolve gives the maximum:
-    lambda_max(M)^2 = 16.
-    """
-    m_mat, mp_mat = _mermin_matrices()
-    _check_quarter_turn(m_mat, mp_mat, QUBIT3_TURN)
-    return float(np.linalg.eigvalsh(m_mat)[-1]) ** 2
+    """Exact quantum maximum of <M>^2 + <M'>^2 by eigensolve: 16."""
+    return _radius_eigen_oracle("quantum")
 
 
 def max_quantum_radius(restarts: int = locality.DEFAULT_RESTARTS,

@@ -320,17 +320,21 @@ def mix_with_white_noise(state, visibility: float) -> DensityMatrix:
     """v * rho + (1 - v) * I/8. A pure input certifies its mixture, u = 2^-53: finite, as
     |psi_i| <= 1 + READ_SLACK and v is in [0, 1]; Hermitian within 3u |psi_i psi_j| + v's rounding,
     one FMA rounding in each Im of outer(psi, conj(psi)), I/8 exact; eigenvalues (1 - v)/8 (x7) and
-    v|psi|^2 + (1 - v)/8, moved O(u); trace v|psi|^2 + 1 - v +- 8u. ghz_density()'s is exactly
-    real symmetric: w = fl(1 - v)/8 >= 0 on six diagonal entries, and the {0, 7} block
-    [[a, c], [c, a]], c = fl(v/2) and a = fl(c + w), has eigenvalues a +- c >= 0, as rounding is
-    monotone. Only the trace can pass READ_SLACK; past it, or for any other mixed input (its
-    lambda_min has no closed form), every check runs."""
+    v|psi|^2 + (1 - v)/8, moved O(u). ghz_density()'s is exactly real symmetric: w = fl(1 - v)/8
+    >= 0 on six diagonal entries, and the {0, 7} block [[a, c], [c, a]], c = fl(v/2) and
+    a = fl(c + w), has eigenvalues a +- c >= 0, as rounding is monotone. Only the trace is checked,
+    against READ_SLACK plus its rounding (derived at the check); past that, or for any other mixed
+    input (its lambda_min has no closed form), every check runs."""
     visibility = read_number(visibility, "visibility")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility {visibility!r} outside [0, 1]")
     entries = visibility * density_entries(state) + (1.0 - visibility) * WHITE_NOISE
+    # |psi|^2 is within READ_SLACK + 16u of 1 (StateVector's check rounds 16 products and sums).
+    # The trace rounds each Re rho_ii 4 times (twice in |psi_i|^2, then v *, + w), w twice (1 - v,
+    # + v|psi_i|^2) and the 8-term sum 7 times: 16u + 4u + 7u. Each Im rho_ii is one rounding, at
+    # most u |psi_i|^2 / 2, u/2 in all; second-order terms are far below u/2 (Higham, ch. 3).
     if (not (isinstance(state, StateVector) or state is ghz_density())
-            or abs(complex(entries.trace()) - 1.0) > READ_SLACK):
+            or abs(complex(entries.trace()) - 1.0) > READ_SLACK + 28 * 2.0 ** -53):
         return DensityMatrix(entries)
     return _certified(entries)
 

@@ -189,23 +189,50 @@ def conjugate(mat, phases):
     return u @ mat @ u.conj().T
 
 
+def raising_power(n: int) -> np.ndarray:
+    """A_n = (X + iY)^{(x)n} = 2^n |0...0><1...1|, written out."""
+    a_n = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    a_n[0, -1] = 2 ** n
+    return a_n
+
+
+def counting_eigvalsh(monkeypatch) -> list:
+    """The shape of each later np.linalg.eigvalsh call, appended as it is made."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(mat.shape) or eigvalsh(mat))
+    return calls
+
+
+#: Each radius class's eigen oracle value and the sizes of its eigensolves: one per factor size.
+ORACLE_WORK = {"quantum": (16.0, [(8, 8)]), "biseparable": (4.0, [(2, 2), (4, 4)]),
+               "quantum_local": (1.0, [(2, 2)])}
+
+
 class TestQuarterTurnCertificates:
     @pytest.mark.parametrize("qubit", range(3))
     def test_quarter_turn_maps_pair_on_every_qubit(self, qubit):
-        # M is symmetric under qubit permutations, so any qubit turns M into M'.
+        # M + iM' = A_3 lives in every qubit's |0><1| block, so the oracle's turn, on the
+        # first qubit or any other, maps it to -i A_3: M -> M' and M' -> -M.
         m_mat, mp_mat = optimize._mermin_matrices()
         phases = qubit_turn(qubit)
+        assert np.array_equal(m_mat + 1j * mp_mat, raising_power(3))
+        assert np.array_equal(conjugate(raising_power(3), phases), -1j * raising_power(3))
         assert np.array_equal(conjugate(m_mat, phases), mp_mat)
         assert np.array_equal(conjugate(mp_mat, phases), -m_mat)
-        optimize._check_quarter_turn(m_mat, mp_mat, phases)
 
     @pytest.mark.parametrize("cut", range(3))
     def test_quarter_turn_maps_cut_operators(self, cut):
+        # On cut c, M = X_c (x) A + Y_c (x) B with M + iM' = A_1 (x) A_2, so A is A_2's
+        # Hermitian part, the matrix the oracle eigensolves for a pair, and B = i(A_2 - A_2^H)/2.
+        # The turn on the pair's first qubit maps A_2 to -i A_2, that is A -> -B -> -A.
         a_mat, b_mat = cut_operators(cut)
-        phases = np.repeat([1, 1j], 2)
+        a_2, phases = raising_power(2), np.repeat([1, 1j], 2)
+        assert np.array_equal(a_mat, (a_2 + a_2.conj().T) / 2)
+        assert np.array_equal(b_mat, 1j * (a_2 - a_2.conj().T) / 2)
+        assert np.array_equal(conjugate(a_2, phases), -1j * a_2)
         assert np.array_equal(conjugate(a_mat, phases), -b_mat)
         assert np.array_equal(conjugate(-b_mat, phases), -a_mat)
-        optimize._check_quarter_turn(a_mat, -b_mat, phases)
+        assert np.linalg.eigvalsh(a_mat)[-1] == 2.0
 
     def test_rotation_identity_at_sampled_angles(self):
         m_mat, mp_mat = optimize._mermin_matrices()
@@ -217,37 +244,85 @@ class TestQuarterTurnCertificates:
     @pytest.mark.parametrize("oracle", [optimize.quantum_radius_eigen_oracle,
                                         optimize.biseparable_radius_eigen_oracle])
     def test_part_diagonal_on_qubit3_is_refused(self, monkeypatch, oracle):
-        # I(x)I(x)Z is unchanged by the qubit-3 turn, so M + IIZ -> M' + IIZ
-        # passes the first step; only the second (M' -> -M) catches it.
+        # I(x)I(x)Z is unchanged by the qubit-3 turn, so M + IIZ -> M' + IIZ holds; but
+        # M + iM' is then off (X + iY)^{(x)3}, and the identity refuses it.
         m_mat, mp_mat = optimize._mermin_matrices()
         iiz = np.diag(np.tile([1.0, -1.0], 4)).astype(complex)
         assert np.array_equal(conjugate(m_mat + iiz, qubit_turn(2)), mp_mat + iiz)
         monkeypatch.setattr(optimize, "_mermin_matrices",
                             lambda: (m_mat + iiz, mp_mat + iiz))
-        with pytest.raises(errors.SelfCheckFailed, match="quarter turn"):
+        with pytest.raises(errors.SelfCheckFailed, match=re.escape("M + iM' != (X + iY)^(x)3")):
             oracle()
 
-    def test_wrong_second_operator_is_refused(self):
+    @pytest.mark.parametrize("pauli,factor", [("X", qcore.PAULI["X"] + qcore.PAULI["Z"]),
+                                              ("Y", -qcore.PAULI["Y"])], ids=["X+Z", "-Y"])
+    @pytest.mark.parametrize("model_class", ORACLE_WORK)
+    def test_a_factor_off_the_turned_qubits_block_is_refused(self, monkeypatch, model_class,
+                                                            pauli, factor):
+        # A corrupted PAULI entry moves both sides of the identity alike, since M and M' are
+        # the expansion of (X + iY)^{(x)3} in whatever PAULI holds. X + Z puts a part on the
+        # diagonal of every qubit and -Y moves A_n to |1...1><0...0|: the turn refuses both,
+        # at the class's smallest factor size.
+        monkeypatch.setitem(qcore.PAULI, pauli, factor)
         m_mat, mp_mat = optimize._mermin_matrices()
-        with pytest.raises(errors.SelfCheckFailed):
-            optimize._check_quarter_turn(m_mat, -mp_mat, qubit_turn(2))
+        raising = qcore.PAULI["X"] + 1j * qcore.PAULI["Y"]
+        assert np.array_equal(qcore.tensor([raising] * 3), m_mat + 1j * mp_mat)
+        n = min(len(f) for partition in mermin.PARTITIONS[model_class] for f in partition)
+        with pytest.raises(errors.SelfCheckFailed, match=re.escape(
+                f"quarter turn does not map (X + iY)^(x){n} to -i times it")):
+            optimize._radius_eigen_oracle(model_class)
 
-    @pytest.mark.parametrize("oracle,value,eigensolves", [
-        (optimize.quantum_radius_eigen_oracle, 16.0, 1),
-        (optimize.biseparable_radius_eigen_oracle, 4.0, 3),
-    ], ids=["quantum", "biseparable"])
-    def test_oracle_value_and_work(self, monkeypatch, oracle, value, eigensolves):
-        assert inspect.signature(oracle).parameters == {}
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+    @pytest.mark.parametrize("name", ["M_TERMS", "MPRIME_TERMS"])
+    def test_wrong_second_operator_is_refused(self, monkeypatch, name):
+        # A corrupted M or M': one coefficient with its sign flipped leaves M + iM' off
+        # (X + iY)^{(x)3}, and every class's oracle refuses it before any eigensolve.
+        calls = counting_eigvalsh(monkeypatch)
+        terms = getattr(mermin, name)
+        for k, (coeff, settings) in enumerate(terms):
+            flipped = (*terms[:k], (-coeff, settings), *terms[k + 1:])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mermin, name, flipped)
+                for model_class in ORACLE_WORK:
+                    with pytest.raises(errors.SelfCheckFailed,
+                                       match=re.escape("M + iM' != (X + iY)^(x)3")):
+                        optimize._radius_eigen_oracle(model_class)
+        assert calls == []
 
-        def counted(mat):
-            calls.append(mat.shape)
-            return eigvalsh(mat)
+    @pytest.mark.parametrize("model_class", ORACLE_WORK)
+    def test_oracle_value_and_work(self, monkeypatch, model_class):
+        # Exact, with one eigensolve per factor size: 2 x 2 for a qubit, 4 x 4 for a pair,
+        # 8 x 8 for the triple. The two public oracles read it with no argument.
+        value, eigensolves = ORACLE_WORK[model_class]
+        calls = counting_eigvalsh(monkeypatch)
+        assert optimize._radius_eigen_oracle(model_class) == value
+        assert calls == eigensolves
+        public = getattr(optimize, f"{model_class}_radius_eigen_oracle", None)
+        if public is not None:
+            assert inspect.signature(public).parameters == {}
+            assert public() == value
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        assert oracle() == pytest.approx(value, abs=1e-12)
-        assert len(calls) == eigensolves
+
+@pytest.mark.parametrize("model_class", ORACLE_WORK)
+def test_the_eigen_oracle_equals_the_closed_form(model_class):
+    # The dual pair over one table: the eigensolve and _max_radius' certified AM-GM
+    # closed form agree exactly, for every radius class.
+    closed_form = optimize._max_radius(model_class, 1, 0).best_value
+    assert optimize._radius_eigen_oracle(model_class) == closed_form
+
+
+@settings(derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_no_product_of_haar_factors_passes_the_eigen_oracle(seed):
+    # A product of Haar-random factors over any partition of a class has r^2 at most
+    # the class's eigen oracle value.
+    rng = optimize.seeded_rng(seed)
+    for model_class, partitions in mermin.PARTITIONS.items():
+        bound = optimize._radius_eigen_oracle(model_class) + qcore.SELF_CHECK_TOL
+        for partition in partitions:
+            factors = [optimize.complex_normals(rng, (2 ** len(factor),)) for factor in partition]
+            product = qcore.tensor([z / np.linalg.norm(z) for z in factors]).reshape(2, 2, 2)
+            psi = np.moveaxis(product, (0, 1, 2), sum(partition, ())).reshape(8)
+            assert abs(mermin.pure_mermin_values(psi)) ** 2 <= bound, (model_class, partition)
 
 
 RADIUS_MAXIMA = {"quantum_local": optimize.max_quantum_local_radius,
@@ -350,8 +425,8 @@ def test_each_radius_maximum_draws_only_its_free_phases():
              and ast.unparse(node.func).rpartition(".")[2] in samplers]
     assert draws == ["uniforms"]
     assert callers("_phased_cat") == callers("_certify") == {"_max_radius"}
-    # The oracle's moveaxis puts an operator's cut qubit first; it builds no witness.
-    assert callers("np.moveaxis") == {"_max_radius", "biseparable_radius_eigen_oracle"}
+    # Only the witnesses' factors are moved to their qubits; the eigen oracle moves none.
+    assert callers("np.moveaxis") == {"_max_radius"}
     closed_forms = {function for function, node in functions.items()
                     for power in ast.walk(node) if isinstance(power, ast.BinOp)
                     and isinstance(power.op, ast.Pow) and ast.unparse(power.left) == "4.0"}
@@ -360,6 +435,21 @@ def test_each_radius_maximum_draws_only_its_free_phases():
         node = functions[maximize.__name__]
         assert len(node.body) == 2 and "\n" not in ast.get_docstring(node)
         assert ast.unparse(node.body[1]) == f"return _max_radius({model_class!r}, restarts, seed)"
+
+
+def test_one_eigen_oracle_serves_every_radius_class():
+    # The derivation and its eigensolves are written once, in _radius_eigen_oracle: the
+    # public oracles only return its value, and the one other eigensolve is 05b's M^2 + M'^2.
+    tree = ast.parse(Path(optimize.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for model_class in ("biseparable", "quantum"):
+        node = functions[f"{model_class}_radius_eigen_oracle"]
+        assert len(node.body) == 2 and "\n" not in ast.get_docstring(node)
+        assert ast.unparse(node.body[1]) == f"return _radius_eigen_oracle({model_class!r})"
+    eigensolvers = {function for function, node in functions.items()
+                    for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and ast.unparse(call.func) == "np.linalg.eigvalsh"}
+    assert eigensolvers == {"_radius_eigen_oracle", "operator_square_sum_top_eigenvalue"}
 
 
 @settings(derandomize=True, database=None)
